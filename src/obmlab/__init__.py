@@ -4,8 +4,8 @@ Oberbeck-Boussinesq-type limit with a non-local mean-temperature term.
 Subpackages:
 
 * :mod:`obmlab.thermo`  -- equation of state, entropy, transport laws.
-* :mod:`obmlab.fields`  -- grids, field containers, mixed spectral/finite
-  difference operators, snapshot I/O.
+* :mod:`obmlab.fields`  -- grids, mixed spectral/finite difference
+  operators on plain arrays, snapshot I/O.
 * :mod:`obmlab.obm`     -- solver for the limit system (incompressible
   velocity, scalar magnetic deviation, heat equation with non-local term).
 * :mod:`obmlab.mhd`     -- explicit solver for the scaled primitive system.

@@ -108,7 +108,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mms
 from .fields import FieldError, Geometry, Grid, write_snapshot
 from .mhd import (PositivityError, PrimConfig, entropy_production_terms,
                   run_prim, snapshot_fields)
@@ -634,6 +633,7 @@ _MMS_BAND = (1.8, 2.2)
 
 
 def cmd_mms(cfg: RunConfig, args) -> int:
+    from . import mms  # builds on sympy, which no other subcommand needs
     gas, ref = cfg.gas(), cfg.ref()
     prim_case = mms.PrimCase(gas=gas, ref=ref)
     obm_case = mms.ObmCase(gas=gas, ref=ref)

@@ -1,4 +1,4 @@
-"""Grids, field containers, and discrete differential operators.
+"""Grids, discrete differential operators on plain arrays, and snapshot I/O.
 
 Geometry conventions
 --------------------
@@ -27,29 +27,16 @@ hold to rounding for this discretization.
 from __future__ import annotations
 
 import enum
-import logging
+import os
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "Geometry",
     "Grid",
     "FieldError",
     "SnapshotFormatError",
-    "ScalarField",
-    "VectorField",
-    "grad",
-    "div",
-    "curl",
-    "laplacian",
-    "leray_project",
-    "lorentz_force",
-    "mean",
-    "mean_laplacian_flux",
     "dealias_arr",
     "ddx1_arr",
     "ddx2_arr",
@@ -57,7 +44,7 @@ __all__ = [
     "d2dx3_arr",
     "lap_h_arr",
     "mean_arr",
-    "hmean_arr",
+    "l2_arr",
     "wall_flux_arr",
     "leray_arr",
     "cross3",
@@ -192,11 +179,6 @@ class Grid:
 # -- raw array helpers (axis conventions: x3 = axis 0 on strips, x2 = -2, x1 = -1)
 
 
-def _check_finite(data: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(data)):
-        raise FieldError(f"non-finite values in {what}")
-
-
 def hfft(data: np.ndarray, grid: Grid) -> np.ndarray:
     """Real-to-complex horizontal transform (rfft on x1, full fft on x2)."""
     if grid.has_x2:
@@ -274,11 +256,17 @@ def mean_arr(data: np.ndarray, grid: Grid) -> float:
     return float(data.mean())
 
 
-def hmean_arr(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Horizontal average; on strips returns a profile over x3."""
-    if grid.has_walls:
-        return data.reshape(grid.n3, -1).mean(axis=1)
-    return np.asarray(data.mean())
+def l2_arr(data: np.ndarray, grid: Grid) -> float:
+    """Volume-weighted L2 norm of a strip-shaped or horizontal (hshape)
+    array; leading component axes are summed."""
+    sq = np.asarray(data, dtype=float)
+    sq = sq * sq
+    strip = sq.shape[-len(grid.shape):] == grid.shape
+    base = grid.shape if strip else grid.hshape
+    while sq.ndim > len(base):
+        sq = sq.sum(axis=0)
+    mean = mean_arr(sq, grid) if strip else float(sq.mean())
+    return float(np.sqrt(grid.volume * mean))
 
 
 def wall_flux_arr(data: np.ndarray, grid: Grid) -> float:
@@ -320,137 +308,6 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ])
 
 
-# -- field containers ---------------------------------------------------------
-
-
-@dataclass
-class ScalarField:
-    grid: Grid
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape != self.grid.shape:
-            raise FieldError(
-                f"scalar data shape {self.data.shape} != grid shape {self.grid.shape}")
-        _check_finite(self.data, "ScalarField")
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarField":
-        return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        c = grid.coords()
-        return cls(grid, np.broadcast_to(fn(**c), grid.shape).astype(float).copy())
-
-
-@dataclass
-class VectorField:
-    grid: Grid
-    data: np.ndarray  # shape (ncomp, *grid.shape), ncomp in {2, 3}
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != len(self.grid.shape) + 1 or self.data.shape[0] not in (2, 3) \
-                or self.data.shape[1:] != self.grid.shape:
-            raise FieldError(
-                f"vector data shape {self.data.shape} incompatible with grid {self.grid.shape}")
-        _check_finite(self.data, "VectorField")
-
-    @property
-    def ncomp(self) -> int:
-        return self.data.shape[0]
-
-    @classmethod
-    def zeros(cls, grid: Grid, ncomp: int = 3) -> "VectorField":
-        return cls(grid, np.zeros((ncomp,) + grid.shape))
-
-
-# -- vector calculus ----------------------------------------------------------
-
-
-def grad(f: ScalarField) -> VectorField:
-    """Gradient; 2 components on TORUS2, 3 on the strips."""
-    g = f.grid
-    d1 = ddx1_arr(f.data, g)
-    if g.geometry is Geometry.TORUS2:
-        return VectorField(g, np.stack([d1, ddx2_arr(f.data, g)]))
-    d2 = ddx2_arr(f.data, g)
-    d3 = ddx3_arr(f.data, g)
-    return VectorField(g, np.stack([d1, d2, d3]))
-
-
-def div(v: VectorField) -> ScalarField:
-    g = v.grid
-    out = ddx1_arr(v.data[0], g)
-    if g.has_x2:
-        out = out + ddx2_arr(v.data[1], g)
-    if g.has_walls and v.ncomp == 3:
-        out = out + ddx3_arr(v.data[2], g)
-    return ScalarField(g, out)
-
-
-def curl(v: VectorField) -> VectorField:
-    """Curl of a 3-component field; missing directions contribute zero."""
-    if v.ncomp != 3:
-        raise FieldError("curl needs a 3-component field")
-    g = v.grid
-    v1, v2, v3 = v.data
-    d1 = lambda a: ddx1_arr(a, g)
-    d2 = lambda a: ddx2_arr(a, g)
-    d3 = lambda a: ddx3_arr(a, g)
-    return VectorField(g, np.stack([
-        d2(v3) - d3(v2),
-        d3(v1) - d1(v3),
-        d1(v2) - d2(v1),
-    ]))
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    g = f.grid
-    out = lap_h_arr(f.data, g)
-    if g.has_walls:
-        out = out + d2dx3_arr(f.data, g)
-    return ScalarField(g, out)
-
-
-def leray_project(v: VectorField) -> VectorField:
-    """Divergence-free projection on TORUS2 (2-component fields only)."""
-    g = v.grid
-    if g.geometry is not Geometry.TORUS2:
-        raise FieldError("leray_project is defined on TORUS2")
-    if v.ncomp != 2:
-        raise FieldError("leray_project needs a 2-component field")
-    return VectorField(g, leray_arr(v.data, g))
-
-
-def lorentz_force(B: VectorField) -> VectorField:
-    """curl(B) x B with 2/3-dealiased products."""
-    g = B.grid
-    J = curl(B).data
-    Jf = np.stack([dealias_arr(c, g) for c in J])
-    Bf = np.stack([dealias_arr(c, g) for c in B.data])
-    F = cross3(Jf, Bf)
-    F = np.stack([dealias_arr(c, g) for c in F])
-    return VectorField(g, F)
-
-
-def mean(f: ScalarField) -> float:
-    return mean_arr(f.data, f.grid)
-
-
-def mean_laplacian_flux(f: ScalarField) -> float:
-    """Mean of the Laplacian computed from wall fluxes alone.
-
-    On TORUS2 there is no boundary, so the result is exactly 0 (logged)."""
-    g = f.grid
-    if not g.has_walls:
-        logger.warning("mean_laplacian_flux on a boundary-free geometry: returning 0")
-        return 0.0
-    return wall_flux_arr(f.data, g)
-
-
 # -- snapshot I/O --------------------------------------------------------------
 
 _MAGIC = b"OBMQ"
@@ -464,20 +321,37 @@ def write_snapshot(path, grid: Grid, fields: dict) -> None:
     (all little-endian).  Each field follows as an 8-byte ASCII name padded
     with spaces and the little-endian float64 values in x3-major,
     x1-fastest (C) order.
+
+    Every name and shape is checked before anything is written, and the
+    file is written under a temporary name and renamed into place, so
+    ``path`` ends up either whole or untouched.  Names must be at most 8
+    ASCII characters with no trailing blanks, which the reader strips.
     """
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIIII", _MAGIC, _VERSION, grid.geometry.value,
-                             grid.n1, grid.n2, grid.n3))
-        for name, data in fields.items():
-            raw = name.encode("ascii")
-            if len(raw) > 8:
-                raise SnapshotFormatError(f"field name {name!r} longer than 8 bytes")
-            data = np.asarray(data, dtype=float)
-            if data.shape != grid.shape:
-                raise SnapshotFormatError(
-                    f"field {name!r} shape {data.shape} != grid shape {grid.shape}")
-            fh.write(raw.ljust(8, b" "))
-            fh.write(np.ascontiguousarray(data).astype("<f8").tobytes())
+    checked = []
+    for name, data in fields.items():
+        if not name.isascii() or len(name) > 8 or name != name.rstrip():
+            raise SnapshotFormatError(
+                f"field name {name!r} is not at most 8 ASCII characters "
+                "without trailing blanks")
+        data = np.asarray(data, dtype=float)
+        if data.shape != grid.shape:
+            raise SnapshotFormatError(
+                f"field {name!r} shape {data.shape} != grid shape {grid.shape}")
+        checked.append((name.encode("ascii").ljust(8, b" "), data))
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack("<4sIIIII", _MAGIC, _VERSION, grid.geometry.value,
+                                 grid.n1, grid.n2, grid.n3))
+            for raw, data in checked:
+                fh.write(raw)
+                fh.write(np.ascontiguousarray(data).astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_snapshot(path):

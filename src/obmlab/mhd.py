@@ -46,7 +46,7 @@ exact to rounding without touching the local truncation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from .fields import (
     mean_arr,
     write_snapshot,
 )
-from .obm import CflError
+from .obm import CflError, _check_potential_and_walls, _landing_step
 
 __all__ = [
     "PositivityError",
@@ -107,17 +107,8 @@ class PrimConfig:
         g = self.grid
         if g.geometry is not Geometry.STRIP2:
             raise FieldError("the primitive solver runs on the 2.5D strip")
-        self.G = np.asarray(self.G, dtype=float)
-        if self.G.shape != g.shape:
-            raise FieldError(f"G shape {self.G.shape} != grid shape {g.shape}")
-        if not np.all(np.isfinite(self.G)):
-            raise FieldError("non-finite potential G")
-        bottom, top = self.theta_B
-        bottom = np.broadcast_to(np.asarray(bottom, dtype=float), g.hshape).copy()
-        top = np.broadcast_to(np.asarray(top, dtype=float), g.hshape).copy()
-        if not (np.all(np.isfinite(bottom)) and np.all(np.isfinite(top))):
-            raise FieldError("non-finite wall temperature")
-        self.theta_B = (bottom, top)
+        self.G, self.theta_B = _check_potential_and_walls(
+            g, self.G, self.theta_B, FieldError)
         if not 0 < self.safety <= 1:
             raise FieldError(f"safety must lie in (0, 1], got {self.safety}")
         # gravity acceleration components, cached
@@ -412,19 +403,13 @@ def step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float,
         if src is None:
             return parts
         extra = src(t)
-        rho_t, u_t, theta_t, a_t, B2_t = parts
-        return (rho_t + extra.get("rho", 0.0), u_t + extra.get("u", 0.0),
-                theta_t + extra.get("theta", 0.0), a_t + extra.get("a", 0.0),
-                B2_t + extra.get("B2", 0.0))
+        return [p + extra.get(key, 0.0)
+                for p, key in zip(parts, ("rho", "u", "theta", "a", "B2"))]
 
-    def stage(rho, u, theta, a, B2, parts, w_old, w_new, base):
-        rho_n = w_old * base[0] + w_new * (rho + dt * parts[0])
-        u_n = w_old * base[1] + w_new * (u + dt * parts[1])
-        th_n = w_old * base[2] + w_new * (theta + dt * parts[2])
-        a_n = w_old * base[3] + w_new * (a + dt * parts[3])
-        B2_n = w_old * base[4] + w_new * (B2 + dt * parts[4])
-        _impose_bcs(rho_n, u_n, th_n, a_n, B2_n, cfg, state.eps)
-        return rho_n, u_n, th_n, a_n, B2_n
+    def stage(cur, parts, w_old, w_new):
+        out = [w_old * b + w_new * (c + dt * p) for b, c, p in zip(base, cur, parts)]
+        _impose_bcs(*out, cfg, state.eps)
+        return out
 
     def assemble(parts, t):
         rho, u, theta, a, B2 = parts
@@ -433,11 +418,11 @@ def step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float,
 
     base = (state.rho, state.u, state.theta, state.a, state.B2)
     f1 = add_src(_tendencies(state, cfg), state.t)
-    mid = stage(*base, f1, 0.0, 1.0, base)
+    mid = stage(base, f1, 0.0, 1.0)
     _check_admissible(mid, state)
     mid_state = assemble(mid, state.t + dt)
     f2 = add_src(_tendencies(mid_state, cfg), state.t + dt)
-    out = stage(mid[0], mid[1], mid[2], mid[3], mid[4], f2, 0.5, 0.5, base)
+    out = stage(mid, f2, 0.5, 0.5)
     _check_admissible(out, state)
     return assemble(out, state.t + dt)
 
@@ -505,21 +490,19 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
     """March to t_end; returns (final state, per-step diagnostic rows).
 
     Rows: (t, mass, momentum1, total energy, ballistic energy, max |div B|,
-    min rho, min theta, entropy production integral).  With dt = None each
-    step takes cfg.safety times the current CFL bound (shrunk to land on
-    t_end exactly).  On positivity loss the last valid state is dumped to
-    ``fail_snapshot`` when given and the error re-raised."""
+    min rho, min theta, entropy production integral).  Each step is at most
+    dt, or with dt = None cfg.safety times the current CFL bound, shrunk by
+    the common landing rule so the run ends exactly on t_end.  On positivity
+    loss the last valid state is dumped to ``fail_snapshot`` when given and
+    the error re-raised."""
     g = state.grid
     rows = []
     psi = psi_extension(cfg, state.eps)
-    while state.t < t_end - 1e-12:
-        if dt is None:
-            step = cfg.safety * cfl_limits(state, cfg)
-        else:
-            step = dt
-        remaining = t_end - state.t
-        n_left = max(1, int(np.ceil(remaining / step - 1e-9)))
-        step = remaining / n_left
+    while True:
+        bound = cfg.safety * cfl_limits(state, cfg) if dt is None else dt
+        n_left, step = _landing_step(state.t, t_end, bound)
+        if n_left == 0:
+            break
         try:
             state = step_prim(state, cfg, step, src=src)
         except PositivityError as exc:
@@ -542,4 +525,6 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
         ))
         if on_step is not None:
             on_step(state)
+        if n_left == 1:
+            break  # landed on t_end
     return state, rows

@@ -32,7 +32,7 @@ import numpy as np
 import sympy as sp
 
 from . import thermo
-from .fields import FieldError, Geometry, Grid, mean_arr
+from .fields import FieldError, Geometry, Grid, l2_arr
 from .mhd import PrimConfig, PrimitiveState, run_prim
 from .obm import ObmConfig, ObmState, default_potential, run_obm
 
@@ -49,20 +49,23 @@ __all__ = [
 _T, _X1, _X3 = sp.symbols("t x1 x3", real=True)
 
 
-def _l2(arr: np.ndarray, grid: Grid) -> float:
-    """Volume-weighted L2 norm; leading component axes are summed."""
-    sq = np.asarray(arr, dtype=float) ** 2
-    while sq.ndim > len(grid.shape):
-        sq = sq.sum(axis=0)
-    if sq.shape == grid.shape:
-        return float(np.sqrt(grid.volume * mean_arr(sq, grid)))
-    return float(np.sqrt(grid.volume * sq.mean()))
+def _evaluate(fns: dict, tval: float, grid: Grid) -> dict:
+    """Closed-form fields or sources on the grid.
 
-
-def _on_grid(fn, tval: float, grid: Grid, shape: tuple) -> np.ndarray:
+    Entries are callables of (t, x1, x3) evaluated on the strip, except b1,
+    which is depth independent: a callable of (t, x1) on ``grid.hshape``.
+    Velocity components u1, u2, u3 are stacked into u."""
     c = grid.coords()
-    val = fn(float(tval), c["x1"], c["x3"])
-    return np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
+    out = {}
+    for key, fn in fns.items():
+        if key == "b1":
+            val, shape = fn(float(tval), grid.x1), grid.hshape
+        else:
+            val, shape = fn(float(tval), c["x1"], c["x3"]), grid.shape
+        out[key] = np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
+    if "u1" in out:
+        out["u"] = np.stack([out.pop(k) for k in ("u1", "u2", "u3")])
+    return out
 
 
 class PrimCase:
@@ -183,14 +186,7 @@ class PrimCase:
         """Exact fields on the grid at time tval (plus the constant c3)."""
         if grid.geometry is not Geometry.STRIP2:
             raise FieldError("the compressible case runs on the 2.5D strip")
-        sh = grid.shape
-        u = np.stack([_on_grid(self.exact[k], tval, grid, sh)
-                      for k in ("u1", "u2", "u3")])
-        return {"rho": _on_grid(self.exact["rho"], tval, grid, sh), "u": u,
-                "theta": _on_grid(self.exact["theta"], tval, grid, sh),
-                "a": _on_grid(self.exact["a"], tval, grid, sh),
-                "B2": _on_grid(self.exact["B2"], tval, grid, sh),
-                "c3": self.ref.b_bar}
+        return {**_evaluate(self.exact, tval, grid), "c3": self.ref.b_bar}
 
     def state(self, tval: float, grid: Grid) -> PrimitiveState:
         f = self.fields(tval, grid)
@@ -204,28 +200,17 @@ class PrimCase:
 
     def source(self, grid: Grid):
         """Additive source hook ``src(t)`` for step_prim / run_prim."""
-        sh = grid.shape
-        fns = self.sources
-
-        def src(tval):
-            u = np.stack([_on_grid(fns[k], tval, grid, sh)
-                          for k in ("u1", "u2", "u3")])
-            return {"rho": _on_grid(fns["rho"], tval, grid, sh), "u": u,
-                    "theta": _on_grid(fns["theta"], tval, grid, sh),
-                    "a": _on_grid(fns["a"], tval, grid, sh),
-                    "B2": _on_grid(fns["B2"], tval, grid, sh)}
-
-        return src
+        return lambda tval: _evaluate(self.sources, tval, grid)
 
     def error(self, state: PrimitiveState) -> dict:
         """Per-field L2 errors against the exact fields at state.t."""
         f = self.fields(state.t, state.grid)
         g = state.grid
-        out = {"rho": _l2(state.rho - f["rho"], g),
-               "u": _l2(state.u - f["u"], g),
-               "theta": _l2(state.theta - f["theta"], g),
-               "a": _l2(state.a - f["a"], g),
-               "B2": _l2(state.B2 - f["B2"], g)}
+        out = {"rho": l2_arr(state.rho - f["rho"], g),
+               "u": l2_arr(state.u - f["u"], g),
+               "theta": l2_arr(state.theta - f["theta"], g),
+               "a": l2_arr(state.a - f["a"], g),
+               "B2": l2_arr(state.B2 - f["B2"], g)}
         out["combined"] = float(np.sqrt(sum(v ** 2 for v in out.values())))
         return out
 
@@ -281,11 +266,7 @@ class ObmCase:
     def fields(self, tval: float, grid: Grid) -> dict:
         if grid.geometry is not Geometry.STRIP2:
             raise FieldError("the limit case runs on the 2.5D strip")
-        th = _on_grid(self.exact["theta1"], tval, grid, grid.shape)
-        b = np.broadcast_to(np.asarray(
-            self.exact["b1"](float(tval), grid.x1), dtype=float),
-            grid.hshape).copy()
-        return {"theta1": th, "b1": b}
+        return _evaluate(self.exact, tval, grid)
 
     def state(self, tval: float, grid: Grid) -> ObmState:
         f = self.fields(tval, grid)
@@ -298,21 +279,12 @@ class ObmCase:
 
     def source(self, grid: Grid):
         """Additive source hook ``src(t)`` for step_obm / run_obm."""
-        fns = self.sources
-
-        def src(tval):
-            th = _on_grid(fns["theta1"], tval, grid, grid.shape)
-            b = np.broadcast_to(np.asarray(
-                fns["b1"](float(tval), grid.x1), dtype=float),
-                grid.hshape).copy()
-            return {"theta1": th, "b1": b}
-
-        return src
+        return lambda tval: _evaluate(self.sources, tval, grid)
 
     def error(self, state: ObmState) -> dict:
         f = self.fields(state.t, state.grid)
-        out = {"theta1": _l2(state.theta1 - f["theta1"], state.grid),
-               "b1": _l2(state.b1 - f["b1"], state.grid)}
+        out = {"theta1": l2_arr(state.theta1 - f["theta1"], state.grid),
+               "b1": l2_arr(state.b1 - f["b1"], state.grid)}
         out["combined"] = float(np.sqrt(sum(v ** 2 for v in out.values())))
         return out
 
@@ -343,11 +315,27 @@ class ConvergenceTable:
         return float(np.max(self.combined) / np.min(self.combined))
 
 
-def _table(axis: str, ns, spacings, errs) -> ConvergenceTable:
+def _sweep(case, axis: str, ns, fixed: int, t_end: float,
+           dt_factor: float | None = None) -> ConvergenceTable:
+    """Refinement sweep on the 2.5D strip: ``axis`` ("n3" or "n1") runs over
+    ns while the other resolution stays at ``fixed``.  The compressible
+    case steps at its CFL bound; the limit case at dt_factor times the wall
+    spacing, shrunk by the landing rule to end on t_end."""
+    errs = []
+    for n in ns:
+        n1, n3 = (fixed, n) if axis == "n3" else (n, fixed)
+        grid = Grid(Geometry.STRIP2, n1=n1, n3=n3)
+        state, src = case.state(0.0, grid), case.source(grid)
+        if isinstance(case, PrimCase):
+            state, _ = run_prim(state, case.config(grid), t_end, src=src)
+        else:
+            cfg = case.config(grid, dt_factor * grid.dx3, t_end)
+            state, _ = run_obm(state, cfg, src=src)
+        errs.append(case.error(state))
     names = [k for k in errs[0] if k != "combined"]
     return ConvergenceTable(
         axis=axis, ns=tuple(int(n) for n in ns),
-        spacings=np.asarray(spacings, dtype=float),
+        spacings=np.array([1.0 / (n - 1) if axis == "n3" else 2.0 / n for n in ns]),
         errors={k: np.array([e[k] for e in errs]) for k in names},
         combined=np.array([e["combined"] for e in errs]))
 
@@ -355,61 +343,28 @@ def _table(axis: str, ns, spacings, errs) -> ConvergenceTable:
 def prim_vertical(case: PrimCase | None = None, n3_list=(33, 65, 129),
                   n1: int = 16, t_end: float = 0.05) -> ConvergenceTable:
     """Vertical refinement sweep of the compressible solver at fixed n1."""
-    case = PrimCase() if case is None else case
-    errs = []
-    for n3 in n3_list:
-        grid = Grid(Geometry.STRIP2, n1=n1, n3=n3)
-        state = case.state(0.0, grid)
-        state, _ = run_prim(state, case.config(grid), t_end,
-                            src=case.source(grid))
-        errs.append(case.error(state))
-    return _table("n3", n3_list, [1.0 / (n - 1) for n in n3_list], errs)
+    return _sweep(PrimCase() if case is None else case, "n3", n3_list, n1, t_end)
 
 
 def prim_horizontal(case: PrimCase | None = None, n1_list=(16, 32, 64),
                     n3: int = 65, t_end: float = 0.05) -> ConvergenceTable:
     """Horizontal sweep at fixed n3; the error should sit on a flat floor."""
-    case = PrimCase() if case is None else case
-    errs = []
-    for n1 in n1_list:
-        grid = Grid(Geometry.STRIP2, n1=n1, n3=n3)
-        state = case.state(0.0, grid)
-        state, _ = run_prim(state, case.config(grid), t_end,
-                            src=case.source(grid))
-        errs.append(case.error(state))
-    return _table("n1", n1_list, [2.0 / n for n in n1_list], errs)
-
-
-def _obm_run(case: ObmCase, grid: Grid, dt: float, t_end: float) -> dict:
-    cfg = case.config(grid, dt, t_end)
-    state = case.state(0.0, grid)
-    state, _ = run_obm(state, cfg, src=case.source(grid))
-    return case.error(state)
+    return _sweep(PrimCase() if case is None else case, "n1", n1_list, n3, t_end)
 
 
 def obm_vertical(case: ObmCase | None = None, n3_list=(33, 65, 129),
                  n1: int = 16, t_end: float = 0.125,
                  dt_factor: float = 0.5) -> ConvergenceTable:
     """Vertical refinement sweep of the limit solver, dt tied to the wall
-    spacing (dt = dt_factor * dx3, rounded to land on t_end) so temporal
-    and vertical errors shrink together at second order."""
-    case = ObmCase() if case is None else case
-    errs = []
-    for n3 in n3_list:
-        grid = Grid(Geometry.STRIP2, n1=n1, n3=n3)
-        steps = max(1, round(t_end / (dt_factor / (n3 - 1))))
-        errs.append(_obm_run(case, grid, t_end / steps, t_end))
-    return _table("n3", n3_list, [1.0 / (n - 1) for n in n3_list], errs)
+    spacing (dt = dt_factor * dx3) so temporal and vertical errors shrink
+    together at second order."""
+    return _sweep(ObmCase() if case is None else case, "n3", n3_list, n1, t_end,
+                  dt_factor)
 
 
 def obm_horizontal(case: ObmCase | None = None, n1_list=(8, 16, 32),
                    n3: int = 65, t_end: float = 0.125,
                    dt_factor: float = 0.5) -> ConvergenceTable:
     """Horizontal sweep of the limit solver at fixed n3 and fixed dt."""
-    case = ObmCase() if case is None else case
-    steps = max(1, round(t_end / (dt_factor / (n3 - 1))))
-    errs = []
-    for n1 in n1_list:
-        grid = Grid(Geometry.STRIP2, n1=n1, n3=n3)
-        errs.append(_obm_run(case, grid, t_end / steps, t_end))
-    return _table("n1", n1_list, [2.0 / n for n in n1_list], errs)
+    return _sweep(ObmCase() if case is None else case, "n1", n1_list, n3, t_end,
+                  dt_factor)

@@ -28,7 +28,7 @@ then inert and the solver reduces to the heat/induction pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -83,6 +83,23 @@ def default_potential(grid: Grid) -> np.ndarray:
     return np.broadcast_to(0.5 - c["x3"], grid.shape).copy()
 
 
+def _check_potential_and_walls(grid: Grid, G, theta_B, error) -> tuple:
+    """Validated solver inputs shared by both configs: the potential G as a
+    finite strip-shaped array and the (bottom, top) wall temperature
+    deviations broadcast to finite hshape arrays.  Failures raise ``error``."""
+    G = np.asarray(G, dtype=float)
+    if G.shape != grid.shape:
+        raise error(f"G shape {G.shape} != grid shape {grid.shape}")
+    if not np.all(np.isfinite(G)):
+        raise error("non-finite potential G")
+    bottom, top = theta_B
+    bottom = np.broadcast_to(np.asarray(bottom, dtype=float), grid.hshape).copy()
+    top = np.broadcast_to(np.asarray(top, dtype=float), grid.hshape).copy()
+    if not (np.all(np.isfinite(bottom)) and np.all(np.isfinite(top))):
+        raise error("non-finite wall temperature")
+    return G, (bottom, top)
+
+
 @dataclass
 class ObmConfig:
     grid: Grid
@@ -97,20 +114,11 @@ class ObmConfig:
         g = self.grid
         if not g.has_walls:
             raise ObmConfigError("the limit solver needs a strip geometry")
-        self.G = np.asarray(self.G, dtype=float)
-        if self.G.shape != g.shape:
-            raise ObmConfigError(f"G shape {self.G.shape} != grid shape {g.shape}")
-        if not np.all(np.isfinite(self.G)):
-            raise ObmConfigError("non-finite potential G")
+        self.G, self.theta_B = _check_potential_and_walls(
+            g, self.G, self.theta_B, ObmConfigError)
         gm = mean_arr(self.G, g)
         if abs(gm) > 1e-10 * (1.0 + np.max(np.abs(self.G))):
             raise ObmConfigError(f"potential G must be mean-free, mean = {gm:.3e}")
-        bottom, top = self.theta_B
-        bottom = np.broadcast_to(np.asarray(bottom, dtype=float), g.hshape).copy()
-        top = np.broadcast_to(np.asarray(top, dtype=float), g.hshape).copy()
-        if not (np.all(np.isfinite(bottom)) and np.all(np.isfinite(top))):
-            raise ObmConfigError("non-finite wall temperature")
-        self.theta_B = (bottom, top)
         if not self.dt > 0:
             raise ObmConfigError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
@@ -274,12 +282,7 @@ def _heat_terms(state: ObmState, cfg: ObmConfig, co: dict):
     forcing = -tb * co["alpha"] * co["zeta"] * _to_strip(lap_h_arr(A, g), g)
     forcing = forcing + tb * co["alpha"] * co["dpdt"] * drift
     if np.any(state.U != 0.0):
-        u1 = dealias_arr(state.U[0], g)
-        UdG = _to_strip(u1, g) * dealias_arr(ddx1_arr(cfg.G, g), g)
-        if g.has_x2:
-            u2 = dealias_arr(state.U[1], g)
-            UdG = UdG + _to_strip(u2, g) * dealias_arr(ddx2_arr(cfg.G, g), g)
-        forcing = forcing + rb * tb * co["alpha"] * UdG
+        forcing = forcing + rb * tb * co["alpha"] * _advect_h(state.U, cfg.G, g)
         adv = _advect_h(state.U, state.theta1, g)
     else:
         adv = 0.0
@@ -302,14 +305,13 @@ def heat_rhs(state: ObmState, cfg: ObmConfig):
     return out, drift
 
 
-def momentum_rhs(state: ObmState, cfg: ObmConfig) -> np.ndarray:
-    """Leray-projected acceleration of U.
+def _momentum_nonstiff(state: ObmState, cfg: ObmConfig, co: dict) -> np.ndarray:
+    """Leray-projected acceleration of U without the viscous term.
 
     The buoyancy force is the depth average of rho1 grad_h G / rho_bar;
     the horizontal Lorentz force -b1 grad_h b1 is a pure gradient on the
     torus and is absorbed into the projection pressure, so it is omitted."""
     g = state.grid
-    co = _coeffs(cfg)
     if g.geometry is Geometry.STRIP2:
         return np.zeros((2,) + g.hshape)
     rho1 = boussinesq_rho(state.theta1, state.b1, cfg)
@@ -320,24 +322,19 @@ def momentum_rhs(state: ObmState, cfg: ObmConfig) -> np.ndarray:
         -_advect_h(state.U, state.U[0], g) + F1,
         -_advect_h(state.U, state.U[1], g) + F2,
     ])
-    out = out + (co["mu"] / co["rho_bar"]) * lap_h_arr(state.U, g)
     return leray_arr(out, g)
 
 
-def _momentum_nonstiff(state: ObmState, cfg: ObmConfig, co: dict) -> np.ndarray:
-    """momentum_rhs without the implicit viscous part (still projected)."""
+def momentum_rhs(state: ObmState, cfg: ObmConfig) -> np.ndarray:
+    """Leray-projected acceleration of U: the explicit part of
+    :func:`_momentum_nonstiff` plus the projected viscous term (the
+    projection is linear, so projecting the terms apart is exact)."""
     g = state.grid
+    co = _coeffs(cfg)
+    out = _momentum_nonstiff(state, cfg, co)
     if g.geometry is Geometry.STRIP2:
-        return np.zeros((2,) + g.hshape)
-    rho1 = boussinesq_rho(state.theta1, state.b1, cfg)
-    rho1d = dealias_arr(rho1, g)
-    F1 = _depth_avg(rho1d * dealias_arr(ddx1_arr(cfg.G, g), g), g) / co["rho_bar"]
-    F2 = _depth_avg(rho1d * dealias_arr(ddx2_arr(cfg.G, g), g), g) / co["rho_bar"]
-    out = np.stack([
-        -_advect_h(state.U, state.U[0], g) + F1,
-        -_advect_h(state.U, state.U[1], g) + F2,
-    ])
-    return leray_arr(out, g)
+        return out
+    return out + leray_arr((co["mu"] / co["rho_bar"]) * lap_h_arr(state.U, g), g)
 
 
 # -- implicit solves -----------------------------------------------------------
@@ -383,12 +380,6 @@ def _diag_implicit(data: np.ndarray, nu: float, dt: float, grid: Grid) -> np.nda
 # -- time stepping --------------------------------------------------------------
 
 
-def _interior_lap3(theta: np.ndarray, grid: Grid) -> np.ndarray:
-    """Laplacian used by the Crank-Nicolson explicit half (interior stencil);
-    wall rows are irrelevant because Dirichlet rows overwrite them."""
-    return lap_h_arr(theta, grid) + d2dx3_arr(theta, grid)
-
-
 def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
     """Advance one step of size cfg.dt.
 
@@ -411,21 +402,16 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
     nu_u = co["mu"] / co["rho_bar"]
     wb, wt = cfg.theta_B
 
-    def sources(t):
-        if src is None:
-            return {}
-        return src(t)
+    def explicit(st: ObmState) -> list:
+        """Explicit tendencies of (theta1, b1, U) at st, plus any sources."""
+        terms = [_heat_terms(st, cfg, co)[0],
+                 induction_rhs(st.b1, st.U, cfg) - nu_b * lap_h_arr(st.b1, g),
+                 _momentum_nonstiff(st, cfg, co)]
+        extra = {} if src is None else src(st.t)
+        return [term + extra[key] if key in extra else term
+                for term, key in zip(terms, ("theta1", "b1", "U"))]
 
-    s_n = sources(state.t)
-    Nth_n, _ = _heat_terms(state, cfg, co)
-    Nb_n = induction_rhs(state.b1, state.U, cfg) - nu_b * lap_h_arr(state.b1, g)
-    NU_n = _momentum_nonstiff(state, cfg, co)
-    if "theta1" in s_n:
-        Nth_n = Nth_n + s_n["theta1"]
-    if "b1" in s_n:
-        Nb_n = Nb_n + s_n["b1"]
-    if "U" in s_n:
-        NU_n = NU_n + s_n["U"]
+    Nth_n, Nb_n, NU_n = explicit(state)
 
     # predictor: backward Euler diffusion, forward Euler transport
     th_star = _theta_implicit_solve(state.theta1 + dt * Nth_n, wb, wt, dt * cth, g)
@@ -438,18 +424,11 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
                     compute_chi(th_star, g, cfg.gas, cfg.ref), state.t + dt)
 
     # corrector: Crank-Nicolson diffusion, Heun transport
-    s_s = sources(star.t)
-    Nth_s, _ = _heat_terms(star, cfg, co)
-    Nb_s = induction_rhs(star.b1, star.U, cfg) - nu_b * lap_h_arr(star.b1, g)
-    NU_s = _momentum_nonstiff(star, cfg, co)
-    if "theta1" in s_s:
-        Nth_s = Nth_s + s_s["theta1"]
-    if "b1" in s_s:
-        Nb_s = Nb_s + s_s["b1"]
-    if "U" in s_s:
-        NU_s = NU_s + s_s["U"]
+    Nth_s, Nb_s, NU_s = explicit(star)
 
-    rhs_th = state.theta1 + 0.5 * dt * cth * _interior_lap3(state.theta1, g) \
+    # the wall rows of this explicit half are overwritten by the Dirichlet rows
+    lap_th = lap_h_arr(state.theta1, g) + d2dx3_arr(state.theta1, g)
+    rhs_th = state.theta1 + 0.5 * dt * cth * lap_th \
         + 0.5 * dt * (Nth_n + Nth_s)
     th_new = _theta_implicit_solve(rhs_th, wb, wt, 0.5 * dt * cth, g)
 
@@ -493,12 +472,27 @@ def magnetic_energy(state: ObmState, cfg: ObmConfig) -> float:
     return 0.5 * state.grid.volume * float(np.mean(state.b1 ** 2))
 
 
+def _landing_step(t: float, t_end: float, dt_max: float):
+    """The landing rule of every driver: the fewest equal steps of at most
+    dt_max (up to a relative 1e-9, so rounding never adds a sliver step)
+    that end exactly on t_end.  Returns (n, dt); (0, 0.0) when nothing
+    remains."""
+    remaining = t_end - t
+    if remaining <= 1e-12:
+        return 0, 0.0
+    n = max(1, int(np.ceil(remaining / dt_max - 1e-9)))
+    return n, remaining / n
+
+
 def run_obm(state: ObmState, cfg: ObmConfig, src=None, on_step=None):
-    """March to cfg.t_end; returns (final state, per-step diagnostic rows).
+    """March to cfg.t_end in equal steps of at most cfg.dt that land on it
+    exactly; returns (final state, per-step diagnostic rows).
 
     Rows are (t, mean theta1, chi, kinetic energy, magnetic energy,
     continuity residual)."""
-    n_steps = int(round((cfg.t_end - state.t) / cfg.dt))
+    n_steps, dt = _landing_step(state.t, cfg.t_end, cfg.dt)
+    if n_steps and dt != cfg.dt:
+        cfg = replace(cfg, dt=dt)
     rows = []
     for _ in range(n_steps):
         state = step_obm(state, cfg, src=src)

@@ -26,6 +26,7 @@ from .fields import (
     Grid,
     ddx1_arr,
     ddx3_arr,
+    l2_arr,
     mean_arr,
 )
 from .mhd import (
@@ -43,7 +44,7 @@ from .obm import (
     ObmConfig,
     ObmState,
     boussinesq_rho,
-    step_obm,
+    run_obm,
 )
 
 __all__ = [
@@ -618,27 +619,6 @@ class StudyReport:
                 for k in keys}
 
 
-def _l2(arr, grid: Grid) -> float:
-    """L2 norm over the domain; leading axes are summed as components."""
-    arr = np.asarray(arr, dtype=float)
-    sq = arr * arr
-    while sq.ndim > len(grid.shape):
-        sq = np.sum(sq, axis=0)
-    return float(np.sqrt(grid.volume * mean_arr(sq, grid)))
-
-
-def _march_limit(state: ObmState, cfg: ObmConfig, t_target: float) -> ObmState:
-    """Advance the limit solver to t_target with steps at most cfg.dt."""
-    remaining = t_target - state.t
-    if remaining <= 1e-14:
-        return state
-    n = max(1, int(np.ceil(remaining / cfg.dt - 1e-9)))
-    seg = replace(cfg, dt=remaining / n)
-    for _ in range(n):
-        state = step_obm(state, seg)
-    return state
-
-
 def convergence_study(theta1, b1, cfg: ObmConfig, eps_list,
                       n_snap: int = 25, ceiling: float | None = None,
                       on_entry=None) -> StudyReport:
@@ -695,9 +675,9 @@ def convergence_study(theta1, b1, cfg: ObmConfig, eps_list,
             e_tot.append(ee + er)
             e_ess.append(ee)
             e_res.append(er)
-            b_excess = max(b_excess, _l2(prim.B - bgvec, g) ** 2 / float(eps) ** 2)
+            b_excess = max(b_excess, l2_arr(prim.B - bgvec, g) ** 2 / float(eps) ** 2)
             gu = velocity_gradient(prim.u, g)
-            u_h1_series.append(_l2(prim.u, g) ** 2 + _l2(gu, g) ** 2)
+            u_h1_series.append(l2_arr(prim.u, g) ** 2 + l2_arr(gu, g) ** 2)
 
         record(0.0)
         diss.append(g.volume * mean_arr(
@@ -706,7 +686,7 @@ def convergence_study(theta1, b1, cfg: ObmConfig, eps_list,
         for k in range(1, n_snap + 1):
             try:
                 prim, rows = run_prim(prim, pcfg, t_end=float(times[k]))
-                limit = _march_limit(limit, cfg, float(times[k]))
+                limit, _ = run_obm(limit, replace(cfg, t_end=float(times[k])))
             except (PositivityError, CflError, FieldError) as exc:
                 failed = f"{type(exc).__name__}: {exc}"
                 break
@@ -726,11 +706,11 @@ def convergence_study(theta1, b1, cfg: ObmConfig, eps_list,
             quad_fields = quadruple_from_obm(limit, cfg, float(eps))
             rho1_l = boussinesq_rho(limit.theta1, limit.b1, cfg)
             deviations = {
-                "rho": _l2((prim.rho - cfg.ref.rho_bar) / eps - rho1_l, g),
-                "theta": _l2((prim.theta - cfg.ref.theta_bar) / eps - limit.theta1, g),
-                "u": _l2(np.sqrt(prim.rho) * prim.u
+                "rho": l2_arr((prim.rho - cfg.ref.rho_bar) / eps - rho1_l, g),
+                "theta": l2_arr((prim.theta - cfg.ref.theta_bar) / eps - limit.theta1, g),
+                "u": l2_arr(np.sqrt(prim.rho) * prim.u
                          - np.sqrt(cfg.ref.rho_bar) * quad_fields.U, g),
-                "B": _l2((prim.B - bgvec) / eps
+                "B": l2_arr((prim.B - bgvec) / eps
                          - (quad_fields.H - bgvec) / eps, g),
             }
         monitors = {

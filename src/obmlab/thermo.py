@@ -36,7 +36,6 @@ __all__ = [
     "ThermoDomainError",
     "GasParams",
     "ReferenceState",
-    "ThermoPoint",
     "PStructure",
     "DefaultPStructure",
     "structural_P",
@@ -138,22 +137,6 @@ class ReferenceState:
             raise ThermoDomainError(f"theta_bar must be > 0, got {self.theta_bar}")
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
-    """A validated (rho, theta) state point."""
-
-    rho: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.rho) or not np.isfinite(self.theta):
-            raise ThermoDomainError("non-finite state point")
-        if not self.rho > 0:
-            raise ThermoDomainError(f"rho must be > 0, got {self.rho}")
-        if not self.theta > 0:
-            raise ThermoDomainError(f"theta must be > 0, got {self.theta}")
-
-
 class PStructure(Protocol):
     """Interface alternative structural functions must implement."""
 
@@ -210,6 +193,15 @@ def _check_rho_theta(rho: np.ndarray, theta: np.ndarray, need_rho_pos: bool) -> 
         raise ThermoDomainError("rho must be >= 0")
 
 
+def _eos_inputs(rho, theta, gas: GasParams, structure: PStructure | None,
+                need_rho_pos: bool):
+    """Common prologue of the EOS functions: coerce and domain-check
+    (rho, theta), pick the structural function, form Z = rho theta^(-3/2)."""
+    rho, theta = _arr(rho), _arr(theta)
+    _check_rho_theta(rho, theta, need_rho_pos)
+    return rho, theta, _structure(gas, structure), rho * theta ** -1.5
+
+
 def structural_P(Z, gas: GasParams, structure: PStructure | None = None):
     """Evaluate the structural function P at Z >= 0."""
     Z = _arr(Z)
@@ -220,10 +212,7 @@ def structural_P(Z, gas: GasParams, structure: PStructure | None = None):
 
 def pressure(rho, theta, gas: GasParams, structure: PStructure | None = None):
     """Total pressure p = theta**(5/2) P(Z) + (a/3) theta**4, rho >= 0."""
-    rho, theta = _arr(rho), _arr(theta)
-    _check_rho_theta(rho, theta, need_rho_pos=False)
-    P = _structure(gas, structure)
-    Z = rho * theta ** -1.5
+    rho, theta, P, Z = _eos_inputs(rho, theta, gas, structure, need_rho_pos=False)
     return theta ** 2.5 * P.value(Z) + (gas.a / 3.0) * theta ** 4
 
 
@@ -233,10 +222,7 @@ def rho_e_total(rho, theta, gas: GasParams, structure: PStructure | None = None)
     The molecular part shares its subexpression with the pressure, so the
     relation p_M = (2/3) * (rho*e)_M holds to rounding by construction.
     """
-    rho, theta = _arr(rho), _arr(theta)
-    _check_rho_theta(rho, theta, need_rho_pos=False)
-    P = _structure(gas, structure)
-    Z = rho * theta ** -1.5
+    rho, theta, P, Z = _eos_inputs(rho, theta, gas, structure, need_rho_pos=False)
     p_mol = theta ** 2.5 * P.value(Z)
     return 1.5 * p_mol + gas.a * theta ** 4
 
@@ -250,10 +236,7 @@ def internal_energy(rho, theta, gas: GasParams, structure: PStructure | None = N
 
 def entropy(rho, theta, gas: GasParams, structure: PStructure | None = None):
     """Specific entropy s = S(Z) + (4a/3) theta**3 / rho, rho > 0."""
-    rho, theta = _arr(rho), _arr(theta)
-    _check_rho_theta(rho, theta, need_rho_pos=True)
-    P = _structure(gas, structure)
-    Z = rho * theta ** -1.5
+    rho, theta, P, Z = _eos_inputs(rho, theta, gas, structure, need_rho_pos=True)
     return P.entropy(Z) + (4.0 * gas.a / 3.0) * theta ** 3 / rho
 
 
@@ -270,58 +253,40 @@ def rho_s_total(rho, theta, gas: GasParams, structure: PStructure | None = None)
 
 def dp_drho(rho, theta, gas: GasParams, structure: PStructure | None = None):
     """d p / d rho = theta * P'(Z); strictly positive for admissible states."""
-    rho, theta = _arr(rho), _arr(theta)
-    _check_rho_theta(rho, theta, need_rho_pos=False)
-    P = _structure(gas, structure)
-    Z = rho * theta ** -1.5
+    rho, theta, P, Z = _eos_inputs(rho, theta, gas, structure, need_rho_pos=False)
     return theta * P.deriv(Z)
 
 
 def dp_dtheta(rho, theta, gas: GasParams, structure: PStructure | None = None):
     """d p / d theta = theta**(3/2) [ (5/2)P - (3/2) Z P' ] + (4a/3) theta**3."""
-    rho, theta = _arr(rho), _arr(theta)
-    _check_rho_theta(rho, theta, need_rho_pos=False)
-    P = _structure(gas, structure)
-    Z = rho * theta ** -1.5
+    rho, theta, P, Z = _eos_inputs(rho, theta, gas, structure, need_rho_pos=False)
     mol = theta ** 1.5 * (2.5 * P.value(Z) - 1.5 * Z * P.deriv(Z))
     return mol + (4.0 * gas.a / 3.0) * theta ** 3
 
 
 def de_drho(rho, theta, gas: GasParams, structure: PStructure | None = None):
     """d e / d rho = (3/2) theta**(5/2) (Z P' - P) / rho**2 - a theta**4 / rho**2."""
-    rho, theta = _arr(rho), _arr(theta)
-    _check_rho_theta(rho, theta, need_rho_pos=True)
-    P = _structure(gas, structure)
-    Z = rho * theta ** -1.5
+    rho, theta, P, Z = _eos_inputs(rho, theta, gas, structure, need_rho_pos=True)
     mol = 1.5 * theta ** 2.5 * (Z * P.deriv(Z) - P.value(Z)) / rho ** 2
     return mol - gas.a * theta ** 4 / rho ** 2
 
 
 def de_dtheta(rho, theta, gas: GasParams, structure: PStructure | None = None):
     """d e / d theta; strictly positive (thermodynamic stability)."""
-    rho, theta = _arr(rho), _arr(theta)
-    _check_rho_theta(rho, theta, need_rho_pos=True)
-    P = _structure(gas, structure)
-    Z = rho * theta ** -1.5
+    rho, theta, P, Z = _eos_inputs(rho, theta, gas, structure, need_rho_pos=True)
     mol = 1.5 * theta ** 1.5 * (2.5 * P.value(Z) - 1.5 * Z * P.deriv(Z)) / rho
     return mol + 4.0 * gas.a * theta ** 3 / rho
 
 
 def ds_drho(rho, theta, gas: GasParams, structure: PStructure | None = None):
     """d s / d rho = S'(Z) / theta**(3/2) - (4a/3) theta**3 / rho**2."""
-    rho, theta = _arr(rho), _arr(theta)
-    _check_rho_theta(rho, theta, need_rho_pos=True)
-    P = _structure(gas, structure)
-    Z = rho * theta ** -1.5
+    rho, theta, P, Z = _eos_inputs(rho, theta, gas, structure, need_rho_pos=True)
     return P.entropy_deriv(Z) * theta ** -1.5 - (4.0 * gas.a / 3.0) * theta ** 3 / rho ** 2
 
 
 def ds_dtheta(rho, theta, gas: GasParams, structure: PStructure | None = None):
     """d s / d theta = -(3/2) Z S'(Z) / theta + 4 a theta**2 / rho."""
-    rho, theta = _arr(rho), _arr(theta)
-    _check_rho_theta(rho, theta, need_rho_pos=True)
-    P = _structure(gas, structure)
-    Z = rho * theta ** -1.5
+    rho, theta, P, Z = _eos_inputs(rho, theta, gas, structure, need_rho_pos=True)
     return -1.5 * Z * P.entropy_deriv(Z) / theta + 4.0 * gas.a * theta ** 2 / rho
 
 

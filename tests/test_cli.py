@@ -221,6 +221,31 @@ def test_run_obm_writes_csv_and_snapshots(tmp_path, capsys):
     assert np.all(np.isfinite(fields["theta1"]))
 
 
+@pytest.mark.parametrize("dt, steps", [(0.03, 4), (0.4, 1)])
+def test_run_obm_lands_on_t_end(tmp_path, capsys, dt, steps):
+    """A dt that does not divide t_end is shrunk to land on it, never
+    rounded to a run that stops short."""
+    path = write_config(tmp_path, f"""\
+        [grid]
+        n1 = 16
+        n3 = 17
+
+        [obm]
+        dt = {dt}
+        t_end = 0.1
+
+        [output]
+        snapshots = 4
+    """)
+    out = tmp_path / "out"
+    assert main(["run-obm", "--config", path, "--out", str(out), "--quiet"]) == 0
+    capsys.readouterr()
+    rows = (out / "run_obm.csv").read_text().splitlines()[1:]
+    assert len(rows) == steps
+    assert float(rows[-1].split(",")[0]) == pytest.approx(0.1, rel=1e-14)
+    assert len(list(out.glob("run_obm_*.snap"))) == 5
+
+
 def test_run_obm_zero_data_rows_are_zero(tmp_path, capsys):
     path = write_config(tmp_path, """\
         [grid]

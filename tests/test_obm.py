@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from obmlab import thermo
 from obmlab.fields import (
@@ -18,6 +20,7 @@ from obmlab.obm import (
     ObmConfig,
     ObmConfigError,
     ObmState,
+    _landing_step,
     boussinesq_rho,
     compute_chi,
     default_potential,
@@ -384,3 +387,33 @@ def test_run_rows_and_energies():
     assert me > 0.0
     assert chi == pytest.approx(
         compute_chi(st.theta1, g, GAS, REF))
+
+
+@pytest.mark.parametrize("dt, t_end, n_steps", [(0.03, 0.1, 4), (0.4, 0.1, 1),
+                                                 (1e-3, 0.01, 10)])
+def test_run_lands_on_t_end(dt, t_end, n_steps):
+    g = strip2(16, 17)
+    cfg = make_cfg(g, dt=dt, t_end=t_end)
+    st, rows = run_obm(initial_state(cfg), cfg)
+    assert len(rows) == n_steps
+    assert st.t == pytest.approx(t_end, rel=1e-14)
+    assert rows[-1][0] == st.t
+
+
+@given(t=st.floats(-1e3, 1e3), span=st.floats(1e-9, 1e3),
+       dt_max=st.floats(1e-6, 1e3))
+def test_landing_step_property(t, span, dt_max):
+    """Equal steps of at most dt_max (up to the rule's relative 1e-9 slack)
+    that add up to t_end - t; nothing is left to step afterward."""
+    t_end = t + span
+    n, dt = _landing_step(t, t_end, dt_max)
+    remaining = t_end - t
+    if remaining <= 1e-12:
+        assert (n, dt) == (0, 0.0)
+        return
+    assert n >= 1
+    assert 0.0 < dt <= dt_max * (1.0 + 1e-9)
+    assert abs(n * dt - remaining) <= 4 * np.finfo(float).eps * remaining
+    # one step fewer would have to exceed dt_max
+    assert n == 1 or remaining / (n - 1) > dt_max
+    assert _landing_step(t_end, t_end, dt_max) == (0, 0.0)

@@ -17,7 +17,6 @@ from obmlab.thermo import (
     GasParams,
     ReferenceState,
     ThermoDomainError,
-    ThermoPoint,
     alpha_cp,
     de_drho,
     de_dtheta,
@@ -257,9 +256,6 @@ def test_param_validation():
         GasParams(mu_low=0.8, mu_high=0.5)
     with pytest.raises(ThermoDomainError):
         ReferenceState(rho_bar=-1.0)
-    with pytest.raises(ThermoDomainError):
-        ThermoPoint(rho=1.0, theta=0.0)
-    ThermoPoint(rho=0.5, theta=2.0)  # valid
 
 
 def test_vacuum_safe_totals():
