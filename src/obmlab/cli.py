@@ -31,6 +31,7 @@ Configuration file
 Plain ``key = value`` lines under bracketed section headers; ``#`` and ``;``
 start comments.  Unknown sections or keys are errors, not warnings.  Every
 key has a default, so an empty or absent file runs the bundled setup.
+Integer keys other than the seed are at most 2**20.
 
 [thermo]
     p_inf = 1.0            cold-pressure coefficient (> 0)
@@ -52,7 +53,9 @@ key has a default, so an empty or absent file runs the bundled setup.
     tamper = none          fault hook: none | entropy-constant | entropy-slope
 
 [grid]
-    n1 = 64                horizontal points (power of two, >= 4)
+    n1 = 64                horizontal points (power of two, >= 4); the
+                           2/3 rule must keep the highest mode of every
+                           profile, so >= 8 for smooth and >= 16 for random
     n3 = 65                vertical points (>= 5)
 
 [obm]
@@ -164,7 +167,12 @@ _DEFAULTS = {
     "output": {"prefix": "run", "snapshots": 25, "seed": 0},
 }
 
+# bound on every integer key but the seed; it also keeps validation, which
+# builds the grid, within memory
+_MAX_COUNT = 2 ** 20
 _PROFILES = ("smooth", "random")
+# highest horizontal mode m (wavenumber pi m) in each initial data family
+_PROFILE_MODES = {"smooth": 2, "random": 3}
 _G_PROFILES = ("linear", "zero")
 _TAMPERS = ("none", "entropy-constant", "entropy-slope")
 
@@ -208,8 +216,11 @@ def _coerce(section: str, key: str, raw: str):
     except ValueError as exc:
         kind = "integer" if isinstance(default, int) else "number"
         raise ConfigError(f"[{section}] {key}: expected {kind}, got {raw!r}") from exc
-    if not np.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: non-finite value {raw!r}")
+    if isinstance(value, float):
+        if not np.isfinite(value):
+            raise ConfigError(f"[{section}] {key}: non-finite value {raw!r}")
+    elif key != "seed" and value > _MAX_COUNT:
+        raise ConfigError(f"[{section}] {key}: {value} exceeds {_MAX_COUNT}")
     return value
 
 
@@ -234,7 +245,7 @@ class RunConfig:
         if path is not None:
             try:
                 text = Path(path).read_text()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
             parser = configparser.ConfigParser(
                 interpolation=None, inline_comment_prefixes=("#", ";"))
@@ -293,9 +304,12 @@ class RunConfig:
         raw = self.sections["study"]["eps_list"]
         tokens = [tok for tok in re.split(r"[,\s]+", raw.strip()) if tok]
         try:
-            return [float(tok) for tok in tokens]
+            values = [float(tok) for tok in tokens]
         except ValueError as exc:
             raise ConfigError(f"[study] eps_list: bad entry in {raw!r}") from exc
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"[study] eps_list: non-finite entry in {raw!r}")
+        return values
 
     # -- validation ----------------------------------------------------------
 
@@ -346,6 +360,14 @@ class RunConfig:
         if s["profile"] not in _PROFILES:
             raise ConfigError(
                 f"[study] profile must be one of {', '.join(_PROFILES)}")
+        n1 = self.sections["grid"]["n1"]
+        for sec in ("obm", "mhd", "study"):
+            profile = self.sections[sec]["profile"]
+            if n1 // 3 < _PROFILE_MODES[profile]:
+                raise ConfigError(
+                    f"[grid] n1 = {n1} keeps horizontal modes up to {n1 // 3} "
+                    f"under the 2/3 rule, but [{sec}] profile = {profile} "
+                    f"has modes up to {_PROFILE_MODES[profile]}")
         out = self.sections["output"]
         if out["snapshots"] < 0:
             raise ConfigError("[output] snapshots must be nonnegative")

@@ -42,6 +42,7 @@ __all__ = [
     "ddx2_arr",
     "ddx3_arr",
     "d2dx3_arr",
+    "helmholtz_solve_arr",
     "lap_h_arr",
     "mean_arr",
     "l2_arr",
@@ -238,6 +239,38 @@ def d2dx3_arr(data: np.ndarray, grid: Grid) -> np.ndarray:
     out[1:-1] = (data[2:] - 2.0 * data[1:-1] + data[:-2]) / h2
     out[0] = (2.0 * data[0] - 5.0 * data[1] + 4.0 * data[2] - data[3]) / h2
     out[-1] = (2.0 * data[-1] - 5.0 * data[-2] + 4.0 * data[-3] - data[-4]) / h2
+    return out
+
+
+def helmholtz_solve_arr(rhs: np.ndarray, bottom: np.ndarray, top: np.ndarray,
+                        c: float, grid: Grid) -> np.ndarray:
+    """Solve (I - c (lap_h + d2/dx3^2)) x = rhs on a strip, with the
+    centered second difference on interior rows and the Dirichlet values
+    x = bottom at x3 = 0 and x = top at x3 = 1 (the wall rows of rhs are
+    not read).
+
+    The wall values are lifted onto the first and last interior rows; the
+    interior operator is then diagonal in horizontal Fourier modes times
+    the sine modes sin(pi j i3 / (n3 - 1)) of the Dirichlet second
+    difference, which one FFT of the odd extension in x3 reaches (Hockney's
+    fast direct solver, J. ACM 1965)."""
+    n = grid.n3 - 1
+    h2 = grid.dx3 ** 2
+    inner = rhs[1:-1].copy()
+    inner[0] += (c / h2) * bottom
+    inner[-1] += (c / h2) * top
+    spec = hfft(inner, grid)
+    ext = np.zeros((2 * n,) + spec.shape[1:], dtype=complex)
+    ext[1:n] = spec
+    ext[n + 1:] = -spec[::-1]
+    np.fft.fft(ext, axis=0, out=ext)
+    j = np.arange(2 * n).reshape((-1,) + (1,) * grid.ksq.ndim)
+    ext /= 1.0 + c * grid.ksq + (2.0 * c / h2) * (1.0 - np.cos(np.pi * j / n))
+    np.fft.ifft(ext, axis=0, out=ext)
+    out = np.empty(grid.shape)
+    out[1:-1] = hifft(ext[1:n], grid)
+    out[0] = bottom
+    out[-1] = top
     return out
 
 

@@ -395,7 +395,14 @@ def step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float,
     CflError if dt exceeds the advective/diffusive bound and
     PositivityError (carrying the pre-step state) if rho or theta would
     leave the admissible cone."""
-    limit = cfl_limits(state, cfg)
+    return _step_prim(state, cfg, dt, cfl_limits(state, cfg), src)
+
+
+def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
+               src) -> PrimitiveState:
+    """Body of :func:`step_prim`, given the state's stability bound
+    ``limit`` so that a driver which has already computed it for choosing
+    dt does not compute it again."""
     if dt > limit * (1.0 + 1e-12):
         raise CflError(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e}")
 
@@ -499,12 +506,13 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
     rows = []
     psi = psi_extension(cfg, state.eps)
     while True:
-        bound = cfg.safety * cfl_limits(state, cfg) if dt is None else dt
+        limit = cfl_limits(state, cfg)
+        bound = cfg.safety * limit if dt is None else dt
         n_left, step = _landing_step(state.t, t_end, bound)
         if n_left == 0:
             break
         try:
-            state = step_prim(state, cfg, step, src=src)
+            state = _step_prim(state, cfg, step, limit, src)
         except PositivityError as exc:
             if fail_snapshot and exc.last_valid is not None:
                 write_snapshot(fail_snapshot, g, snapshot_fields(exc.last_valid))

@@ -17,9 +17,11 @@ integrated.
 
 Time integration is IMEX: diffusion is implicit (Crank-Nicolson, with a
 backward-Euler predictor), advection and couplings are explicit through a
-Heun predictor-corrector.  The vertical heat solve is tridiagonal per
-horizontal mode with Dirichlet rows for the wall temperature; the
-horizontal diffusion of U and b1 is diagonal in Fourier space.
+Heun predictor-corrector.  The implicit heat solve is diagonal in
+horizontal Fourier modes times vertical sine modes once the Dirichlet wall
+temperature is lifted onto the interior, so one transform pair solves it
+for every mode (:func:`obmlab.fields.helmholtz_solve_arr`); the horizontal
+diffusion of U and b1 is diagonal in Fourier space.
 
 On a STRIP2 grid the only horizontal, divergence-free, depth-independent
 velocity is a constant, which is pinned to zero; the momentum equation is
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded  # noqa: F401  unused; benchmarks/tracing.py wraps it
 
 from . import thermo
 from .fields import (
@@ -42,6 +44,7 @@ from .fields import (
     ddx1_arr,
     ddx2_arr,
     dealias_arr,
+    helmholtz_solve_arr,
     hfft,
     hifft,
     lap_h_arr,
@@ -219,7 +222,11 @@ def _coeffs(cfg: ObmConfig) -> dict:
 
 
 def _advect_h(U: np.ndarray, f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Dealiased U . grad_h f; U lives on hshape, f on strip or hshape."""
+    """Dealiased U . grad_h f; U lives on hshape, f on strip or hshape.
+    Exactly zero, without a transform, when U vanishes identically (always
+    on STRIP2)."""
+    if not np.any(U != 0.0):
+        return np.zeros(f.shape)
     u1 = dealias_arr(U[0], grid)
     d1 = dealias_arr(ddx1_arr(f, grid), grid)
     if f.shape == grid.shape:
@@ -281,12 +288,8 @@ def _heat_terms(state: ObmState, cfg: ObmConfig, co: dict):
     # induction equation
     forcing = -tb * co["alpha"] * co["zeta"] * _to_strip(lap_h_arr(A, g), g)
     forcing = forcing + tb * co["alpha"] * co["dpdt"] * drift
-    if np.any(state.U != 0.0):
-        forcing = forcing + rb * tb * co["alpha"] * _advect_h(state.U, cfg.G, g)
-        adv = _advect_h(state.U, state.theta1, g)
-    else:
-        adv = 0.0
-    return forcing / (rb * co["cp"]) - adv, drift
+    forcing = forcing + rb * tb * co["alpha"] * _advect_h(state.U, cfg.G, g)
+    return forcing / (rb * co["cp"]) - _advect_h(state.U, state.theta1, g), drift
 
 
 def heat_rhs(state: ObmState, cfg: ObmConfig):
@@ -340,36 +343,6 @@ def momentum_rhs(state: ObmState, cfg: ObmConfig) -> np.ndarray:
 # -- implicit solves -----------------------------------------------------------
 
 
-def _theta_implicit_solve(rhs: np.ndarray, wall_bottom: np.ndarray,
-                          wall_top: np.ndarray, c: float, grid: Grid) -> np.ndarray:
-    """Solve (I - c (lap_h + d2/dx3^2)) x = rhs with Dirichlet wall rows.
-
-    Horizontal modes decouple; each gives a tridiagonal system in x3 whose
-    first and last rows are replaced by identity rows carrying the wall
-    values."""
-    n3 = grid.n3
-    h2 = grid.dx3 ** 2
-    spec = hfft(rhs, grid)
-    wb = hfft(wall_bottom, grid).reshape(-1)
-    wt = hfft(wall_top, grid).reshape(-1)
-    cols = spec.reshape(n3, -1)
-    ks = grid.ksq.reshape(-1)
-    out = np.empty_like(cols)
-    ab = np.zeros((3, n3), dtype=complex)
-    for m in range(cols.shape[1]):
-        ab[0, :] = -c / h2
-        ab[1, :] = 1.0 + c * ks[m] + 2.0 * c / h2
-        ab[2, :] = -c / h2
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = 0.0
-        ab[2, -2] = 0.0
-        b = cols[:, m].copy()
-        b[0] = wb[m]
-        b[-1] = wt[m]
-        out[:, m] = solve_banded((1, 1), ab, b)
-    return hifft(out.reshape(spec.shape), grid)
-
-
 def _diag_implicit(data: np.ndarray, nu: float, dt: float, grid: Grid) -> np.ndarray:
     """Solve (I - dt nu lap_h) x = data spectrally (depth-independent fields)."""
     spec = hfft(data, grid)
@@ -414,7 +387,7 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
     Nth_n, Nb_n, NU_n = explicit(state)
 
     # predictor: backward Euler diffusion, forward Euler transport
-    th_star = _theta_implicit_solve(state.theta1 + dt * Nth_n, wb, wt, dt * cth, g)
+    th_star = helmholtz_solve_arr(state.theta1 + dt * Nth_n, wb, wt, dt * cth, g)
     b_star = _diag_implicit(state.b1 + dt * Nb_n, nu_b, dt, g)
     if g.geometry is Geometry.STRIP2:
         U_star = state.U
@@ -426,11 +399,12 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
     # corrector: Crank-Nicolson diffusion, Heun transport
     Nth_s, Nb_s, NU_s = explicit(star)
 
-    # the wall rows of this explicit half are overwritten by the Dirichlet rows
+    # the solve does not read the wall rows of this explicit half; the
+    # Dirichlet values take their place
     lap_th = lap_h_arr(state.theta1, g) + d2dx3_arr(state.theta1, g)
     rhs_th = state.theta1 + 0.5 * dt * cth * lap_th \
         + 0.5 * dt * (Nth_n + Nth_s)
-    th_new = _theta_implicit_solve(rhs_th, wb, wt, 0.5 * dt * cth, g)
+    th_new = helmholtz_solve_arr(rhs_th, wb, wt, 0.5 * dt * cth, g)
 
     spec_b = hfft(state.b1, g)
     spec_b = (spec_b * (1.0 - 0.5 * dt * nu_b * g.ksq)

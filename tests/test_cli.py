@@ -1,11 +1,18 @@
 """Tests for the command-line driver: config handling, exit codes, outputs."""
 
+import contextlib
+import io
+import os
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obmlab.cli import (
+    _DEFAULTS,
     ConfigError,
     RunConfig,
     _initial_profiles,
@@ -145,6 +152,103 @@ def test_bad_gas_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, "[thermo]\na = -2.0\n")
     assert main(["thermo-check", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["nan", "0.2, inf", "1e400, 0.1"])
+def test_eps_list_must_be_finite(tmp_path, raw):
+    path = write_config(tmp_path, f"[study]\neps_list = {raw}\n")
+    with pytest.raises(ConfigError, match="eps_list"):
+        RunConfig.load(path)
+
+
+@pytest.mark.parametrize("body, what", [
+    ("[grid]\nn3 = 1000000000000\n", "n3"),
+    ("[grid]\nn1 = 9223372036854775808\n", "n1"),
+    ("[thermo]\nn_points = 99999999999999999999999\n", "n_points"),
+])
+def test_oversized_counts_are_rejected(tmp_path, body, what):
+    path = write_config(tmp_path, body)
+    with pytest.raises(ConfigError, match=what):
+        RunConfig.load(path)
+
+
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"[grid]\nn1 = \xff\xfe\n")
+    assert main(["thermo-check", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("obmlab: config error:")
+
+
+@pytest.mark.parametrize("command, section, n1, profile", [
+    ("run-mhd", "mhd", 4, "random"),
+    ("run-obm", "obm", 8, "random"),
+    ("run-obm", "obm", 4, "smooth"),
+    ("converge", "study", 8, "random"),
+])
+def test_grid_too_coarse_for_profile_exits_2(tmp_path, capsys, command, section,
+                                             n1, profile):
+    path = write_config(tmp_path, f"""\
+        [grid]
+        n1 = {n1}
+        n3 = 9
+
+        [{section}]
+        profile = {profile}
+    """)
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"obmlab: config error: [grid] n1 = {n1} ")
+    assert "profile" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("n1, profile", [(8, "smooth"), (16, "random")])
+def test_grid_just_fine_enough_for_profile_loads(tmp_path, n1, profile):
+    body = f"[grid]\nn1 = {n1}\n" + "".join(
+        f"[{sec}]\nprofile = {profile}\n" for sec in ("obm", "mhd", "study"))
+    RunConfig.load(write_config(tmp_path, body))
+
+
+_VALUES = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["smooth", "random", "linear", "zero", "none", "nan", "inf",
+                     "1e400", "0.2, 0.1", "0.1 0.2", "", "run", "a/b"]),
+    st.text(max_size=12),
+)
+_LINES = st.one_of(
+    st.one_of(st.sampled_from(list(_DEFAULTS)), st.text(max_size=8))
+    .map(lambda sec: f"[{sec}]"),
+    st.builds(lambda key, value: f"{key} = {value}",
+              st.one_of(st.sampled_from(sorted({k for keys in _DEFAULTS.values()
+                                                for k in keys})),
+                        st.text(max_size=8)),
+              _VALUES),
+    st.text(max_size=24),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.one_of(
+    st.lists(_LINES, max_size=10).map(lambda lines: "\n".join(lines).encode()),
+    st.text().map(str.encode),
+    st.binary(max_size=64)))
+def test_config_loader_property(payload):
+    """Any file either loads as a config or makes main exit 2 with a
+    config-error message, never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        try:
+            RunConfig.load(path)
+        except ConfigError:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["thermo-check", "--config", path, "--out", tmp])
+            assert code == 2
+            assert err.getvalue().startswith("obmlab: config error: ")
+            assert "Traceback" not in err.getvalue()
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):

@@ -20,6 +20,7 @@ from obmlab.fields import (
     ddx2_arr,
     ddx3_arr,
     dealias_arr,
+    helmholtz_solve_arr,
     l2_arr,
     lap_h_arr,
     leray_arr,
@@ -189,6 +190,58 @@ def test_vertical_exact_on_quadratic():
     f = (g.x3 ** 2)[:, None] * np.ones(8)[None, :]
     assert np.max(np.abs(ddx3_arr(f, g) - 2.0 * g.x3[:, None])) < 1e-12
     assert np.max(np.abs(d2dx3_arr(f, g) - 2.0)) < 1e-11
+
+
+# -- implicit vertical solve -------------------------------------------------
+
+
+def helmholtz_dense(rhs, bottom, top, c, g):
+    """Reference for helmholtz_solve_arr: per horizontal mode, the explicitly
+    assembled tridiagonal matrix with identity wall rows, by np.linalg.solve."""
+    axes = (-2, -1) if g.has_x2 else (-1,)
+    spec = np.fft.rfftn(rhs, axes=axes).reshape(g.n3, -1).T.copy()
+    spec[:, 0] = np.fft.rfftn(bottom, axes=axes).reshape(-1)
+    spec[:, -1] = np.fft.rfftn(top, axes=axes).reshape(-1)
+    off = -c / g.dx3 ** 2
+    A = np.zeros((spec.shape[0], g.n3, g.n3))
+    i = np.arange(1, g.n3 - 1)
+    A[:, i, i] = 1.0 + g.ksq.reshape(-1, 1) * c - 2.0 * off
+    A[:, i, i - 1] = off
+    A[:, i, i + 1] = off
+    A[:, 0, 0] = A[:, -1, -1] = 1.0
+    x = np.linalg.solve(A, spec[..., None])[..., 0]
+    x = x.T.reshape((g.n3,) + g.ksq.shape)
+    s = tuple(g.shape[a] for a in axes)
+    return np.fft.irfftn(x, s=s, axes=axes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=st.sampled_from([Geometry.STRIP2, Geometry.STRIP3]),
+       n1=st.sampled_from([4, 8, 16]), n2=st.sampled_from([4, 8]),
+       n3=st.integers(5, 65), log_c=st.floats(-6.0, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_helmholtz_solve_matches_dense_property(geometry, n1, n2, n3, log_c, seed):
+    g = Grid(geometry, n1, n2, n3)
+    c = 10.0 ** log_c
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(g.shape)
+    bottom, top = rng.standard_normal(g.hshape), rng.standard_normal(g.hshape)
+    got = helmholtz_solve_arr(rhs, bottom, top, c, g)
+    want = helmholtz_dense(rhs, bottom, top, c, g)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert np.array_equal(got[0], bottom) and np.array_equal(got[-1], top)
+
+
+def test_helmholtz_solve_ignores_rhs_wall_rows():
+    g = strip2(16, 17)
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal(g.shape)
+    walls = rng.standard_normal(g.hshape), rng.standard_normal(g.hshape)
+    other = rhs.copy()
+    other[0] += 1.0
+    other[-1] -= 1.0
+    assert np.array_equal(helmholtz_solve_arr(rhs, *walls, 0.1, g),
+                          helmholtz_solve_arr(other, *walls, 0.1, g))
 
 
 # -- vector calculus identities --------------------------------------------
