@@ -47,6 +47,8 @@ exact to rounding without touching the local truncation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +70,7 @@ __all__ = [
     "PositivityError",
     "PrimConfig",
     "PrimitiveState",
+    "StepRow",
     "fix_flux_walls",
     "velocity_gradient",
     "viscous_stress",
@@ -152,15 +155,18 @@ class PrimitiveState:
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise FieldError(f"eps must be positive, got {self.eps}")
 
-    @property
+    @cached_property
     def B(self) -> np.ndarray:
-        """Assembled (3, n3, n1) magnetic field; div B = 0 to rounding."""
+        """Assembled (3, n3, n1) magnetic field; div B = 0 to rounding.  Built
+        once and read-only, as no state array changes after construction."""
         g = self.grid
-        return np.stack([
+        B = np.stack([
             -ddx3_arr(self.a, g),
             self.B2,
             self.c3 + ddx1_arr(self.a, g),
         ])
+        B.flags.writeable = False
+        return B
 
 
 def a_from_b3_profile(b3: np.ndarray, grid: Grid):
@@ -435,13 +441,15 @@ def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
 
 
 def _check_admissible(parts, last_valid):
-    rho, _, theta = parts[0], parts[1], parts[2]
     if not all(np.all(np.isfinite(p)) for p in parts):
         raise FieldError("non-finite values produced by the step")
-    if np.min(rho) <= 0.0 or np.min(theta) <= 0.0:
-        raise PositivityError(
-            f"positivity lost: min rho = {np.min(rho):.3e}, "
-            f"min theta = {np.min(theta):.3e}", last_valid=last_valid)
+    for name, arr in (("rho", parts[0]), ("theta", parts[2])):
+        i3, i1 = np.unravel_index(np.argmin(arr), arr.shape)
+        if arr[i3, i1] <= 0.0:
+            raise PositivityError(
+                f"positivity lost in the step from t = {last_valid.t!r}: min "
+                f"{name} = {arr[i3, i1]:.3e} at (i3, i1) = ({i3}, {i1})",
+                last_valid=last_valid)
 
 
 # -- energies and diagnostics ---------------------------------------------------
@@ -449,27 +457,27 @@ def _check_admissible(parts, last_valid):
 
 def total_energy(state: PrimitiveState, gas: thermo.GasParams) -> float:
     """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2) ]."""
-    g = state.grid
-    roe = np.asarray(thermo.rho_e_total(state.rho, state.theta, gas))
-    B = state.B
-    dens = 0.5 * state.rho * (state.u ** 2).sum(axis=0) \
-        + (roe + 0.5 * (B ** 2).sum(axis=0)) / state.eps ** 2
-    return g.volume * mean_arr(dens, g)
+    return _energy(state, gas, 0.0)
 
 
 def ballistic_energy(state: PrimitiveState, psi: np.ndarray,
                      gas: thermo.GasParams) -> float:
     """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2 - psi rho s) ]
     for a positive test temperature psi."""
-    g = state.grid
     psi = np.asarray(psi, dtype=float)
     if np.any(psi <= 0.0) or not np.all(np.isfinite(psi)):
         raise thermo.ThermoDomainError("psi must be positive and finite")
-    roe = np.asarray(thermo.rho_e_total(state.rho, state.theta, gas))
     ros = np.asarray(thermo.rho_s_total(state.rho, state.theta, gas))
-    B = state.B
+    return _energy(state, gas, psi * ros)
+
+
+def _energy(state: PrimitiveState, gas: thermo.GasParams, psi_rho_s) -> float:
+    """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2 - psi_rho_s) ], the
+    body of both energies."""
+    g = state.grid
+    roe = np.asarray(thermo.rho_e_total(state.rho, state.theta, gas))
     dens = 0.5 * state.rho * (state.u ** 2).sum(axis=0) \
-        + (roe + 0.5 * (B ** 2).sum(axis=0) - psi * ros) / state.eps ** 2
+        + (roe + 0.5 * (state.B ** 2).sum(axis=0) - psi_rho_s) / state.eps ** 2
     return g.volume * mean_arr(dens, g)
 
 
@@ -491,17 +499,36 @@ def snapshot_fields(state: PrimitiveState) -> dict:
     }
 
 
+class StepRow(NamedTuple):
+    """One :func:`run_prim` row; all fields but the last are the ``run-mhd``
+    CSV columns."""
+
+    t: float
+    mass: float
+    momentum1: float
+    total_energy: float
+    ballistic_energy: float
+    divB_max: float
+    rho_min: float
+    theta_min: float
+    entropy_production: float  # integral of the three production terms
+    entropy_floor: float       # pointwise minimum over the three terms
+
+
 def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
              dt: float = None, src=None, on_step=None, entropy_fault: bool = False,
              fail_snapshot: str = None):
-    """March to t_end; returns (final state, per-step diagnostic rows).
+    """March to t_end; returns (final state, one :class:`StepRow` per step).
 
-    Rows: (t, mass, momentum1, total energy, ballistic energy, max |div B|,
-    min rho, min theta, entropy production integral).  Each step is at most
-    dt, or with dt = None cfg.safety times the current CFL bound, shrunk by
-    the common landing rule so the run ends exactly on t_end.  On positivity
-    loss the last valid state is dumped to ``fail_snapshot`` when given and
-    the error re-raised."""
+    Each row is the step's one diagnostics pass: t, mass, momentum1,
+    total_energy, ballistic_energy, divB_max, rho_min, theta_min, and the
+    integral (entropy_production) and pointwise minimum (entropy_floor) of
+    one :func:`entropy_production_terms` call with ``fault=entropy_fault``.
+    Each step is at most dt, or with dt = None cfg.safety times the current
+    CFL bound, shrunk by the common landing rule so the run ends exactly on
+    t_end; ``on_step`` then gets the new state.  On positivity loss the last
+    valid state is dumped to ``fail_snapshot`` when given and the error
+    re-raised."""
     g = state.grid
     rows = []
     psi = psi_extension(cfg, state.eps)
@@ -520,7 +547,7 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
         B = state.B
         divB = ddx1_arr(B[0], g) + ddx3_arr(B[2], g)
         phi, joule, cond = entropy_production_terms(state, cfg, fault=entropy_fault)
-        rows.append((
+        rows.append(StepRow(
             state.t,
             g.volume * mean_arr(state.rho, g),
             g.volume * mean_arr(state.rho * state.u[0], g),
@@ -530,6 +557,7 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
             float(np.min(state.rho)),
             float(np.min(state.theta)),
             g.volume * mean_arr(phi + joule + cond, g),
+            min(float(np.min(term)) for term in (phi, joule, cond)),
         ))
         if on_step is not None:
             on_step(state)

@@ -112,6 +112,15 @@ class ObmConfig:
     theta_B: tuple  # (bottom, top) wall temperature deviations, hshape each
     dt: float
     t_end: float
+    # reference-state coefficients, derived anew by every construction
+    alpha: float = field(init=False, repr=False)
+    cp: float = field(init=False, repr=False)
+    dpdt: float = field(init=False, repr=False)
+    dpdr: float = field(init=False, repr=False)
+    dedt: float = field(init=False, repr=False)
+    kappa: float = field(init=False, repr=False)
+    zeta: float = field(init=False, repr=False)
+    mu: float = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.grid
@@ -126,6 +135,14 @@ class ObmConfig:
             raise ObmConfigError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
             raise ObmConfigError(f"t_end must be nonnegative, got {self.t_end}")
+        gas, rb, tb = self.gas, self.ref.rho_bar, self.ref.theta_bar
+        self.alpha, self.cp = thermo.alpha_cp(self.ref, gas)
+        self.dpdt = float(thermo.dp_dtheta(rb, tb, gas))
+        self.dpdr = float(thermo.dp_drho(rb, tb, gas))
+        self.dedt = float(thermo.de_dtheta(rb, tb, gas))
+        self.kappa = float(thermo.kappa(tb, gas))
+        self.zeta = float(thermo.zeta(tb, gas))
+        self.mu = float(thermo.mu(tb, gas))
 
 
 def compute_chi(theta1: np.ndarray, grid: Grid, gas: thermo.GasParams,
@@ -204,23 +221,6 @@ def _depth_avg(arr: np.ndarray, grid: Grid) -> np.ndarray:
     return np.tensordot(grid.w3, arr, axes=(0, 0))
 
 
-def _coeffs(cfg: ObmConfig) -> dict:
-    gas, ref = cfg.gas, cfg.ref
-    rb, tb = ref.rho_bar, ref.theta_bar
-    alpha, cp = thermo.alpha_cp(ref, gas)
-    return {
-        "rho_bar": rb,
-        "theta_bar": tb,
-        "alpha": float(alpha),
-        "cp": float(cp),
-        "dpdt": float(thermo.dp_dtheta(rb, tb, gas)),
-        "dedt": float(thermo.de_dtheta(rb, tb, gas)),
-        "kappa": float(thermo.kappa(tb, gas)),
-        "zeta": float(thermo.zeta(tb, gas)),
-        "mu": float(thermo.mu(tb, gas)),
-    }
-
-
 def _advect_h(U: np.ndarray, f: np.ndarray, grid: Grid) -> np.ndarray:
     """Dealiased U . grad_h f; U lives on hshape, f on strip or hshape.
     Exactly zero, without a transform, when U vanishes identically (always
@@ -251,45 +251,46 @@ def boussinesq_rho(theta1: np.ndarray, b1: np.ndarray, cfg: ObmConfig) -> np.nda
     with A = b_bar b1 and all coefficients at the reference state.  The
     result is mean-free by construction."""
     g = cfg.grid
-    gas, ref = cfg.gas, cfg.ref
-    dpdr = float(thermo.dp_drho(ref.rho_bar, ref.theta_bar, gas))
-    dpdt = float(thermo.dp_dtheta(ref.rho_bar, ref.theta_bar, gas))
+    ref = cfg.ref
     A = ref.b_bar * np.asarray(b1, dtype=float)
     A_dev = A - A.mean()
     th_dev = theta1 - mean_arr(theta1, g)
-    num = ref.rho_bar * cfg.G - dpdt * th_dev - _to_strip(A_dev, g)
-    return num / dpdr
+    num = ref.rho_bar * cfg.G - cfg.dpdt * th_dev - _to_strip(A_dev, g)
+    return num / cfg.dpdr
+
+
+def _induction_transport(b1: np.ndarray, U: np.ndarray, grid: Grid) -> np.ndarray:
+    """Dealiased -div_h(b1 U) on hshape.  Exactly zero, without a
+    transform, when U vanishes identically (always on STRIP2)."""
+    if not np.any(U != 0.0):
+        return np.zeros(b1.shape)
+    bd = dealias_arr(b1, grid)
+    out = -ddx1_arr(dealias_arr(bd * dealias_arr(U[0], grid), grid), grid)
+    if grid.has_x2:
+        out = out - ddx2_arr(dealias_arr(bd * dealias_arr(U[1], grid), grid), grid)
+    return out
 
 
 def induction_rhs(b1: np.ndarray, U: np.ndarray, cfg: ObmConfig) -> np.ndarray:
     """Scalar induction right side -div_h(b1 U) + zeta(theta_bar) lap_h b1."""
-    g = cfg.grid
-    z = float(thermo.zeta(cfg.ref.theta_bar, cfg.gas))
-    out = z * lap_h_arr(b1, g)
-    bd = dealias_arr(b1, g)
-    f1 = dealias_arr(bd * dealias_arr(U[0], g), g)
-    out = out - ddx1_arr(f1, g)
-    if g.has_x2:
-        f2 = dealias_arr(bd * dealias_arr(U[1], g), g)
-        out = out - ddx2_arr(f2, g)
-    return out
+    return cfg.zeta * lap_h_arr(b1, cfg.grid) + _induction_transport(b1, U, cfg.grid)
 
 
-def _heat_terms(state: ObmState, cfg: ObmConfig, co: dict):
+def _heat_terms(state: ObmState, cfg: ObmConfig):
     """Explicit heat forcing (everything except the stiff kappa lap theta1)
     divided by rho_bar c_p, plus the closed mean drift d<theta1>/dt."""
     g = state.grid
-    rb, tb = co["rho_bar"], co["theta_bar"]
-    drift = co["kappa"] * wall_flux_arr(state.theta1, g) / (rb * co["dedt"])
+    rb, tb = cfg.ref.rho_bar, cfg.ref.theta_bar
+    drift = cfg.kappa * wall_flux_arr(state.theta1, g) / (rb * cfg.dedt)
     A = cfg.ref.b_bar * state.b1
     # adiabatic response to the decaying magnetic head: the first-order
     # pressure is rho_bar G - A plus a mean, so its material derivative
     # contributes -theta_bar alpha D_t A, and D_t A = zeta lap_h A by the
     # induction equation
-    forcing = -tb * co["alpha"] * co["zeta"] * _to_strip(lap_h_arr(A, g), g)
-    forcing = forcing + tb * co["alpha"] * co["dpdt"] * drift
-    forcing = forcing + rb * tb * co["alpha"] * _advect_h(state.U, cfg.G, g)
-    return forcing / (rb * co["cp"]) - _advect_h(state.U, state.theta1, g), drift
+    forcing = -tb * cfg.alpha * cfg.zeta * _to_strip(lap_h_arr(A, g), g)
+    forcing = forcing + tb * cfg.alpha * cfg.dpdt * drift
+    forcing = forcing + rb * tb * cfg.alpha * _advect_h(state.U, cfg.G, g)
+    return forcing / (rb * cfg.cp) - _advect_h(state.U, state.theta1, g), drift
 
 
 def heat_rhs(state: ObmState, cfg: ObmConfig):
@@ -300,15 +301,14 @@ def heat_rhs(state: ObmState, cfg: ObmConfig):
     the discrete mean of the returned field reproduces exactly that drift
     (the integration argument holds at the discrete level because the wall
     flux stencil telescopes against the trapezoid rule)."""
-    co = _coeffs(cfg)
     g = state.grid
-    nonstiff, drift = _heat_terms(state, cfg, co)
+    nonstiff, drift = _heat_terms(state, cfg)
     lap = lap_h_arr(state.theta1, g) + d2dx3_arr(state.theta1, g)
-    out = nonstiff + co["kappa"] * lap / (co["rho_bar"] * co["cp"])
+    out = nonstiff + cfg.kappa * lap / (cfg.ref.rho_bar * cfg.cp)
     return out, drift
 
 
-def _momentum_nonstiff(state: ObmState, cfg: ObmConfig, co: dict) -> np.ndarray:
+def _momentum_nonstiff(state: ObmState, cfg: ObmConfig) -> np.ndarray:
     """Leray-projected acceleration of U without the viscous term.
 
     The buoyancy force is the depth average of rho1 grad_h G / rho_bar;
@@ -319,8 +319,8 @@ def _momentum_nonstiff(state: ObmState, cfg: ObmConfig, co: dict) -> np.ndarray:
         return np.zeros((2,) + g.hshape)
     rho1 = boussinesq_rho(state.theta1, state.b1, cfg)
     rho1d = dealias_arr(rho1, g)
-    F1 = _depth_avg(rho1d * dealias_arr(ddx1_arr(cfg.G, g), g), g) / co["rho_bar"]
-    F2 = _depth_avg(rho1d * dealias_arr(ddx2_arr(cfg.G, g), g), g) / co["rho_bar"]
+    F1 = _depth_avg(rho1d * dealias_arr(ddx1_arr(cfg.G, g), g), g) / cfg.ref.rho_bar
+    F2 = _depth_avg(rho1d * dealias_arr(ddx2_arr(cfg.G, g), g), g) / cfg.ref.rho_bar
     out = np.stack([
         -_advect_h(state.U, state.U[0], g) + F1,
         -_advect_h(state.U, state.U[1], g) + F2,
@@ -333,11 +333,10 @@ def momentum_rhs(state: ObmState, cfg: ObmConfig) -> np.ndarray:
     :func:`_momentum_nonstiff` plus the projected viscous term (the
     projection is linear, so projecting the terms apart is exact)."""
     g = state.grid
-    co = _coeffs(cfg)
-    out = _momentum_nonstiff(state, cfg, co)
+    out = _momentum_nonstiff(state, cfg)
     if g.geometry is Geometry.STRIP2:
         return out
-    return out + leray_arr((co["mu"] / co["rho_bar"]) * lap_h_arr(state.U, g), g)
+    return out + leray_arr((cfg.mu / cfg.ref.rho_bar) * lap_h_arr(state.U, g), g)
 
 
 # -- implicit solves -----------------------------------------------------------
@@ -362,7 +361,6 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
     results."""
     g = state.grid
     dt = cfg.dt
-    co = _coeffs(cfg)
     hmin = g.dx1 if not g.has_x2 else min(g.dx1, g.dx2)
     umax = float(np.max(np.abs(state.U))) if state.U.size else 0.0
     if umax * dt / hmin > 0.9:
@@ -370,16 +368,16 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
             f"advective CFL violated: |U|max={umax:.3g}, dt={dt:.3g}, h={hmin:.3g}, "
             f"Courant={umax * dt / hmin:.3g} > 0.9")
 
-    cth = co["kappa"] / (co["rho_bar"] * co["cp"])
-    nu_b = co["zeta"]
-    nu_u = co["mu"] / co["rho_bar"]
+    cth = cfg.kappa / (cfg.ref.rho_bar * cfg.cp)
+    nu_b = cfg.zeta
+    nu_u = cfg.mu / cfg.ref.rho_bar
     wb, wt = cfg.theta_B
 
     def explicit(st: ObmState) -> list:
         """Explicit tendencies of (theta1, b1, U) at st, plus any sources."""
-        terms = [_heat_terms(st, cfg, co)[0],
-                 induction_rhs(st.b1, st.U, cfg) - nu_b * lap_h_arr(st.b1, g),
-                 _momentum_nonstiff(st, cfg, co)]
+        terms = [_heat_terms(st, cfg)[0],
+                 _induction_transport(st.b1, st.U, g),
+                 _momentum_nonstiff(st, cfg)]
         extra = {} if src is None else src(st.t)
         return [term + extra[key] if key in extra else term
                 for term, key in zip(terms, ("theta1", "b1", "U"))]
@@ -393,8 +391,8 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
         U_star = state.U
     else:
         U_star = leray_arr(_diag_implicit(state.U + dt * NU_n, nu_u, dt, g), g)
-    star = ObmState(g, th_star, b_star, U_star,
-                    compute_chi(th_star, g, cfg.gas, cfg.ref), state.t + dt)
+    star = ObmState(g, th_star, b_star, U_star, cfg.dpdt * mean_arr(th_star, g),
+                    state.t + dt)
 
     # corrector: Crank-Nicolson diffusion, Heun transport
     Nth_s, Nb_s, NU_s = explicit(star)
@@ -419,8 +417,8 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
                   + 0.5 * dt * hfft(NU_n + NU_s, g)) / (1.0 + 0.5 * dt * nu_u * g.ksq)
         U_new = leray_arr(hifft(spec_u, g), g)
 
-    new = ObmState(g, th_new, b_new, U_new,
-                   compute_chi(th_new, g, cfg.gas, cfg.ref), state.t + dt)
+    new = ObmState(g, th_new, b_new, U_new, cfg.dpdt * mean_arr(th_new, g),
+                   state.t + dt)
 
     # continuity diagnostic: the transported density equation is not solved,
     # its residual on the derived rho1 measures the closure consistency
@@ -431,7 +429,6 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
     resid = (rho1_new - rho1_old) / dt + transport
     new.diag["continuity_residual"] = float(np.max(np.abs(resid)))
     new.diag["rho1"] = rho1_new
-    new.diag["A"] = cfg.ref.b_bar * new.b1
     return new
 
 

@@ -34,10 +34,8 @@ from .mhd import (
     PrimConfig,
     PrimitiveState,
     a_from_b3_profile,
-    entropy_production_terms,
     fix_flux_walls,
     run_prim,
-    velocity_gradient,
 )
 from .obm import (
     CflError,
@@ -460,12 +458,9 @@ def compatibility_residual(theta1, b1, cfg: ObmConfig) -> np.ndarray:
     the discrete residual vanishes to rounding since all terms share the
     same linear derivative operators.  Returns the (3,)+shape residual.
     """
-    g = cfg.grid
-    gas, ref = cfg.gas, cfg.ref
+    g, ref, pr, pt = cfg.grid, cfg.ref, cfg.dpdr, cfg.dpdt
     theta1 = np.asarray(theta1, dtype=float)
     b1s = np.broadcast_to(np.asarray(b1, dtype=float), g.shape)
-    pr = thermo.dp_drho(ref.rho_bar, ref.theta_bar, gas)
-    pt = thermo.dp_dtheta(ref.rho_bar, ref.theta_bar, gas)
     rho1 = boussinesq_rho(theta1, np.asarray(b1, dtype=float), cfg)
     res = np.zeros((3,) + g.shape)
     # current of (0, 0, b1) is (0, -d1 b1, 0); crossing with the background
@@ -550,11 +545,10 @@ class RelEnergyReport:
     E_total: np.ndarray
     E_ess: np.ndarray
     E_res: np.ndarray
-    dissipation: np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        for name in ("E_total", "E_ess", "E_res", "dissipation"):
+        for name in ("E_total", "E_ess", "E_res"):
             arr = np.asarray(getattr(self, name), dtype=float)
             setattr(self, name, arr)
             if arr.shape != self.times.shape:
@@ -573,7 +567,12 @@ class RelEnergyReport:
 
 @dataclass
 class StudyEntry:
-    """One Mach number of the side-by-side study."""
+    """One Mach number of the side-by-side study.
+
+    ``deviations`` maps rho, theta, u and B to their L2 deviations from the
+    limit at the final time (empty after a failure); ``monitors`` holds
+    compat_residual and rel_energy0 of the initial data, and mass_drift,
+    divB_max and entropy_prod_min over the compressible run."""
 
     eps: float
     report: RelEnergyReport
@@ -620,8 +619,7 @@ class StudyReport:
 
 
 def convergence_study(theta1, b1, cfg: ObmConfig, eps_list,
-                      n_snap: int = 25, ceiling: float | None = None,
-                      on_entry=None) -> StudyReport:
+                      n_snap: int = 25, on_entry=None) -> StudyReport:
     """March both solvers from shared well-prepared data for each eps.
 
     For every Mach number in eps_list (strictly decreasing) the compressible
@@ -632,11 +630,12 @@ def convergence_study(theta1, b1, cfg: ObmConfig, eps_list,
 
     Deviations stored per entry (all at the final time): the rescaled
     density and temperature against the limit fields, the momentum-weighted
-    velocity, and the rescaled magnetic perturbation.  Monitors: the largest
-    rescaled magnetic excursion, the time-integrated first-order velocity
-    norm, mass drift, the largest divergence of B, and the smallest entropy
-    production integral.  A solver failure marks the entry and truncates its
-    series; remaining Mach numbers still run.
+    velocity, and the rescaled magnetic perturbation.  Monitors: the initial
+    compatibility residual and relative energy, and from the compressible
+    solver's rows the mass drift, the largest divergence of B and the
+    smallest entropy production integral.  A solver failure marks the entry
+    and truncates its series; remaining Mach numbers still run.  Each entry
+    is passed to ``on_entry`` as it completes.
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if eps_arr.size < 1 or np.any(eps_arr <= 0):
@@ -653,58 +652,35 @@ def convergence_study(theta1, b1, cfg: ObmConfig, eps_list,
         except (FieldError, thermo.ThermoDomainError) as exc:
             entries.append(StudyEntry(
                 eps=float(eps),
-                report=RelEnergyReport(np.zeros(0), np.zeros(0), np.zeros(0),
-                                       np.zeros(0), np.zeros(0)),
+                report=RelEnergyReport(*[np.zeros(0)] * 4),
                 failed=f"{type(exc).__name__}: {exc}"))
             continue
-        t_list, e_tot, e_ess, e_res, diss = [], [], [], [], []
-        b_excess = 0.0
-        u_h1_series = []
-        divB_max = 0.0
-        prod_min = np.inf
-        mass_drift = np.nan
+        series, rows = [], []  # (t, E_total, E_ess, E_res) per sync; solver rows
         failed = None
-        bgvec = np.zeros((3,) + g.shape)
-        bgvec[2] = cfg.ref.b_bar
 
         def record(t):
-            nonlocal b_excess
             quad = quadruple_from_obm(limit, cfg, float(eps))
             _, ee, er = ess_res_split(prim, quad, cfg.gas, cfg.ref)
-            t_list.append(t)
-            e_tot.append(ee + er)
-            e_ess.append(ee)
-            e_res.append(er)
-            b_excess = max(b_excess, l2_arr(prim.B - bgvec, g) ** 2 / float(eps) ** 2)
-            gu = velocity_gradient(prim.u, g)
-            u_h1_series.append(l2_arr(prim.u, g) ** 2 + l2_arr(gu, g) ** 2)
+            series.append((t, ee + er, ee, er))
 
         record(0.0)
-        diss.append(g.volume * mean_arr(
-            sum(entropy_production_terms(prim, pcfg)), g))
         mass0 = g.volume * mean_arr(prim.rho, g)
         for k in range(1, n_snap + 1):
             try:
-                prim, rows = run_prim(prim, pcfg, t_end=float(times[k]))
+                prim, new_rows = run_prim(prim, pcfg, t_end=float(times[k]))
                 limit, _ = run_obm(limit, replace(cfg, t_end=float(times[k])))
             except (PositivityError, CflError, FieldError) as exc:
                 failed = f"{type(exc).__name__}: {exc}"
                 break
             record(float(times[k]))
-            if rows:
-                divB_max = max(divB_max, max(r[5] for r in rows))
-                prod_min = min(prod_min, min(r[8] for r in rows))
-                diss.append(rows[-1][8])
-                mass_drift = abs(rows[-1][1] - mass0)
-            else:
-                diss.append(diss[-1])
-        report = RelEnergyReport(np.array(t_list), np.array(e_tot),
-                                 np.array(e_ess), np.array(e_res),
-                                 np.array(diss[:len(t_list)]))
+            rows += new_rows
+        report = RelEnergyReport(*(np.array(column) for column in zip(*series)))
         deviations = {}
         if failed is None:
             quad_fields = quadruple_from_obm(limit, cfg, float(eps))
             rho1_l = boussinesq_rho(limit.theta1, limit.b1, cfg)
+            bgvec = np.zeros((3,) + g.shape)
+            bgvec[2] = cfg.ref.b_bar
             deviations = {
                 "rho": l2_arr((prim.rho - cfg.ref.rho_bar) / eps - rho1_l, g),
                 "theta": l2_arr((prim.theta - cfg.ref.theta_bar) / eps - limit.theta1, g),
@@ -716,16 +692,11 @@ def convergence_study(theta1, b1, cfg: ObmConfig, eps_list,
         monitors = {
             "compat_residual": info["compat_residual"],
             "rel_energy0": info["rel_energy0"],
-            "b_excess": b_excess,
-            "u_h1": float(np.trapezoid(u_h1_series, t_list))
-            if len(t_list) > 1 else 0.0,
-            "mass_drift": float(mass_drift),
-            "divB_max": divB_max,
-            "entropy_prod_min": prod_min,
+            "mass_drift": float(abs(rows[-1].mass - mass0)) if rows else np.nan,
+            "divB_max": max((r.divB_max for r in rows), default=0.0),
+            "entropy_prod_min": min((r.entropy_production for r in rows),
+                                    default=np.inf),
         }
-        if ceiling is not None:
-            monitors["bounded"] = bool(b_excess <= ceiling
-                                       and monitors["u_h1"] <= ceiling)
         entry = StudyEntry(eps=float(eps), report=report,
                            deviations=deviations, monitors=monitors,
                            failed=failed)

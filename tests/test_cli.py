@@ -165,11 +165,36 @@ def test_eps_list_must_be_finite(tmp_path, raw):
     ("[grid]\nn3 = 1000000000000\n", "n3"),
     ("[grid]\nn1 = 9223372036854775808\n", "n1"),
     ("[thermo]\nn_points = 99999999999999999999999\n", "n_points"),
+    # time steps too small to reach t_end within the bound
+    ("[obm]\ndt = 1e-320\n", r"\[obm\] dt"),
+    ("[obm]\ndt = 1e-300\n", r"\[obm\] dt"),
+    ("[study]\ndt = 1e-300\n", r"\[study\] dt"),
+    ("[mhd]\ndt = 1e-300\n", r"\[mhd\] dt"),
+    ("[obm]\nt_end = 2.0\ndt = 1e-6\n", r"\[obm\] dt"),
 ])
 def test_oversized_counts_are_rejected(tmp_path, body, what):
     path = write_config(tmp_path, body)
     with pytest.raises(ConfigError, match=what):
         RunConfig.load(path)
+
+
+def test_tiny_dt_exits_2_with_a_message(tmp_path, capsys):
+    path = write_config(tmp_path, "[obm]\ndt = 1e-320\n")
+    assert main(["run-obm", "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("obmlab: config error: [obm] dt")
+
+
+def test_dt_at_the_step_bound_loads(tmp_path):
+    # exactly 2**20 steps to t_end; an automatic [mhd] dt = 0 has no bound
+    path = write_config(tmp_path, f"""\
+        [obm]
+        t_end = 1.0
+        dt = {2.0 ** -20!r}
+
+        [mhd]
+        dt = 0.0
+    """)
+    RunConfig.load(path)
 
 
 def test_undecodable_config_exits_2(tmp_path, capsys):
@@ -447,6 +472,34 @@ def test_run_mhd_entropy_fault_exits_1(tmp_path, capsys):
     assert "FAIL" in text
 
 
+def test_run_mhd_evaluates_entropy_production_once_per_step(tmp_path, capsys,
+                                                           monkeypatch):
+    from obmlab import cli, mhd
+    original = mhd.entropy_production_terms
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("fault", False))
+        return original(*args, **kwargs)
+
+    # wherever the driver can reach it, so a second pass would be counted
+    for module in (mhd, cli):
+        if getattr(module, "entropy_production_terms", None) is original:
+            monkeypatch.setattr(module, "entropy_production_terms", counted)
+    path = write_config(tmp_path, SMALL_MHD)
+    out = tmp_path / "out"
+    assert main(["run-mhd", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    steps = len((out / "run_mhd.csv").read_text().splitlines()) - 1
+    assert steps > 1
+    assert len(calls) == steps
+    calls.clear()
+    assert main(["run-mhd", "--config", path, "--out", str(out),
+                 "--inject-entropy-fault"]) == 1
+    assert "pointwise floor = -" in capsys.readouterr().out
+    assert calls == [True] * steps
+
+
 def test_run_mhd_is_byte_deterministic(tmp_path, capsys):
     path = write_config(tmp_path, SMALL_MHD)
     blobs = []
@@ -486,6 +539,19 @@ def test_converge_small_study(tmp_path, capsys):
     assert sup[1] < sup[0]
     assert all(line.split(",")[-1] == "0" for line in lines[1:])
     assert (out / "run_study.txt").exists()
+    # one progress line per Mach number, in order, before the summary table
+    printed = text.splitlines()
+    progress = [line for line in printed if line.startswith("converge: ")]
+    assert progress == [f"converge: eps = {eps}, sup_E = {s:.6e} OK"
+                        for eps, s in zip(("0.4", "0.2"), sup)]
+    assert printed.index(progress[-1]) < printed.index(
+        next(line for line in printed if line.lstrip().startswith("eps")))
+    quiet = tmp_path / "quiet"
+    assert main(["converge", "--config", path, "--out", str(quiet),
+                 "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    for name in ("run_study.csv", "run_study.txt"):
+        assert (quiet / name).read_bytes() == (out / name).read_bytes()
 
 
 # -- mms -----------------------------------------------------------------------

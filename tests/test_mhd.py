@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from obmlab import thermo
 from obmlab.fields import (
@@ -246,6 +248,40 @@ def test_entropy_fault_flag_breaks_sign():
     assert np.min(phi) < -1e-14
 
 
+@settings(max_examples=40, deadline=None)
+@given(n1=hst.sampled_from([8, 16]), n3=hst.integers(5, 17),
+       eps=hst.floats(0.1, 1.0), seed=hst.integers(0, 2 ** 32 - 1),
+       fault=hst.booleans())
+def test_row_floor_and_cached_field_property(n1, n3, eps, seed, fault):
+    """The row's entropy floor is the pointwise minimum of the step's
+    production terms, and a state's B is one read-only array equal to a
+    fresh assembly from (a, c3, B2)."""
+    cfg = make_cfg(n1=n1, n3=n3)
+    g = cfg.grid
+    rng = np.random.default_rng(seed)
+    start = PrimitiveState(
+        g, 1.0 + 0.3 * rng.uniform(-1, 1, g.shape),
+        0.1 * rng.normal(size=(3,) + g.shape),
+        1.0 + 0.3 * rng.uniform(-1, 1, g.shape),
+        fix_flux_walls(0.02 * rng.normal(size=g.shape)), REF.b_bar,
+        0.05 * rng.normal(size=g.shape), eps, 0.0)
+    state, rows = run_prim(start, cfg, t_end=0.1 * cfl_limits(start, cfg),
+                           entropy_fault=fault)
+    assert len(rows) == 1
+    terms = entropy_production_terms(state, cfg, fault=fault)
+    assert rows[0].entropy_floor == min(float(np.min(t)) for t in terms)
+    phi, joule, cond = terms
+    assert rows[0].entropy_production == g.volume * mean_arr(phi + joule + cond, g)
+    B = state.B
+    assert state.B is B
+    assert not B.flags.writeable
+    with pytest.raises(ValueError):
+        B[0, 1, 1] = 1.0
+    fresh = np.stack([-ddx3_arr(state.a, g), state.B2,
+                      state.c3 + ddx1_arr(state.a, g)])
+    assert np.array_equal(B, fresh)
+
+
 def test_run_rows_report_nonnegative_production():
     cfg = make_cfg(G="gravity")
     st = wavy_state(cfg, eps=0.3)
@@ -311,11 +347,17 @@ def test_positivity_rejection_dumps_last_valid(tmp_path):
     snap = tmp_path / "fail.snap"
 
     def chill(_t):
-        return {"theta": -1e4 * np.ones(cfg.grid.shape)}
+        cold = np.zeros(cfg.grid.shape)
+        cold[3, 5] = -1e4
+        return {"theta": cold}
 
     with pytest.raises(PositivityError) as err:
         run_prim(st, cfg, t_end=1.0, src=chill, fail_snapshot=str(snap))
     assert err.value.last_valid is st
+    # the message names the last valid time and the node that went negative
+    message = str(err.value)
+    assert f"from t = {st.t!r}:" in message
+    assert "min theta = -" in message and "at (i3, i1) = (3, 5)" in message
     saved_grid, fields = read_snapshot(str(snap))
     assert saved_grid == cfg.grid
     assert np.array_equal(fields["rho"], st.rho)

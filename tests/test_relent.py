@@ -286,13 +286,13 @@ def test_quadruple_rejects_bad_fields():
 def test_rel_energy_report_validation():
     t = np.linspace(0.0, 1.0, 5)
     e = np.full(5, 2.0)
-    RelEnergyReport(t, e, 0.5 * e, 0.5 * e, np.zeros(5))
+    RelEnergyReport(t, e, 0.5 * e, 0.5 * e)
     with pytest.raises(FieldError):
-        RelEnergyReport(t, e, e, e, np.zeros(5))  # partition broken
+        RelEnergyReport(t, e, e, e)  # partition broken
     with pytest.raises(FieldError):
-        RelEnergyReport(t, -e, -0.5 * e, -0.5 * e, np.zeros(5))
+        RelEnergyReport(t, -e, -0.5 * e, -0.5 * e)
     with pytest.raises(FieldError):
-        RelEnergyReport(t, e[:-1], e[:-1], np.zeros(4), np.zeros(5))
+        RelEnergyReport(t, e[:-1], e[:-1], np.zeros(4))
 
 
 # -- well-prepared data ----------------------------------------------------------
