@@ -32,7 +32,9 @@ Configuration file
 Plain ``key = value`` lines under bracketed section headers; ``#`` and ``;``
 start comments.  Unknown sections or keys are errors, not warnings.  Every
 key has a default, so an empty or absent file runs the bundled setup.
-Integer keys but the seed, and the steps any dt needs to t_end, are at most 2**20.
+Integer keys but the seed, and the steps any dt needs to t_end, are at most
+2**20; an automatic dt counts its steps at the CFL bound of the initial
+state (at the smallest eps in a study).
 
 [thermo]
     p_inf = 1.0            cold-pressure coefficient (> 0)
@@ -113,7 +115,8 @@ from pathlib import Path
 import numpy as np
 
 from .fields import FieldError, Geometry, Grid, write_snapshot
-from .mhd import PositivityError, PrimConfig, StepRow, run_prim, snapshot_fields
+from .mhd import (PositivityError, PrimConfig, PrimitiveState, StepRow, cfl_limits,
+                  run_prim, snapshot_fields)
 from .obm import (CflError, ObmConfig, ObmConfigError, ObmState,
                   default_potential, initial_state, run_obm)
 from .relent import convergence_study, well_prepared_data
@@ -381,6 +384,16 @@ class RunConfig:
             raise ConfigError("[output] prefix must be a bare file-name stem")
 
 
+def _check_automatic_steps(section: str, state: PrimitiveState, pcfg: PrimConfig,
+                           t_end: float) -> None:
+    """The step bound of the loader for a run whose dt is safety times the
+    CFL bound, taken at the initial state (the bound can underflow to 0)."""
+    if pcfg.safety * cfl_limits(state, pcfg) * _MAX_COUNT < t_end:
+        raise ConfigError(
+            f"[{section}] eps = {state.eps:g} needs more than {_MAX_COUNT} steps "
+            f"of safety * CFL bound to reach t_end = {t_end:g}")
+
+
 # -- initial data ---------------------------------------------------------------
 
 
@@ -572,6 +585,8 @@ def cmd_run_mhd(cfg: RunConfig, args) -> int:
         th, b1 = _initial_profiles(ocfg, m, _seed(cfg, args), walls)
         prim0, _, info = well_prepared_data(th, b1, ocfg, m["eps"])
         pcfg = PrimConfig(grid, gas, ref, G, walls, safety=m["safety"])
+    if m["dt"] == 0:
+        _check_automatic_steps("mhd", prim0, pcfg, m["t_end"])
     outdir = Path(args.out)
     prefix = cfg["output"]["prefix"]
     snaps = _SnapshotSchedule(outdir, f"{prefix}_mhd", cfg["output"]["snapshots"],
@@ -610,6 +625,11 @@ def cmd_converge(cfg: RunConfig, args) -> int:
         ocfg = ObmConfig(grid, gas, ref, default_potential(grid), (0.0, 0.0),
                          dt=s["dt"], t_end=s["t_end"])
         th, b1 = _initial_profiles(ocfg, s, _seed(cfg, args), (0.0, 0.0))
+        # the study's compressible runs take the most steps at the smallest eps
+        eps_min = cfg.eps_list()[-1]
+        _check_automatic_steps("study", well_prepared_data(th, b1, ocfg, eps_min)[0],
+                               PrimConfig(grid, gas, ref, ocfg.G, ocfg.theta_B),
+                               s["t_end"])
 
     def progress(entry):
         _say(args, f"converge: eps = {entry.eps:g}, sup_E = {entry.sup_E:.6e} "

@@ -17,7 +17,8 @@ Horizontal derivatives are Fourier-spectral (wavenumbers pi * m for integer
 mode m, since the period is 2); the vertical direction uses second-order
 centered differences on a vertex-centered grid that includes both walls,
 with one-sided second-order closures at the walls.  Nonlinear products of
-spectral fields should pass through :func:`dealias_arr` (2/3 rule).
+spectral fields pass through :func:`dealias_arr` (2/3 rule) once per sum of
+products, not again on results already band-limited (derivatives of such a sum).
 
 Because horizontal and vertical operators act along different array axes,
 mixed second derivatives commute exactly; identities such as div(curl v) = 0

@@ -73,8 +73,6 @@ __all__ = [
     "StepRow",
     "fix_flux_walls",
     "velocity_gradient",
-    "viscous_stress",
-    "prim_rhs",
     "entropy_production_terms",
     "cfl_limits",
     "step_prim",
@@ -189,53 +187,47 @@ def a_from_b3_profile(b3: np.ndarray, grid: Grid):
     return np.broadcast_to(a_line, grid.shape).copy(), c3
 
 
-def velocity_gradient(u: np.ndarray, grid: Grid, slip_walls: bool = True) -> np.ndarray:
+def velocity_gradient(u: np.ndarray, grid: Grid) -> np.ndarray:
     """(3, 3) array of derivatives d_i u_j on the 2.5D strip (d2 = 0).
 
-    With ``slip_walls`` the wall rows of d3 u1 and d3 u2 are zeroed, which
-    encodes the stress-free tangential condition when the stress tensor is
-    built from this gradient."""
+    The wall rows of d3 u1 and d3 u2 are zeroed, which encodes the
+    stress-free tangential condition when the stress tensor is built from
+    this gradient."""
     out = np.zeros((3, 3) + grid.shape)
     for j in range(3):
         out[0, j] = ddx1_arr(u[j], grid)
         out[2, j] = ddx3_arr(u[j], grid)
-    if slip_walls:
-        out[2, 0, 0] = 0.0
-        out[2, 0, -1] = 0.0
-        out[2, 1, 0] = 0.0
-        out[2, 1, -1] = 0.0
+    out[2, :2, 0] = 0.0
+    out[2, :2, -1] = 0.0
     return out
 
 
-def viscous_stress(theta: np.ndarray, grad_u: np.ndarray,
-                   gas: thermo.GasParams) -> np.ndarray:
-    """Newtonian stress mu(theta)(grad u + grad u^T - (2/3) div u I)
-    + eta(theta) div u I, as a (3, 3, ...) array."""
+def _strain(theta, grad_u, gas: thermo.GasParams):
+    """(mu, eta, div u, D) with D = grad u + grad u^T - (2/3) div u I: the
+    one strain tensor, and the one transport evaluation, that the stress
+    and the dissipation are built from."""
     mu = np.asarray(thermo.mu(theta, gas))
     eta = np.asarray(thermo.eta(theta, gas))
     divu = grad_u[0, 0] + grad_u[1, 1] + grad_u[2, 2]
-    S = np.empty_like(grad_u)
+    D = grad_u + grad_u.swapaxes(0, 1)
     for i in range(3):
-        for j in range(3):
-            S[i, j] = mu * (grad_u[i, j] + grad_u[j, i])
-        S[i, i] += (eta - 2.0 * mu / 3.0) * divu
-    return S
+        D[i, i] -= (2.0 / 3.0) * divu
+    return mu, eta, divu, D
 
 
-def _dissipation(theta, grad_u, gas):
+def _stress(mu, eta, divu, D):
+    """Newtonian stress mu D + eta div u I, as a (3, 3, ...) array built in
+    the storage of D, which it consumes."""
+    D *= mu
+    for i in range(3):
+        D[i, i] += eta * divu
+    return D
+
+
+def _dissipation(mu, eta, divu, D):
     """S : grad u evaluated as the manifestly non-negative quadratic form
-    (mu/2)|grad u + grad u^T - (2/3) div u I|^2 + eta (div u)^2."""
-    mu = np.asarray(thermo.mu(theta, gas))
-    eta = np.asarray(thermo.eta(theta, gas))
-    divu = grad_u[0, 0] + grad_u[1, 1] + grad_u[2, 2]
-    acc = 0.0
-    for i in range(3):
-        for j in range(3):
-            d = grad_u[i, j] + grad_u[j, i]
-            if i == j:
-                d = d - (2.0 / 3.0) * divu
-            acc = acc + d * d
-    return 0.5 * mu * acc + eta * divu ** 2
+    (mu/2)|D|^2 + eta (div u)^2."""
+    return 0.5 * mu * np.einsum("ij...,ij...->...", D, D) + eta * divu ** 2
 
 
 def _curl25(B: np.ndarray, grid: Grid) -> np.ndarray:
@@ -248,7 +240,11 @@ def _curl25(B: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _tendencies(state: PrimitiveState, cfg: PrimConfig):
-    """Time derivatives of (rho, u, theta, a, B2)."""
+    """Time derivatives of (rho, u, theta, a, B2).
+
+    Each sum of products is truncated once; results that are linear images
+    of truncated arrays (x3 differences, x1 derivatives, wall rows) are
+    band-limited already and are not truncated again."""
     g = state.grid
     gas = cfg.gas
     eps = state.eps
@@ -263,13 +259,12 @@ def _tendencies(state: PrimitiveState, cfg: PrimConfig):
     rho_t = -div_flux + mean_arr(div_flux, g)
 
     grad_u = velocity_gradient(u, g)
-    divu = grad_u[0, 0] + grad_u[2, 2]
+    mu, eta, divu, D = _strain(theta, grad_u, gas)
+    phi = _dissipation(mu, eta, divu, D)  # before the stress takes over D
 
     # momentum: advection, stress, pressure, gravity, Lorentz
-    adv = np.stack([
-        dz(u[0] * grad_u[0, j]) + dz(u[2] * grad_u[2, j]) for j in range(3)
-    ])
-    S = viscous_stress(theta, grad_u, gas)
+    adv = np.stack([dz(u[0] * grad_u[0, j] + u[2] * grad_u[2, j]) for j in range(3)])
+    S = _stress(mu, eta, divu, D)
     divS = np.stack([
         ddx1_arr(dz(S[0, j]), g) + ddx3_arr(dz(S[2, j]), g) for j in range(3)
     ])
@@ -291,15 +286,14 @@ def _tendencies(state: PrimitiveState, cfg: PrimConfig):
     d1th = ddx1_arr(theta, g)
     d3th = ddx3_arr(theta, g)
     heat_flux_div = ddx1_arr(dz(kap * d1th), g) + ddx3_arr(kap * d3th, g)
-    phi = _dissipation(theta, grad_u, gas)
     joule = zet * (J[0] ** 2 + J[1] ** 2 + J[2] ** 2)
     theta_t = (-theta * dpdt * divu + eps ** 2 * phi + heat_flux_div + joule) \
-        / (rho * dedt) - (dz(u[0] * d1th) + dz(u[2] * d3th))
+        / (rho * dedt) - dz(u[0] * d1th + u[2] * d3th)
 
     # induction through the electric field E = zeta curl B - u x B
-    E = np.stack([dz(zet * J[i]) for i in range(3)]) - \
-        np.stack([dz(c) for c in cross3(u, B)])
-    a_t = dz(-E[1])
+    uxB = cross3(u, B)
+    E = np.stack([dz(zet * J[i] - uxB[i]) for i in range(3)])
+    a_t = -E[1]
     # differentiated form of the wall constraint d3 a = 0 (an O(h^3)
     # perturbation since d3 E2 vanishes at the walls for B1|wall = 0);
     # as a linear invariant it then propagates exactly through any
@@ -307,18 +301,9 @@ def _tendencies(state: PrimitiveState, cfg: PrimConfig):
     # costs a temporal order
     a_t[0] = (4.0 * a_t[1] - a_t[2]) / 3.0
     a_t[-1] = (4.0 * a_t[-2] - a_t[-3]) / 3.0
-    B2_t = ddx1_arr(dz(E[2]), g) - ddx3_arr(E[0], g)
+    B2_t = ddx1_arr(E[2], g) - ddx3_arr(E[0], g)
 
-    return (dz(rho_t), np.stack([dz(c) for c in u_t]), dz(theta_t),
-            a_t, dz(B2_t))
-
-
-def prim_rhs(state: PrimitiveState, cfg: PrimConfig) -> dict:
-    """Public time derivatives of (rho, u, theta, B)."""
-    rho_t, u_t, theta_t, a_t, B2_t = _tendencies(state, cfg)
-    g = state.grid
-    B_t = np.stack([-ddx3_arr(a_t, g), B2_t, ddx1_arr(a_t, g)])
-    return {"rho": rho_t, "u": u_t, "theta": theta_t, "B": B_t}
+    return rho_t, np.stack([dz(c) for c in u_t]), dz(theta_t), a_t, B2_t
 
 
 def entropy_production_terms(state: PrimitiveState, cfg: PrimConfig,
@@ -330,7 +315,7 @@ def entropy_production_terms(state: PrimitiveState, cfg: PrimConfig,
     g = state.grid
     gas = cfg.gas
     grad_u = velocity_gradient(state.u, g)
-    phi = _dissipation(state.theta, grad_u, gas) * state.eps ** 2 / state.theta
+    phi = _dissipation(*_strain(state.theta, grad_u, gas)) * state.eps ** 2 / state.theta
     if fault:
         phi = -phi
     J = _curl25(state.B, g)
@@ -457,28 +442,33 @@ def _check_admissible(parts, last_valid):
 
 def total_energy(state: PrimitiveState, gas: thermo.GasParams) -> float:
     """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2) ]."""
-    return _energy(state, gas, 0.0)
+    return _energy(state, gas, (0.0,))[0]
 
 
 def ballistic_energy(state: PrimitiveState, psi: np.ndarray,
                      gas: thermo.GasParams) -> float:
     """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2 - psi rho s) ]
     for a positive test temperature psi."""
+    return _energy(state, gas, (_psi_rho_s(state, psi, gas),))[0]
+
+
+def _psi_rho_s(state: PrimitiveState, psi, gas: thermo.GasParams):
     psi = np.asarray(psi, dtype=float)
     if np.any(psi <= 0.0) or not np.all(np.isfinite(psi)):
         raise thermo.ThermoDomainError("psi must be positive and finite")
-    ros = np.asarray(thermo.rho_s_total(state.rho, state.theta, gas))
-    return _energy(state, gas, psi * ros)
+    return psi * np.asarray(thermo.rho_s_total(state.rho, state.theta, gas))
 
 
-def _energy(state: PrimitiveState, gas: thermo.GasParams, psi_rho_s) -> float:
-    """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2 - psi_rho_s) ], the
-    body of both energies."""
+def _energy(state: PrimitiveState, gas: thermo.GasParams, psi_rho_s) -> list:
+    """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2 - q) ] for each q
+    in ``psi_rho_s``: the body of both energies, so that a caller wanting
+    both evaluates rho e once."""
     g = state.grid
     roe = np.asarray(thermo.rho_e_total(state.rho, state.theta, gas))
-    dens = 0.5 * state.rho * (state.u ** 2).sum(axis=0) \
-        + (roe + 0.5 * (state.B ** 2).sum(axis=0) - psi_rho_s) / state.eps ** 2
-    return g.volume * mean_arr(dens, g)
+    kinetic = 0.5 * state.rho * (state.u ** 2).sum(axis=0)
+    inner = roe + 0.5 * (state.B ** 2).sum(axis=0)
+    return [g.volume * mean_arr(kinetic + (inner - q) / state.eps ** 2, g)
+            for q in psi_rho_s]
 
 
 def psi_extension(cfg: PrimConfig, eps: float) -> np.ndarray:
@@ -551,8 +541,7 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
             state.t,
             g.volume * mean_arr(state.rho, g),
             g.volume * mean_arr(state.rho * state.u[0], g),
-            total_energy(state, cfg.gas),
-            ballistic_energy(state, psi, cfg.gas),
+            *_energy(state, cfg.gas, (0.0, _psi_rho_s(state, psi, cfg.gas))),
             float(np.max(np.abs(divB))),
             float(np.min(state.rho)),
             float(np.min(state.theta)),

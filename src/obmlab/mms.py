@@ -305,10 +305,6 @@ class ConvergenceTable:
         e, h = self.combined, self.spacings
         return np.log(e[:-1] / e[1:]) / np.log(h[:-1] / h[1:])
 
-    def field_orders(self, name: str) -> np.ndarray:
-        e = self.errors[name]
-        return np.log(e[:-1] / e[1:]) / np.log(self.spacings[:-1] / self.spacings[1:])
-
     @property
     def floor_ratio(self) -> float:
         """max/min of the combined error; near 1 on a spectral floor."""

@@ -60,9 +60,6 @@ __all__ = [
     "ObmState",
     "compute_chi",
     "boussinesq_rho",
-    "induction_rhs",
-    "heat_rhs",
-    "momentum_rhs",
     "step_obm",
     "run_obm",
     "default_potential",
@@ -179,7 +176,8 @@ class ObmState:
             raise FieldError("U must vanish identically on a STRIP2 grid")
 
     @classmethod
-    def create(cls, grid: Grid, theta1, b1=None, U=None, gas=None, ref=None,
+    def create(cls, grid: Grid, theta1, b1=None, U=None, *,
+               gas: thermo.GasParams, ref: thermo.ReferenceState,
                t: float = 0.0) -> "ObmState":
         """Assemble a state, filling zeros and recomputing chi."""
         theta1 = np.asarray(theta1, dtype=float)
@@ -192,7 +190,7 @@ class ObmState:
 
 
 def initial_state(cfg: ObmConfig, theta_amp: float = 0.1,
-                  b_amp: float = 0.25, seed=None) -> ObmState:
+                  b_amp: float = 0.25) -> ObmState:
     """Smooth wall-compatible starting data for driver runs.
 
     theta1 = theta_amp sin(pi x3)(1 + 0.5 cos(pi x1)) vanishes on the walls;
@@ -271,14 +269,15 @@ def _induction_transport(b1: np.ndarray, U: np.ndarray, grid: Grid) -> np.ndarra
     return out
 
 
-def induction_rhs(b1: np.ndarray, U: np.ndarray, cfg: ObmConfig) -> np.ndarray:
-    """Scalar induction right side -div_h(b1 U) + zeta(theta_bar) lap_h b1."""
-    return cfg.zeta * lap_h_arr(b1, cfg.grid) + _induction_transport(b1, U, cfg.grid)
-
-
 def _heat_terms(state: ObmState, cfg: ObmConfig):
     """Explicit heat forcing (everything except the stiff kappa lap theta1)
-    divided by rho_bar c_p, plus the closed mean drift d<theta1>/dt."""
+    divided by rho_bar c_p, plus the closed mean drift d<theta1>/dt.
+
+    The non-local term enters through the closed ODE
+    d<theta1>/dt = kappa(theta_bar) <lap theta1> / (rho_bar de_dtheta); with
+    the stiff term added, the discrete mean of the full right side
+    reproduces exactly that drift, because the wall flux stencil telescopes
+    against the trapezoid rule."""
     g = state.grid
     rb, tb = cfg.ref.rho_bar, cfg.ref.theta_bar
     drift = cfg.kappa * wall_flux_arr(state.theta1, g) / (rb * cfg.dedt)
@@ -291,21 +290,6 @@ def _heat_terms(state: ObmState, cfg: ObmConfig):
     forcing = forcing + tb * cfg.alpha * cfg.dpdt * drift
     forcing = forcing + rb * tb * cfg.alpha * _advect_h(state.U, cfg.G, g)
     return forcing / (rb * cfg.cp) - _advect_h(state.U, state.theta1, g), drift
-
-
-def heat_rhs(state: ObmState, cfg: ObmConfig):
-    """Full explicit right side of the theta1 evolution and the mean drift.
-
-    The non-local term enters through the closed ODE
-    d<theta1>/dt = kappa(theta_bar) <lap theta1> / (rho_bar de_dtheta),
-    the discrete mean of the returned field reproduces exactly that drift
-    (the integration argument holds at the discrete level because the wall
-    flux stencil telescopes against the trapezoid rule)."""
-    g = state.grid
-    nonstiff, drift = _heat_terms(state, cfg)
-    lap = lap_h_arr(state.theta1, g) + d2dx3_arr(state.theta1, g)
-    out = nonstiff + cfg.kappa * lap / (cfg.ref.rho_bar * cfg.cp)
-    return out, drift
 
 
 def _momentum_nonstiff(state: ObmState, cfg: ObmConfig) -> np.ndarray:
@@ -326,17 +310,6 @@ def _momentum_nonstiff(state: ObmState, cfg: ObmConfig) -> np.ndarray:
         -_advect_h(state.U, state.U[1], g) + F2,
     ])
     return leray_arr(out, g)
-
-
-def momentum_rhs(state: ObmState, cfg: ObmConfig) -> np.ndarray:
-    """Leray-projected acceleration of U: the explicit part of
-    :func:`_momentum_nonstiff` plus the projected viscous term (the
-    projection is linear, so projecting the terms apart is exact)."""
-    g = state.grid
-    out = _momentum_nonstiff(state, cfg)
-    if g.geometry is Geometry.STRIP2:
-        return out
-    return out + leray_arr((cfg.mu / cfg.ref.rho_bar) * lap_h_arr(state.U, g), g)
 
 
 # -- implicit solves -----------------------------------------------------------
@@ -428,7 +401,6 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
                        + _advect_h(new.U, rho1_new, g))
     resid = (rho1_new - rho1_old) / dt + transport
     new.diag["continuity_residual"] = float(np.max(np.abs(resid)))
-    new.diag["rho1"] = rho1_new
     return new
 
 

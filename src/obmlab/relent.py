@@ -60,7 +60,6 @@ __all__ = [
     "ess_res_split",
     "compute_coercivity",
     "coercivity_margins",
-    "coercivity_check",
     "compatibility_residual",
     "well_prepared_data",
     "quadruple_from_obm",
@@ -432,17 +431,6 @@ def coercivity_margins(rho, u, theta, B, r, U, Theta, H, eps: float,
     return CoercivityReport(n_ess=int(np.sum(mask)), n_res=int(np.sum(res)),
                             margin_ess=margin_ess, margin_res=margin_res,
                             min_density=float(np.min(dens)))
-
-
-def coercivity_check(state: PrimitiveState, test: TestQuadruple,
-                     gas: thermo.GasParams, ref: thermo.ReferenceState,
-                     cc: CoercivityConstants | None = None) -> CoercivityReport:
-    """Coercivity margins for a solver state against a test quadruple."""
-    if cc is None:
-        cc = compute_coercivity(gas, ref)
-    return coercivity_margins(state.rho, state.u, state.theta, state.B,
-                              test.r, test.U, test.Theta, test.H,
-                              state.eps, gas, ref, cc)
 
 
 # ----------------------------------------------------------------------

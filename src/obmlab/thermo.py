@@ -38,7 +38,6 @@ __all__ = [
     "ReferenceState",
     "PStructure",
     "DefaultPStructure",
-    "structural_P",
     "pressure",
     "internal_energy",
     "entropy",
@@ -58,7 +57,6 @@ __all__ = [
     "eta",
     "kappa",
     "zeta",
-    "theta_from_rho_S",
     "thermo_check",
     "ThermoCheckReport",
 ]
@@ -200,14 +198,6 @@ def _eos_inputs(rho, theta, gas: GasParams, structure: PStructure | None,
     rho, theta = _arr(rho), _arr(theta)
     _check_rho_theta(rho, theta, need_rho_pos)
     return rho, theta, _structure(gas, structure), rho * theta ** -1.5
-
-
-def structural_P(Z, gas: GasParams, structure: PStructure | None = None):
-    """Evaluate the structural function P at Z >= 0."""
-    Z = _arr(Z)
-    if np.any(Z < 0):
-        raise ThermoDomainError("Z must be >= 0")
-    return _structure(gas, structure).value(Z)
 
 
 def pressure(rho, theta, gas: GasParams, structure: PStructure | None = None):
@@ -396,53 +386,6 @@ def zeta(theta, gas: GasParams):
     theta = _arr(theta)
     _check_theta(theta)
     return gas.zeta_low * (1.0 + theta)
-
-
-def theta_from_rho_S(rho, S, gas: GasParams, structure: PStructure | None = None,
-                     tol: float = 1e-13, max_iter: int = 100):
-    """Invert S = rho * s(rho, theta) for theta at fixed rho > 0 (Newton).
-
-    The map theta -> rho*s is strictly increasing (ds_dtheta > 0), so the
-    root is unique.  Used by independent verification oracles that need the
-    energy as a function of the conservative variables.
-    """
-    rho, S = np.broadcast_arrays(_arr(rho), _arr(S))
-    rho = rho.astype(float).copy()
-    S = S.astype(float).copy()
-    if np.any(rho <= 0):
-        raise ThermoDomainError("rho must be > 0")
-    theta = np.ones_like(rho)
-    # Bracket expansion first: rho*s is increasing in theta.
-    lo = np.full_like(rho, 1e-8)
-    hi = np.full_like(rho, 1.0)
-    for _ in range(200):
-        val = rho * entropy(rho, hi, gas, structure)
-        need = val < S
-        if not np.any(need):
-            break
-        hi = np.where(need, hi * 2.0, hi)
-    for _ in range(200):
-        val = rho * entropy(rho, lo, gas, structure)
-        need = val > S
-        if not np.any(need):
-            break
-        lo = np.where(need, lo * 0.5, lo)
-    theta = np.sqrt(lo * hi)
-    for _ in range(max_iter):
-        f = rho * entropy(rho, theta, gas, structure) - S
-        df = rho * ds_dtheta(rho, theta, gas, structure)
-        step = f / df
-        new = theta - step
-        # fall back to bisection when Newton leaves the bracket
-        bad = (new <= lo) | (new >= hi) | ~np.isfinite(new)
-        new = np.where(bad, 0.5 * (lo + hi), new)
-        hi = np.where(f > 0, theta, hi)
-        lo = np.where(f <= 0, theta, lo)
-        done = np.abs(new - theta) <= tol * np.maximum(1.0, np.abs(new))
-        theta = new
-        if np.all(done):
-            break
-    return theta
 
 
 @dataclass

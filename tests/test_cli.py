@@ -3,6 +3,8 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import textwrap
 
@@ -11,16 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import obmlab
 from obmlab.cli import (
     _DEFAULTS,
+    _MAX_COUNT,
     ConfigError,
     RunConfig,
+    _check_automatic_steps,
     _initial_profiles,
     _random_modes,
     main,
 )
 from obmlab.fields import Geometry, Grid, read_snapshot
-from obmlab.obm import ObmConfig
+from obmlab.mhd import PrimConfig, cfl_limits
+from obmlab.obm import ObmConfig, default_potential
+from obmlab.relent import well_prepared_data
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -286,6 +293,50 @@ def test_bad_grid_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, "[grid]\nn1 = 7\n")
     assert main(["run-obm", "--config", path]) == 2
     capsys.readouterr()
+
+
+def run_child(*argv, timeout=60):
+    """obmlab in a child process, killed after ``timeout`` seconds so that
+    a run which would never end fails the test instead of hanging it."""
+    src = os.path.dirname(os.path.dirname(obmlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "obmlab.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.parametrize("eps", ["1e-60", "1e-300"])
+@pytest.mark.parametrize("command, section, key", [
+    ("run-mhd", "mhd", "eps"),
+    ("converge", "study", "eps_list"),
+])
+def test_tiny_mach_number_with_automatic_dt_exits_2(tmp_path, command, section,
+                                                    key, eps):
+    """The acoustic CFL bound shrinks with eps, so at tiny eps the automatic
+    dt would need far more steps than the loader admits for a given dt."""
+    value = eps if key == "eps" else f"0.1, {eps}"
+    path = write_config(tmp_path,
+                        f"[grid]\nn1 = 16\nn3 = 17\n[{section}]\n{key} = {value}\n")
+    done = run_child(command, "--config", path, "--out", str(tmp_path))
+    assert done.returncode == 2
+    assert f"obmlab: config error: [{section}] eps = {float(eps):g} needs more than" \
+        in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_automatic_step_bound_is_inclusive():
+    g = Grid(Geometry.STRIP2, 16, n3=17)
+    cfg = RunConfig.load(None)
+    ocfg = ObmConfig(g, cfg.gas(), cfg.ref(), default_potential(g), (0.0, 0.0),
+                     dt=1.0, t_end=0.0)
+    th, b1 = _initial_profiles(ocfg, cfg["mhd"], 0, (0.0, 0.0))
+    prim = well_prepared_data(th, b1, ocfg, 0.1)[0]
+    pcfg = PrimConfig(g, ocfg.gas, ocfg.ref, ocfg.G, ocfg.theta_B, safety=0.5)
+    t_end = 0.5 * cfl_limits(prim, pcfg) * _MAX_COUNT
+    _check_automatic_steps("mhd", prim, pcfg, t_end)
+    with pytest.raises(ConfigError, match=r"\[mhd\] eps = 0.1 needs more than"):
+        _check_automatic_steps("mhd", prim, pcfg, t_end * (1.0 + 1e-12))
 
 
 def test_mhd_blowup_exits_3(tmp_path, capsys):

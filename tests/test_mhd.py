@@ -19,18 +19,20 @@ from obmlab.mhd import (
     PositivityError,
     PrimConfig,
     PrimitiveState,
+    _dissipation,
+    _strain,
+    _stress,
+    _tendencies,
     a_from_b3_profile,
     ballistic_energy,
     cfl_limits,
     entropy_production_terms,
     fix_flux_walls,
-    prim_rhs,
     psi_extension,
     run_prim,
     step_prim,
     total_energy,
     velocity_gradient,
-    viscous_stress,
 )
 from obmlab.obm import CflError
 
@@ -71,6 +73,23 @@ def wavy_state(cfg, eps=0.5, amp=0.05, with_u2=False):
     a = fix_flux_walls(0.02 * np.cos(np.pi * x1) * np.cos(np.pi * x3))
     return PrimitiveState(g, rho, u, theta, a, REF.b_bar,
                           np.zeros(g.shape), eps, 0.0)
+
+
+def random_state(cfg, eps, seed):
+    """Admissible state with random values at every node (all x1 modes)."""
+    g = cfg.grid
+    rng = np.random.default_rng(seed)
+    return PrimitiveState(
+        g, 1.0 + 0.3 * rng.uniform(-1, 1, g.shape),
+        0.1 * rng.normal(size=(3,) + g.shape),
+        1.0 + 0.3 * rng.uniform(-1, 1, g.shape),
+        fix_flux_walls(0.02 * rng.normal(size=g.shape)), REF.b_bar,
+        0.05 * rng.normal(size=g.shape), eps, 0.0)
+
+
+def viscous_stress(theta, grad_u, gas):
+    """The stress as the right side builds it, from the shared strain."""
+    return _stress(*_strain(theta, grad_u, gas))
 
 
 # -- viscous stress --------------------------------------------------------
@@ -115,9 +134,60 @@ def test_velocity_gradient_slip_rows():
     assert np.all(gu[2, 0, 0] == 0.0) and np.all(gu[2, 0, -1] == 0.0)
     assert np.all(gu[2, 1, 0] == 0.0) and np.all(gu[2, 1, -1] == 0.0)
     assert np.all(gu[1] == 0.0)
-    # d3 u3 at the walls is untouched
-    free = velocity_gradient(st.u, cfg.grid, slip_walls=False)
-    assert np.array_equal(gu[2, 2], free[2, 2])
+    # every other entry is the plain derivative, d3 u3 at the walls included
+    for j in range(3):
+        assert np.array_equal(gu[0, j], ddx1_arr(st.u[j], cfg.grid))
+        rows = slice(None) if j == 2 else slice(1, -1)
+        assert np.array_equal(gu[2, j, rows], ddx3_arr(st.u[j], cfg.grid)[rows])
+
+
+# -- right side: one 2/3-rule truncation per sum of products ------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(n1=hst.sampled_from([8, 16, 32]), n3=hst.integers(5, 17),
+       eps=hst.floats(0.1, 1.0), seed=hst.integers(0, 2 ** 32 - 1))
+def test_tendencies_are_band_limited(n1, n3, eps, seed):
+    """Every tendency, including those left untruncated because they are
+    linear images of truncated arrays, has no x1 mode above n1 // 3."""
+    cfg = make_cfg(n1=n1, n3=n3)
+    for rate in _tendencies(random_state(cfg, eps, seed), cfg):
+        amplitude = np.abs(np.fft.rfft(rate, axis=-1)) * (2.0 / n1)
+        tail = amplitude[..., n1 // 3 + 1:]
+        assert np.max(tail) <= 1e-12 * max(1.0, np.max(np.abs(rate)))
+
+
+def test_fft_calls_per_tendency_and_step(monkeypatch):
+    cfg = make_cfg()
+    st = random_state(cfg, 0.5, 3)
+    dt = 0.5 * cfl_limits(st, cfg)  # also builds the state's cached B
+    calls = [0]
+    for name in ("rfft", "irfft", "rfftn", "irfftn", "fft", "ifft"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            calls[0] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    _tendencies(st, cfg)
+    assert calls[0] <= 80
+    calls[0] = 0
+    step_prim(st, cfg, dt)
+    # two right sides and the field of the stage state
+    assert calls[0] <= 162
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1))
+def test_dissipation_is_stress_contracted_with_gradient(seed):
+    """The quadratic form phi equals S : grad u for the stress built from
+    the same strain."""
+    rng = np.random.default_rng(seed)
+    theta = 1.0 + 0.3 * rng.uniform(-1, 1, 7)
+    grad_u = rng.normal(size=(3, 3, 7))
+    S = viscous_stress(theta, grad_u, GAS)
+    phi = _dissipation(*_strain(theta, grad_u, GAS))
+    assert np.all(phi >= 0.0)
+    assert np.allclose(phi, np.einsum("ij...,ij...->...", S, grad_u),
+                       rtol=1e-12, atol=1e-14)
 
 
 # -- equilibria and decoupling ----------------------------------------------
@@ -126,9 +196,8 @@ def test_velocity_gradient_slip_rows():
 def test_rest_state_rhs_vanishes():
     cfg = make_cfg()
     st = uniform_state(cfg)
-    rhs = prim_rhs(st, cfg)
-    for key in ("rho", "u", "theta", "B"):
-        assert np.max(np.abs(rhs[key])) < 1e-13
+    for rate in _tendencies(st, cfg):
+        assert np.max(np.abs(rate)) < 1e-13
 
 
 def test_rest_state_is_fixed_point():
@@ -258,13 +327,7 @@ def test_row_floor_and_cached_field_property(n1, n3, eps, seed, fault):
     fresh assembly from (a, c3, B2)."""
     cfg = make_cfg(n1=n1, n3=n3)
     g = cfg.grid
-    rng = np.random.default_rng(seed)
-    start = PrimitiveState(
-        g, 1.0 + 0.3 * rng.uniform(-1, 1, g.shape),
-        0.1 * rng.normal(size=(3,) + g.shape),
-        1.0 + 0.3 * rng.uniform(-1, 1, g.shape),
-        fix_flux_walls(0.02 * rng.normal(size=g.shape)), REF.b_bar,
-        0.05 * rng.normal(size=g.shape), eps, 0.0)
+    start = random_state(cfg, eps, seed)
     state, rows = run_prim(start, cfg, t_end=0.1 * cfl_limits(start, cfg),
                            entropy_fault=fault)
     assert len(rows) == 1
