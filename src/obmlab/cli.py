@@ -72,7 +72,7 @@ state (at the smallest eps in a study).
     theta_b_top = 0.0      wall temperature deviation at x3 = 1
 
 [mhd]
-    eps = 0.1              Mach/Alfven number of the run (> 0)
+    eps = 0.1              Mach/Alfven number of the run (> 0, eps**2 normal)
     dt = 0.0               time step; 0 selects safety * CFL each step
     t_end = 0.25           final time (>= 0)
     safety = 0.6           fraction of the CFL bound used when dt = 0
@@ -173,6 +173,8 @@ _DEFAULTS = {
 # bound on every integer key but the seed; it also keeps validation, which
 # builds the grid, within memory
 _MAX_COUNT = 2 ** 20
+# smallest admissible eps * eps: the scaled energies divide by it
+_TINY = np.finfo(float).tiny
 _PROFILES = ("smooth", "random")
 # highest horizontal mode m (wavenumber pi m) in each initial data family
 _PROFILE_MODES = {"smooth": 2, "random": 3}
@@ -343,6 +345,9 @@ class RunConfig:
         m = self.sections["mhd"]
         if not m["eps"] > 0:
             raise ConfigError("[mhd] eps must be positive")
+        if m["eps"] * m["eps"] < _TINY:
+            raise ConfigError(f"[mhd] eps = {m['eps']:g} is too small: "
+                              "its square underflows")
         if m["dt"] < 0:
             raise ConfigError("[mhd] dt must be nonnegative (0 = automatic)")
         if not 0 < m["safety"] <= 1:
@@ -351,6 +356,9 @@ class RunConfig:
         eps = self.eps_list()
         if not eps or any(e <= 0 for e in eps):
             raise ConfigError("[study] eps_list needs positive Mach numbers")
+        if min(eps) * min(eps) < _TINY:
+            raise ConfigError(f"[study] eps_list entry {min(eps):g} is too small: "
+                              "its square underflows")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("[study] eps_list must be strictly decreasing")
         if not s["dt"] > 0:

@@ -17,12 +17,14 @@ Horizontal derivatives are Fourier-spectral (wavenumbers pi * m for integer
 mode m, since the period is 2); the vertical direction uses second-order
 centered differences on a vertex-centered grid that includes both walls,
 with one-sided second-order closures at the walls.  Nonlinear products of
-spectral fields pass through :func:`dealias_arr` (2/3 rule) once per sum of
-products, not again on results already band-limited (derivatives of such a sum).
+spectral fields are truncated by the 2/3 rule once per sum of products, not
+again on results already band-limited (derivatives of such a sum).
 
 Because horizontal and vertical operators act along different array axes,
 mixed second derivatives commute exactly; identities such as div(curl v) = 0
-hold to rounding for this discretization.
+hold to rounding for this discretization.  So :func:`ddx3_arr` also acts on
+a spectrum from :func:`hfft`: a solver can sum d1 and d3 terms of several
+fluxes there, apply ``dealias_mask`` and make one :func:`hifft`.
 """
 
 from __future__ import annotations

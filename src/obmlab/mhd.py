@@ -37,6 +37,13 @@ zeroed when the viscous stress is assembled, which makes the tangential
 stress vanish exactly at the walls (u3 = 0 there already forces
 d1 u3 = 0 along the wall).
 
+The right side is pseudo-spectral: each nonlinear flux is transformed once,
+the 2/3-rule mask, d1 and the x3 stencil (along the other axis, so they
+commute) act on the spectrum, and each tendency component is one inverse
+transform.  A state's EOS, transport and derivatives are built once
+(:func:`_state_work`).  A step transforms 96 fields: two states' work (12
+each), two right sides (35 each) and the stage state's B (2).
+
 Mass bookkeeping: the trapezoid rule does not telescope against the
 one-sided first-derivative closures, so -div(rho u) carries an O(h^2)
 mean defect even though the boundary flux vanishes.  The continuity
@@ -47,7 +54,7 @@ exact to rounding without touching the local truncation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +68,8 @@ from .fields import (
     ddx1_arr,
     ddx3_arr,
     dealias_arr,
+    hfft,
+    hifft,
     mean_arr,
     write_snapshot,
 )
@@ -202,17 +211,14 @@ def velocity_gradient(u: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def _strain(theta, grad_u, gas: thermo.GasParams):
-    """(mu, eta, div u, D) with D = grad u + grad u^T - (2/3) div u I: the
-    one strain tensor, and the one transport evaluation, that the stress
-    and the dissipation are built from."""
-    mu = np.asarray(thermo.mu(theta, gas))
-    eta = np.asarray(thermo.eta(theta, gas))
+def _strain(grad_u):
+    """(div u, D) with D = grad u + grad u^T - (2/3) div u I: the one strain
+    tensor that the stress and the dissipation are built from."""
     divu = grad_u[0, 0] + grad_u[1, 1] + grad_u[2, 2]
     D = grad_u + grad_u.swapaxes(0, 1)
     for i in range(3):
         D[i, i] -= (2.0 / 3.0) * divu
-    return mu, eta, divu, D
+    return divu, D
 
 
 def _stress(mu, eta, divu, D):
@@ -239,61 +245,70 @@ def _curl25(B: np.ndarray, grid: Grid) -> np.ndarray:
     ])
 
 
-def _tendencies(state: PrimitiveState, cfg: PrimConfig):
-    """Time derivatives of (rho, u, theta, a, B2).
+# A state's EOS, transport, grad u, J = curl B and grad theta; passed to each
+# reader, never cached on the state, which would keep it alive for a step.
+_StateWork = NamedTuple("_StateWork", [(name, np.ndarray) for name in (
+    "p dp_drho dp_dtheta de_dtheta mu eta kappa zeta grad_u J d1th d3th".split())])
 
-    Each sum of products is truncated once; results that are linear images
-    of truncated arrays (x3 differences, x1 derivatives, wall rows) are
-    band-limited already and are not truncated again."""
+
+def _state_work(state: PrimitiveState, cfg: PrimConfig) -> _StateWork:
+    """The state's work, from one EOS pass and 12 transformed fields."""
     g = state.grid
-    gas = cfg.gas
+    return _StateWork(*thermo._eos_and_transport(state.rho, state.theta, cfg.gas),
+                      velocity_gradient(state.u, g), _curl25(state.B, g),
+                      ddx1_arr(state.theta, g), ddx3_arr(state.theta, g))
+
+
+def _tendencies(state: PrimitiveState, cfg: PrimConfig, w: _StateWork):
+    """Time derivatives of (rho, u, theta, a, B2) from the state's work, with
+    35 transformed fields.  Truncated on the spectrum: the mass fluxes, the
+    stress rows with -d1 p / eps^2 folded into the first, the d1 heat flux,
+    B and J (from the spectra of a and B2) and the electric field.  Left
+    physical: d3 p and d3(kappa d3 theta), untruncated, and the advection,
+    Joule and dissipation products, which the final truncation of u_t and
+    theta_t covers, since dz(dz(a) + b) = dz(a + b)."""
+    g = state.grid
     eps = state.eps
     rho, u, theta = state.rho, state.u, state.theta
-    B = state.B
-
-    def dz(arr):
-        return dealias_arr(arr, g)
+    mask = g.dealias_mask
+    ik = 1j * g.k1r_d * mask  # truncated d1 on a spectrum
+    spec, phys, ddx3 = (partial(op, grid=g) for op in (hfft, hifft, ddx3_arr))
 
     # continuity in divergence form with the uniform mean-defect correction
-    div_flux = ddx1_arr(dz(rho * u[0]), g) + ddx3_arr(dz(rho * u[2]), g)
+    div_flux = phys(ik * spec(rho * u[0]) + ddx3(mask * spec(rho * u[2])))
     rho_t = -div_flux + mean_arr(div_flux, g)
 
-    grad_u = velocity_gradient(u, g)
-    mu, eta, divu, D = _strain(theta, grad_u, gas)
-    phi = _dissipation(mu, eta, divu, D)  # before the stress takes over D
-
-    # momentum: advection, stress, pressure, gravity, Lorentz
-    adv = np.stack([dz(u[0] * grad_u[0, j] + u[2] * grad_u[2, j]) for j in range(3)])
-    S = _stress(mu, eta, divu, D)
-    divS = np.stack([
-        ddx1_arr(dz(S[0, j]), g) + ddx3_arr(dz(S[2, j]), g) for j in range(3)
-    ])
-    p = thermo.pressure(rho, theta, gas)
-    grad_p = np.stack([ddx1_arr(dz(p), g), np.zeros(g.shape), ddx3_arr(p, g)])
-    J = _curl25(B, g)
-    Jd = np.stack([dz(c) for c in J])
-    Bd = np.stack([dz(c) for c in B])
-    lorentz = cross3(Jd, Bd)
-    grad_G = np.stack([cfg.G1, np.zeros(g.shape), cfg.G3])
-    u_t = -adv + (divS - grad_p / eps ** 2 + rho * grad_G / eps
-                  + lorentz / eps ** 2) / rho
+    # momentum: stress and pressure, gravity, Lorentz, advection
+    divu, D = _strain(w.grad_u)
+    phi = _dissipation(w.mu, w.eta, divu, D)  # before the stress takes over D
+    S = _stress(w.mu, w.eta, divu, D)
+    S[0, 0] -= w.p / eps ** 2
+    u_t = np.stack([phys(ik * spec(S[0, j]) + ddx3(mask * spec(S[2, j])))
+                    for j in range(3)])
+    del S
+    u_t[2] -= ddx3(w.p) / eps ** 2
+    u_t[0] += rho * cfg.G1 / eps
+    u_t[2] += rho * cfg.G3 / eps
+    A, C = spec(state.a), spec(state.B2)
+    Bd = np.stack([phys(-ddx3(mask * A)), phys(mask * C), state.c3 + phys(ik * A)])
+    Jd = np.stack([phys(-ddx3(mask * C)),
+                   phys(mask * (g.k1r_d ** 2 * A - ddx3(ddx3(A)))), phys(ik * C)])
+    u_t += cross3(Jd, Bd) / eps ** 2
+    del Bd, Jd
+    u_t /= rho
+    u_t -= u[0] * w.grad_u[0] + u[2] * w.grad_u[2]
 
     # temperature in internal-energy form
-    dedt = np.asarray(thermo.de_dtheta(rho, theta, gas))
-    dpdt = np.asarray(thermo.dp_dtheta(rho, theta, gas))
-    kap = np.asarray(thermo.kappa(theta, gas))
-    zet = np.asarray(thermo.zeta(theta, gas))
-    d1th = ddx1_arr(theta, g)
-    d3th = ddx3_arr(theta, g)
-    heat_flux_div = ddx1_arr(dz(kap * d1th), g) + ddx3_arr(kap * d3th, g)
-    joule = zet * (J[0] ** 2 + J[1] ** 2 + J[2] ** 2)
-    theta_t = (-theta * dpdt * divu + eps ** 2 * phi + heat_flux_div + joule) \
-        / (rho * dedt) - dz(u[0] * d1th + u[2] * d3th)
+    J = w.J
+    heat_flux_div = phys(ik * spec(w.kappa * w.d1th)) + ddx3(w.kappa * w.d3th)
+    joule = w.zeta * (J[0] ** 2 + J[1] ** 2 + J[2] ** 2)
+    theta_t = (-theta * w.dp_dtheta * divu + eps ** 2 * phi + heat_flux_div + joule) \
+        / (rho * w.de_dtheta) - (u[0] * w.d1th + u[2] * w.d3th)
 
     # induction through the electric field E = zeta curl B - u x B
-    uxB = cross3(u, B)
-    E = np.stack([dz(zet * J[i] - uxB[i]) for i in range(3)])
-    a_t = -E[1]
+    uxB = cross3(u, state.B)
+    E = [spec(w.zeta * J[i] - uxB[i]) for i in range(3)]
+    a_t = -phys(mask * E[1])
     # differentiated form of the wall constraint d3 a = 0 (an O(h^3)
     # perturbation since d3 E2 vanishes at the walls for B1|wall = 0);
     # as a linear invariant it then propagates exactly through any
@@ -301,9 +316,9 @@ def _tendencies(state: PrimitiveState, cfg: PrimConfig):
     # costs a temporal order
     a_t[0] = (4.0 * a_t[1] - a_t[2]) / 3.0
     a_t[-1] = (4.0 * a_t[-2] - a_t[-3]) / 3.0
-    B2_t = ddx1_arr(E[2], g) - ddx3_arr(E[0], g)
+    B2_t = phys(ik * E[2] - ddx3(mask * E[0]))
 
-    return rho_t, np.stack([dz(c) for c in u_t]), dz(theta_t), a_t, B2_t
+    return rho_t, dealias_arr(u_t, g), dealias_arr(theta_t, g), a_t, B2_t
 
 
 def entropy_production_terms(state: PrimitiveState, cfg: PrimConfig,
@@ -312,19 +327,18 @@ def entropy_production_terms(state: PrimitiveState, cfg: PrimConfig,
     each non-negative by construction.  ``fault`` flips the sign of the
     viscous term; it exists so the fault-injection path of the command-line
     driver has something real to detect."""
-    g = state.grid
-    gas = cfg.gas
-    grad_u = velocity_gradient(state.u, g)
-    phi = _dissipation(*_strain(state.theta, grad_u, gas)) * state.eps ** 2 / state.theta
+    return _entropy_terms(state, _state_work(state, cfg), fault)
+
+
+def _entropy_terms(state: PrimitiveState, w: _StateWork, fault: bool):
+    """Body of :func:`entropy_production_terms`, given the state's work."""
+    theta = state.theta
+    phi = _dissipation(w.mu, w.eta, *_strain(w.grad_u)) * state.eps ** 2 / theta
     if fault:
         phi = -phi
-    J = _curl25(state.B, g)
-    joule = np.asarray(thermo.zeta(state.theta, gas)) \
-        * (J[0] ** 2 + J[1] ** 2 + J[2] ** 2) / state.theta
-    d1th = ddx1_arr(state.theta, g)
-    d3th = ddx3_arr(state.theta, g)
-    cond = np.asarray(thermo.kappa(state.theta, gas)) \
-        * (d1th ** 2 + d3th ** 2) / state.theta ** 2
+    J = w.J
+    joule = w.zeta * (J[0] ** 2 + J[1] ** 2 + J[2] ** 2) / theta
+    cond = w.kappa * (w.d1th ** 2 + w.d3th ** 2) / theta ** 2
     return phi, joule, cond
 
 
@@ -332,23 +346,20 @@ def cfl_limits(state: PrimitiveState, cfg: PrimConfig) -> float:
     """Largest admissible dt: 0.4 min(h eps / c_max, h^2 / nu_max), where
     c_max bounds the fast magnetosonic speed through the closed-form
     equation of state and nu_max the diffusivities."""
-    gas = cfg.gas
-    rho, theta = state.rho, state.theta
-    p = np.asarray(thermo.pressure(rho, theta, gas))
-    dpdr = np.asarray(thermo.dp_drho(rho, theta, gas))
+    return _cfl_limit(state, _state_work(state, cfg))
+
+
+def _cfl_limit(state: PrimitiveState, w: _StateWork) -> float:
+    """Body of :func:`cfl_limits`, given the state's work."""
+    rho = state.rho
     B = state.B
     bsq = B[0] ** 2 + B[1] ** 2 + B[2] ** 2
-    c = np.sqrt(dpdr + (4.0 / 3.0) * p / rho + bsq / rho)
+    c = np.sqrt(w.dp_drho + (4.0 / 3.0) * w.p / rho + bsq / rho)
     umax = np.max(np.abs(state.u))
     c_max = float(np.max(c)) / state.eps + umax
-    dedt = np.asarray(thermo.de_dtheta(rho, theta, gas))
-    nu = np.maximum(
-        ((4.0 / 3.0) * np.asarray(thermo.mu(theta, gas))
-         + np.asarray(thermo.eta(theta, gas))) / rho,
-        np.asarray(thermo.kappa(theta, gas)) / (rho * dedt))
-    nu_max = max(float(np.max(nu)), float(np.max(np.asarray(thermo.zeta(theta, gas)))))
-    g = state.grid
-    h = min(g.dx1, g.dx3)
+    nu = np.maximum(((4.0 / 3.0) * w.mu + w.eta) / rho, w.kappa / (rho * w.de_dtheta))
+    nu_max = max(float(np.max(nu)), float(np.max(w.zeta)))
+    h = min(state.grid.dx1, state.grid.dx3)
     return 0.4 * min(h / c_max, h ** 2 / nu_max)
 
 
@@ -386,16 +397,19 @@ def step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float,
     CflError if dt exceeds the advective/diffusive bound and
     PositivityError (carrying the pre-step state) if rho or theta would
     leave the admissible cone."""
-    return _step_prim(state, cfg, dt, cfl_limits(state, cfg), src)
+    work = _state_work(state, cfg)
+    return _step_prim(state, cfg, dt, _cfl_limit(state, work), src, work)
 
 
 def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
-               src) -> PrimitiveState:
+               src, work: _StateWork) -> PrimitiveState:
     """Body of :func:`step_prim`, given the state's stability bound
-    ``limit`` so that a driver which has already computed it for choosing
-    dt does not compute it again."""
+    ``limit`` and work, so that a driver which has already built them for
+    choosing dt does not build them again.  The work is dropped after the
+    first stage, and freed then if the caller kept no reference."""
     if dt > limit * (1.0 + 1e-12):
-        raise CflError(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e}")
+        raise CflError(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e} "
+                       f"in the step from t = {state.t!r}")
 
     def add_src(parts, t):
         if src is None:
@@ -415,11 +429,12 @@ def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
                               c3=state.c3, B2=B2, eps=state.eps, t=t)
 
     base = (state.rho, state.u, state.theta, state.a, state.B2)
-    f1 = add_src(_tendencies(state, cfg), state.t)
+    f1 = add_src(_tendencies(state, cfg, work), state.t)
+    del work
     mid = stage(base, f1, 0.0, 1.0)
     _check_admissible(mid, state)
     mid_state = assemble(mid, state.t + dt)
-    f2 = add_src(_tendencies(mid_state, cfg), state.t + dt)
+    f2 = add_src(_tendencies(mid_state, cfg, _state_work(mid_state, cfg)), state.t + dt)
     out = stage(mid, f2, 0.5, 0.5)
     _check_admissible(out, state)
     return assemble(out, state.t + dt)
@@ -522,21 +537,25 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
     g = state.grid
     rows = []
     psi = psi_extension(cfg, state.eps)
+    # the state's work, read by the row and the bound; a one-item list so that
+    # the step gets the only reference and frees it after its first stage
+    work = [_state_work(state, cfg)]
     while True:
-        limit = cfl_limits(state, cfg)
+        limit = _cfl_limit(state, work[0])
         bound = cfg.safety * limit if dt is None else dt
         n_left, step = _landing_step(state.t, t_end, bound)
         if n_left == 0:
             break
         try:
-            state = _step_prim(state, cfg, step, limit, src)
+            state = _step_prim(state, cfg, step, limit, src, work.pop())
         except PositivityError as exc:
             if fail_snapshot and exc.last_valid is not None:
                 write_snapshot(fail_snapshot, g, snapshot_fields(exc.last_valid))
             raise
+        work.append(_state_work(state, cfg))
         B = state.B
         divB = ddx1_arr(B[0], g) + ddx3_arr(B[2], g)
-        phi, joule, cond = entropy_production_terms(state, cfg, fault=entropy_fault)
+        phi, joule, cond = _entropy_terms(state, work[0], entropy_fault)
         rows.append(StepRow(
             state.t,
             g.volume * mean_arr(state.rho, g),

@@ -339,7 +339,7 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
     if umax * dt / hmin > 0.9:
         raise CflError(
             f"advective CFL violated: |U|max={umax:.3g}, dt={dt:.3g}, h={hmin:.3g}, "
-            f"Courant={umax * dt / hmin:.3g} > 0.9")
+            f"Courant={umax * dt / hmin:.3g} > 0.9 in the step from t = {state.t!r}")
 
     cth = cfg.kappa / (cfg.ref.rho_bar * cfg.cp)
     nu_b = cfg.zeta

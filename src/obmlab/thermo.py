@@ -200,10 +200,48 @@ def _eos_inputs(rho, theta, gas: GasParams, structure: PStructure | None,
     return rho, theta, _structure(gas, structure), rho * theta ** -1.5
 
 
+# Each EOS formula once, on checked inputs, Pv = P(Z) and Pd = P'(Z).
+def _pressure(theta, Pv, gas: GasParams):
+    return theta ** 2.5 * Pv + (gas.a / 3.0) * theta ** 4
+
+
+def _dp_drho(theta, Pd):
+    return theta * Pd
+
+
+def _dtheta_mol(theta, Z, Pv, Pd):
+    """Molecular d p / d theta, theta**(3/2) [ (5/2)P - (3/2) Z P' ]."""
+    return theta ** 1.5 * (2.5 * Pv - 1.5 * Z * Pd)
+
+
+def _dp_dtheta(theta, mol, gas: GasParams):
+    return mol + (4.0 * gas.a / 3.0) * theta ** 3
+
+
+def _de_dtheta(rho, theta, mol, gas: GasParams):
+    return 1.5 * mol / rho + 4.0 * gas.a * theta ** 3 / rho
+
+
+def _transport(theta, gas: GasParams):
+    """(mu, eta, kappa, zeta), the four laws of :class:`GasParams`."""
+    return (gas.mu_low * (1.0 + theta), np.zeros_like(theta),
+            gas.kappa_low * (1.0 + theta ** gas.beta), gas.zeta_low * (1.0 + theta))
+
+
+def _eos_and_transport(rho, theta, gas: GasParams):
+    """(p, dp_drho, dp_dtheta, de_dtheta, mu, eta, kappa, zeta), equal to the
+    public functions' values, from one domain check, Z, P(Z) and P'(Z)."""
+    rho, theta, P, Z = _eos_inputs(rho, theta, gas, None, need_rho_pos=True)
+    Pv, Pd = P.value(Z), P.deriv(Z)
+    mol = _dtheta_mol(theta, Z, Pv, Pd)
+    return (_pressure(theta, Pv, gas), _dp_drho(theta, Pd), _dp_dtheta(theta, mol, gas),
+            _de_dtheta(rho, theta, mol, gas)) + _transport(theta, gas)
+
+
 def pressure(rho, theta, gas: GasParams, structure: PStructure | None = None):
     """Total pressure p = theta**(5/2) P(Z) + (a/3) theta**4, rho >= 0."""
     rho, theta, P, Z = _eos_inputs(rho, theta, gas, structure, need_rho_pos=False)
-    return theta ** 2.5 * P.value(Z) + (gas.a / 3.0) * theta ** 4
+    return _pressure(theta, P.value(Z), gas)
 
 
 def rho_e_total(rho, theta, gas: GasParams, structure: PStructure | None = None):
@@ -244,14 +282,13 @@ def rho_s_total(rho, theta, gas: GasParams, structure: PStructure | None = None)
 def dp_drho(rho, theta, gas: GasParams, structure: PStructure | None = None):
     """d p / d rho = theta * P'(Z); strictly positive for admissible states."""
     rho, theta, P, Z = _eos_inputs(rho, theta, gas, structure, need_rho_pos=False)
-    return theta * P.deriv(Z)
+    return _dp_drho(theta, P.deriv(Z))
 
 
 def dp_dtheta(rho, theta, gas: GasParams, structure: PStructure | None = None):
     """d p / d theta = theta**(3/2) [ (5/2)P - (3/2) Z P' ] + (4a/3) theta**3."""
     rho, theta, P, Z = _eos_inputs(rho, theta, gas, structure, need_rho_pos=False)
-    mol = theta ** 1.5 * (2.5 * P.value(Z) - 1.5 * Z * P.deriv(Z))
-    return mol + (4.0 * gas.a / 3.0) * theta ** 3
+    return _dp_dtheta(theta, _dtheta_mol(theta, Z, P.value(Z), P.deriv(Z)), gas)
 
 
 def de_drho(rho, theta, gas: GasParams, structure: PStructure | None = None):
@@ -264,8 +301,7 @@ def de_drho(rho, theta, gas: GasParams, structure: PStructure | None = None):
 def de_dtheta(rho, theta, gas: GasParams, structure: PStructure | None = None):
     """d e / d theta; strictly positive (thermodynamic stability)."""
     rho, theta, P, Z = _eos_inputs(rho, theta, gas, structure, need_rho_pos=True)
-    mol = 1.5 * theta ** 1.5 * (2.5 * P.value(Z) - 1.5 * Z * P.deriv(Z)) / rho
-    return mol + 4.0 * gas.a * theta ** 3 / rho
+    return _de_dtheta(rho, theta, _dtheta_mol(theta, Z, P.value(Z), P.deriv(Z)), gas)
 
 
 def ds_drho(rho, theta, gas: GasParams, structure: PStructure | None = None):
@@ -353,39 +389,33 @@ def heat_flux_identity_residual(ref: ReferenceState, gas: GasParams, structure: 
     return lhs - rhs
 
 
-def _check_theta(theta: np.ndarray) -> None:
+def _checked_theta(theta) -> np.ndarray:
+    theta = _arr(theta)
     if np.any(~np.isfinite(theta)):
         raise ThermoDomainError("non-finite temperature")
     if np.any(theta < 0):
         raise ThermoDomainError("temperature must be >= 0")
+    return theta
 
 
 def mu(theta, gas: GasParams):
     """Shear viscosity mu_low * (1 + theta)."""
-    theta = _arr(theta)
-    _check_theta(theta)
-    return gas.mu_low * (1.0 + theta)
+    return _transport(_checked_theta(theta), gas)[0]
 
 
 def eta(theta, gas: GasParams):
     """Bulk viscosity; identically zero in this model."""
-    theta = _arr(theta)
-    _check_theta(theta)
-    return np.zeros_like(theta)
+    return _transport(_checked_theta(theta), gas)[1]
 
 
 def kappa(theta, gas: GasParams):
     """Heat conductivity kappa_low * (1 + theta**beta)."""
-    theta = _arr(theta)
-    _check_theta(theta)
-    return gas.kappa_low * (1.0 + theta ** gas.beta)
+    return _transport(_checked_theta(theta), gas)[2]
 
 
 def zeta(theta, gas: GasParams):
     """Magnetic diffusivity zeta_low * (1 + theta)."""
-    theta = _arr(theta)
-    _check_theta(theta)
-    return gas.zeta_low * (1.0 + theta)
+    return _transport(_checked_theta(theta), gas)[3]
 
 
 @dataclass
@@ -476,15 +506,13 @@ def thermo_check(gas: GasParams, ref: ReferenceState, seed: int = 0,
     add("heat-flux coefficient identity", abs(heat_flux_identity_residual(ref, gas, structure)), 1e-12)
 
     th = rng.uniform(0.0, 5.0, 200)
-    worst_tr = 0.0
-    worst_tr = max(worst_tr, float(np.max(gas.mu_low * (1 + th) - mu(th, gas))))
-    worst_tr = max(worst_tr, float(np.max(mu(th, gas) - gas.mu_high * (1 + th))))
-    worst_tr = max(worst_tr, float(np.max(-eta(th, gas))))
-    worst_tr = max(worst_tr, float(np.max(eta(th, gas) - gas.eta_high * (1 + th))))
-    worst_tr = max(worst_tr, float(np.max(gas.kappa_low * (1 + th ** gas.beta) - kappa(th, gas))))
-    worst_tr = max(worst_tr, float(np.max(kappa(th, gas) - gas.kappa_high * (1 + th ** gas.beta))))
-    worst_tr = max(worst_tr, float(np.max(gas.zeta_low * (1 + th) - zeta(th, gas))))
-    worst_tr = max(worst_tr, float(np.max(zeta(th, gas) - gas.zeta_high * (1 + th))))
+    envelopes = ((mu(th, gas), gas.mu_low * (1 + th), gas.mu_high * (1 + th)),
+                 (eta(th, gas), 0.0, gas.eta_high * (1 + th)),
+                 (kappa(th, gas), gas.kappa_low * (1 + th ** gas.beta),
+                  gas.kappa_high * (1 + th ** gas.beta)),
+                 (zeta(th, gas), gas.zeta_low * (1 + th), gas.zeta_high * (1 + th)))
+    worst_tr = max(0.0, *(float(np.max(worst)) for law, low, high in envelopes
+                          for worst in (low - law, law - high)))
     add("transport two-sided bounds", worst_tr + 1e-300, 1e-12)
 
     return ThermoCheckReport(results)

@@ -295,12 +295,12 @@ def test_bad_grid_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def run_child(*argv, timeout=60):
+def run_child(*argv, timeout=60, python_flags=()):
     """obmlab in a child process, killed after ``timeout`` seconds so that
     a run which would never end fails the test instead of hanging it."""
     src = os.path.dirname(os.path.dirname(obmlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "obmlab.cli", *argv],
+    return subprocess.run([sys.executable, *python_flags, "-m", "obmlab.cli", *argv],
                           capture_output=True, text=True, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=path))
 
@@ -319,10 +319,42 @@ def test_tiny_mach_number_with_automatic_dt_exits_2(tmp_path, command, section,
                         f"[grid]\nn1 = 16\nn3 = 17\n[{section}]\n{key} = {value}\n")
     done = run_child(command, "--config", path, "--out", str(tmp_path))
     assert done.returncode == 2
-    assert f"obmlab: config error: [{section}] eps = {float(eps):g} needs more than" \
-        in done.stderr
+    if float(eps) ** 2 == 0.0:  # rejected by the loader before any run
+        assert f"obmlab: config error: [{section}] {key}" in done.stderr
+        assert f"{float(eps):g} is too small: its square underflows" in done.stderr
+    else:
+        assert f"obmlab: config error: [{section}] eps = {float(eps):g} needs more than" \
+            in done.stderr
     assert "Traceback" not in done.stderr
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, section, value", [
+    ("run-mhd", "mhd", "eps = 1e-300"),
+    ("run-mhd", "mhd", "eps = 1e-155"),
+    ("converge", "study", "eps_list = 0.1, 1e-160"),
+    ("converge", "study", "eps_list = 1e-170, 0.1"),
+])
+def test_mach_number_whose_square_underflows_exits_2_without_warnings(
+        tmp_path, command, section, value):
+    """With warnings as errors, the loader rejects eps with eps**2 below
+    the smallest normal float before any division by it."""
+    path = write_config(tmp_path, f"[{section}]\n{value}\n")
+    done = run_child(command, "--config", path, "--out", str(tmp_path),
+                     python_flags=("-W", "error"))
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"obmlab: config error: [{section}] eps")
+    assert done.stderr.endswith("is too small: its square underflows\n")
+    assert done.stderr.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_smallest_mach_number_with_a_normal_square_loads(tmp_path):
+    eps = float(np.sqrt(np.finfo(float).tiny)) * 1.0000001
+    path = write_config(tmp_path, f"[mhd]\neps = {eps!r}\n"
+                        f"[study]\neps_list = 0.1, {eps!r}\n")
+    cfg = RunConfig.load(path)
+    assert cfg["mhd"]["eps"] == eps and cfg.eps_list()[-1] == eps
 
 
 def test_automatic_step_bound_is_inclusive():
@@ -525,18 +557,17 @@ def test_run_mhd_entropy_fault_exits_1(tmp_path, capsys):
 
 def test_run_mhd_evaluates_entropy_production_once_per_step(tmp_path, capsys,
                                                            monkeypatch):
-    from obmlab import cli, mhd
-    original = mhd.entropy_production_terms
+    from obmlab import mhd
+    original = mhd._entropy_terms
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("fault", False))
-        return original(*args, **kwargs)
+    def counted(state, work, fault):
+        calls.append(fault)
+        return original(state, work, fault)
 
-    # wherever the driver can reach it, so a second pass would be counted
-    for module in (mhd, cli):
-        if getattr(module, "entropy_production_terms", None) is original:
-            monkeypatch.setattr(module, "entropy_production_terms", counted)
+    # the body behind the public entropy_production_terms too, so a second
+    # pass by any route would be counted
+    monkeypatch.setattr(mhd, "_entropy_terms", counted)
     path = write_config(tmp_path, SMALL_MHD)
     out = tmp_path / "out"
     assert main(["run-mhd", "--config", path, "--out", str(out)]) == 0

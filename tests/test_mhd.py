@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from obmlab import thermo
+from obmlab import mhd, thermo
 from obmlab.fields import (
     FieldError,
     Geometry,
@@ -19,7 +19,9 @@ from obmlab.mhd import (
     PositivityError,
     PrimConfig,
     PrimitiveState,
+    _curl25,
     _dissipation,
+    _state_work,
     _strain,
     _stress,
     _tendencies,
@@ -35,6 +37,8 @@ from obmlab.mhd import (
     velocity_gradient,
 )
 from obmlab.obm import CflError
+
+from tendencies_oracle import tendencies as oracle_tendencies
 
 GAS = thermo.GasParams(p_inf=1.0, a=0.0)
 REF = thermo.ReferenceState(rho_bar=1.0, theta_bar=1.0, b_bar=0.5)
@@ -87,9 +91,14 @@ def random_state(cfg, eps, seed):
         0.05 * rng.normal(size=g.shape), eps, 0.0)
 
 
+def strain(theta, grad_u, gas):
+    """(mu, eta, div u, D) as the right side reads them."""
+    return (thermo.mu(theta, gas), thermo.eta(theta, gas)) + _strain(grad_u)
+
+
 def viscous_stress(theta, grad_u, gas):
     """The stress as the right side builds it, from the shared strain."""
-    return _stress(*_strain(theta, grad_u, gas))
+    return _stress(*strain(theta, grad_u, gas))
 
 
 # -- viscous stress --------------------------------------------------------
@@ -151,28 +160,113 @@ def test_tendencies_are_band_limited(n1, n3, eps, seed):
     """Every tendency, including those left untruncated because they are
     linear images of truncated arrays, has no x1 mode above n1 // 3."""
     cfg = make_cfg(n1=n1, n3=n3)
-    for rate in _tendencies(random_state(cfg, eps, seed), cfg):
+    st = random_state(cfg, eps, seed)
+    for rate in _tendencies(st, cfg, _state_work(st, cfg)):
         amplitude = np.abs(np.fft.rfft(rate, axis=-1)) * (2.0 / n1)
         tail = amplitude[..., n1 // 3 + 1:]
         assert np.max(tail) <= 1e-12 * max(1.0, np.max(np.abs(rate)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n1=hst.sampled_from([8, 16, 32]), n3=hst.integers(5, 17),
+       eps=hst.floats(0.1, 1.0), seed=hst.integers(0, 2 ** 32 - 1))
+def test_tendencies_match_the_physical_space_oracle(n1, n3, eps, seed):
+    """The pseudo-spectral right side equals the physical-space one, which
+    truncates each flux by a full round trip, to rounding, on states with
+    every x1 mode filled."""
+    cfg = make_cfg(n1=n1, n3=n3, G="gravity")
+    st = random_state(cfg, eps, seed)
+    got = _tendencies(st, cfg, _state_work(st, cfg))
+    for new, old in zip(got, oracle_tendencies(st, cfg)):
+        assert new.shape == old.shape
+        assert np.max(np.abs(new - old)) <= 1e-12 * max(1.0, np.max(np.abs(old)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), radiative=hst.booleans())
+def test_state_work_eos_and_transport_are_the_public_values(seed, radiative):
+    gas = thermo.GasParams(p_inf=1.0, a=0.3 if radiative else 0.0, eta_high=0.2)
+    cfg = make_cfg(gas=gas)
+    st = random_state(cfg, 0.3, seed)
+    w = _state_work(st, cfg)
+    rho, theta = st.rho, st.theta
+    for got, fn in ((w.p, thermo.pressure), (w.dp_drho, thermo.dp_drho),
+                    (w.dp_dtheta, thermo.dp_dtheta), (w.de_dtheta, thermo.de_dtheta)):
+        assert np.array_equal(got, fn(rho, theta, gas))
+    for got, fn in ((w.mu, thermo.mu), (w.eta, thermo.eta),
+                    (w.kappa, thermo.kappa), (w.zeta, thermo.zeta)):
+        assert np.array_equal(got, fn(theta, gas))
+    g = cfg.grid
+    assert np.array_equal(w.grad_u, velocity_gradient(st.u, g))
+    assert np.array_equal(w.J, _curl25(st.B, g))
+    assert np.array_equal(w.d1th, ddx1_arr(theta, g))
+    assert np.array_equal(w.d3th, ddx3_arr(theta, g))
+
+
+def count_transformed_fields(monkeypatch):
+    """Count the 2D fields numpy's FFTs transform: a call on a (k, n3, n1)
+    array counts k, so batching transforms cannot lower the count."""
+    calls = [0]
+    for name in ("rfft", "irfft", "rfftn", "irfftn", "fft", "ifft"):
+        def counted(a, *args, _fn=getattr(np.fft, name), **kwargs):
+            calls[0] += int(np.prod(np.shape(a)[:-2]))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
 
 
 def test_fft_calls_per_tendency_and_step(monkeypatch):
     cfg = make_cfg()
     st = random_state(cfg, 0.5, 3)
     dt = 0.5 * cfl_limits(st, cfg)  # also builds the state's cached B
-    calls = [0]
-    for name in ("rfft", "irfft", "rfftn", "irfftn", "fft", "ifft"):
-        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-            calls[0] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    _tendencies(st, cfg)
-    assert calls[0] <= 80
+    calls = count_transformed_fields(monkeypatch)
+    work = _state_work(st, cfg)
+    assert calls[0] <= 12  # grad u, J and d1 theta
+    calls[0] = 0
+    _tendencies(st, cfg, work)
+    assert calls[0] <= 35
     calls[0] = 0
     step_prim(st, cfg, dt)
-    # two right sides and the field of the stage state
-    assert calls[0] <= 162
+    # two states' work and right sides and the field of the stage state
+    assert calls[0] <= 96
+
+
+def test_fft_and_eos_passes_per_run_step(monkeypatch):
+    """A run_prim step, its row included, transforms at most 100 fields and
+    builds each state's work once: grad u, J and the EOS pass run once for
+    the stage state and once for the new state."""
+    cfg = make_cfg()
+    st = random_state(cfg, 0.5, 4)
+    dt = 0.5 * cfl_limits(st, cfg)
+    n_steps = 3
+    passes = {"velocity_gradient": 0, "_curl25": 0}
+    for name in passes:
+        def counted(*args, _name=name, _fn=getattr(mhd, name)):
+            passes[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mhd, name, counted)
+    eos = [0]
+    original_eos = thermo._eos_and_transport
+
+    def counted_eos(*args):
+        eos[0] += 1
+        return original_eos(*args)
+    monkeypatch.setattr(thermo, "_eos_and_transport", counted_eos)
+    public = [0]
+    for name in ("pressure", "dp_drho", "dp_dtheta", "de_dtheta",
+                 "mu", "eta", "kappa", "zeta"):
+        def counted_public(*args, _fn=getattr(thermo, name), **kwargs):
+            public[0] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(thermo, name, counted_public)
+    calls = count_transformed_fields(monkeypatch)
+    _, rows = run_prim(st, cfg, t_end=n_steps * dt, dt=dt)
+    assert len(rows) == n_steps
+    # the starting state's work (12) comes before the first step
+    assert calls[0] <= 12 + 100 * n_steps
+    assert passes == {"velocity_gradient": 1 + 2 * n_steps, "_curl25": 1 + 2 * n_steps}
+    assert eos[0] == 1 + 2 * n_steps
+    assert public[0] == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -184,7 +278,7 @@ def test_dissipation_is_stress_contracted_with_gradient(seed):
     theta = 1.0 + 0.3 * rng.uniform(-1, 1, 7)
     grad_u = rng.normal(size=(3, 3, 7))
     S = viscous_stress(theta, grad_u, GAS)
-    phi = _dissipation(*_strain(theta, grad_u, GAS))
+    phi = _dissipation(*strain(theta, grad_u, GAS))
     assert np.all(phi >= 0.0)
     assert np.allclose(phi, np.einsum("ij...,ij...->...", S, grad_u),
                        rtol=1e-12, atol=1e-14)
@@ -196,7 +290,7 @@ def test_dissipation_is_stress_contracted_with_gradient(seed):
 def test_rest_state_rhs_vanishes():
     cfg = make_cfg()
     st = uniform_state(cfg)
-    for rate in _tendencies(st, cfg):
+    for rate in _tendencies(st, cfg, _state_work(st, cfg)):
         assert np.max(np.abs(rate)) < 1e-13
 
 
@@ -400,7 +494,8 @@ def test_acoustic_mode_frequency():
 def test_cfl_rejection():
     cfg = make_cfg()
     st = wavy_state(cfg)
-    with pytest.raises(CflError):
+    st.t = 0.125
+    with pytest.raises(CflError, match=r"in the step from t = 0\.125$"):
         step_prim(st, cfg, 10.0 * cfl_limits(st, cfg))
 
 

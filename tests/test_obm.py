@@ -343,8 +343,8 @@ def test_cfl_rejection():
     cfg = make_cfg(g, dt=0.1)
     U = np.zeros((2,) + g.hshape)
     U[0] = 2.0  # Courant = 2.0 * 0.1 / 0.125 = 1.6
-    st = ObmState.create(g, np.zeros(g.shape), U=U, gas=GAS, ref=REF)
-    with pytest.raises(CflError):
+    st = ObmState.create(g, np.zeros(g.shape), U=U, gas=GAS, ref=REF, t=0.25)
+    with pytest.raises(CflError, match=r"Courant=1\.6 > 0\.9 in the step from t = 0\.25$"):
         step_obm(st, cfg)
 
 
