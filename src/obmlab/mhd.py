@@ -19,8 +19,8 @@ and a constant c3:
 Because the horizontal (spectral) and vertical (finite-difference)
 derivative operators act along different array axes they commute exactly,
 so div B vanishes to rounding at every node and for every time; no
-projection is needed, and mean(B3) = c3 is conserved exactly.  The wall
-condition B1 = 0 becomes d3 a = 0 at the walls, imposed by solving the
+divergence cleaning is needed and mean(B3) = c3 is conserved exactly.  The
+wall condition B1 = 0 becomes d3 a = 0 at the walls, imposed by solving the
 one-sided stencil for the wall value of a; B2 = 0 is imposed directly.
 
 Time stepping is explicit SSP-RK2 with boundary conditions re-imposed
@@ -41,8 +41,11 @@ The right side is pseudo-spectral: each nonlinear flux is transformed once,
 the 2/3-rule mask, d1 and the x3 stencil (along the other axis, so they
 commute) act on the spectrum, and each tendency component is one inverse
 transform.  A state's EOS, transport and derivatives are built once
-(:func:`_state_work`).  A step transforms 96 fields: two states' work (12
-each), two right sides (35 each) and the stage state's B (2).
+(:func:`_state_work`).  a and B2 carry no x1 mode above n1 // 3, an invariant
+the drivers establish on entry (:func:`_band_limited`) and the linear stages
+keep, so the Lorentz force reads B and J as they are.  A step transforms 80
+fields: two states' work (12 each), two right sides (27 each) and the stage
+state's B (2).
 
 Mass bookkeeping: the trapezoid rule does not telescope against the
 one-sided first-derivative closures, so -div(rho u) carries an O(h^2)
@@ -53,7 +56,7 @@ exact to rounding without touching the local truncation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -161,6 +164,8 @@ class PrimitiveState:
             raise FieldError(f"theta must stay positive, min = {np.min(self.theta):.3e}")
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise FieldError(f"eps must be positive, got {self.eps}")
+        if not (np.isfinite(self.c3) and np.isfinite(self.t)):
+            raise FieldError(f"c3 and t must be finite, got {self.c3} and {self.t}")
 
     @cached_property
     def B(self) -> np.ndarray:
@@ -259,14 +264,22 @@ def _state_work(state: PrimitiveState, cfg: PrimConfig) -> _StateWork:
                       ddx1_arr(state.theta, g), ddx3_arr(state.theta, g))
 
 
+def _band_limited(state: PrimitiveState) -> PrimitiveState:
+    """The state with a and B2 projected onto the x1 modes up to n1 // 3 row
+    by row, which keeps the wall relation of a and the mean c3 of B3."""
+    g = state.grid
+    return replace(state, a=dealias_arr(state.a, g), B2=dealias_arr(state.B2, g))
+
+
 def _tendencies(state: PrimitiveState, cfg: PrimConfig, w: _StateWork):
     """Time derivatives of (rho, u, theta, a, B2) from the state's work, with
-    35 transformed fields.  Truncated on the spectrum: the mass fluxes, the
-    stress rows with -d1 p / eps^2 folded into the first, the d1 heat flux,
-    B and J (from the spectra of a and B2) and the electric field.  Left
-    physical: d3 p and d3(kappa d3 theta), untruncated, and the advection,
-    Joule and dissipation products, which the final truncation of u_t and
-    theta_t covers, since dz(dz(a) + b) = dz(a + b)."""
+    27 transformed fields, for a state whose a and B2 are band-limited (see
+    :func:`_band_limited`), so that B and J are.  Truncated on the spectrum:
+    the mass fluxes, the stress rows with -d1 p / eps^2 folded into the
+    first, the d1 heat flux and the electric field.  Left physical: d3 p and
+    d3(kappa d3 theta), untruncated, and the advection, Lorentz, Joule and
+    dissipation products, which the final truncation of u_t and theta_t
+    covers, since dz(dz(a) + b) = dz(a + b)."""
     g = state.grid
     eps = state.eps
     rho, u, theta = state.rho, state.u, state.theta
@@ -289,12 +302,7 @@ def _tendencies(state: PrimitiveState, cfg: PrimConfig, w: _StateWork):
     u_t[2] -= ddx3(w.p) / eps ** 2
     u_t[0] += rho * cfg.G1 / eps
     u_t[2] += rho * cfg.G3 / eps
-    A, C = spec(state.a), spec(state.B2)
-    Bd = np.stack([phys(-ddx3(mask * A)), phys(mask * C), state.c3 + phys(ik * A)])
-    Jd = np.stack([phys(-ddx3(mask * C)),
-                   phys(mask * (g.k1r_d ** 2 * A - ddx3(ddx3(A)))), phys(ik * C)])
-    u_t += cross3(Jd, Bd) / eps ** 2
-    del Bd, Jd
+    u_t += cross3(w.J, state.B) / eps ** 2
     u_t /= rho
     u_t -= u[0] * w.grad_u[0] + u[2] * w.grad_u[2]
 
@@ -345,8 +353,12 @@ def _entropy_terms(state: PrimitiveState, w: _StateWork, fault: bool):
 def cfl_limits(state: PrimitiveState, cfg: PrimConfig) -> float:
     """Largest admissible dt: 0.4 min(h eps / c_max, h^2 / nu_max), where
     c_max bounds the fast magnetosonic speed through the closed-form
-    equation of state and nu_max the diffusivities."""
-    return _cfl_limit(state, _state_work(state, cfg))
+    equation of state and nu_max the diffusivities, for the state as the
+    drivers step it (a and B2 projected, :func:`_band_limited`): it reads
+    the EOS pass and B alone."""
+    state = _band_limited(state)
+    eos = thermo._eos_and_transport(state.rho, state.theta, cfg.gas)
+    return _cfl_limit(state, _StateWork(*eos, *[None] * 4))
 
 
 def _cfl_limit(state: PrimitiveState, w: _StateWork) -> float:
@@ -393,10 +405,12 @@ def step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float,
     after each stage.
 
     ``src(t)`` may return a dict with optional keys rho, u, theta, a, B2
-    holding additive source fields (manufactured-solution hook).  Raises
-    CflError if dt exceeds the advective/diffusive bound and
-    PositivityError (carrying the pre-step state) if rho or theta would
-    leave the admissible cone."""
+    holding additive source fields (manufactured-solution hook).  a, B2 and
+    their sources are first projected onto the x1 modes up to n1 // 3
+    (:func:`_band_limited`).  Raises CflError if dt exceeds the
+    advective/diffusive bound and PositivityError (carrying the projected
+    pre-step state) if rho or theta would leave the admissible cone."""
+    state = _band_limited(state)
     work = _state_work(state, cfg)
     return _step_prim(state, cfg, dt, _cfl_limit(state, work), src, work)
 
@@ -405,8 +419,9 @@ def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
                src, work: _StateWork) -> PrimitiveState:
     """Body of :func:`step_prim`, given the state's stability bound
     ``limit`` and work, so that a driver which has already built them for
-    choosing dt does not build them again.  The work is dropped after the
-    first stage, and freed then if the caller kept no reference."""
+    choosing dt does not build them again.  The state's a and B2 must be
+    band-limited; their sources are projected here.  The work is dropped
+    after the first stage, and freed then if the caller kept no reference."""
     if dt > limit * (1.0 + 1e-12):
         raise CflError(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e} "
                        f"in the step from t = {state.t!r}")
@@ -414,7 +429,8 @@ def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
     def add_src(parts, t):
         if src is None:
             return parts
-        extra = src(t)
+        extra = {key: dealias_arr(v, state.grid) if key in ("a", "B2") else v
+                 for key, v in src(t).items()}
         return [p + extra.get(key, 0.0)
                 for p, key in zip(parts, ("rho", "u", "theta", "a", "B2"))]
 
@@ -531,12 +547,14 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
     one :func:`entropy_production_terms` call with ``fault=entropy_fault``.
     Each step is at most dt, or with dt = None cfg.safety times the current
     CFL bound, shrunk by the common landing rule so the run ends exactly on
-    t_end; ``on_step`` then gets the new state.  On positivity loss the last
+    t_end; ``on_step`` then gets the new state.  a, B2 and their sources are
+    projected on entry as in :func:`step_prim`.  On positivity loss the last
     valid state is dumped to ``fail_snapshot`` when given and the error
     re-raised."""
     g = state.grid
     rows = []
     psi = psi_extension(cfg, state.eps)
+    state = _band_limited(state)
     # the state's work, read by the row and the bound; a one-item list so that
     # the step gets the only reference and frees it after its first stage
     work = [_state_work(state, cfg)]

@@ -19,9 +19,12 @@ from obmlab.mhd import (
     PositivityError,
     PrimConfig,
     PrimitiveState,
+    _band_limited,
+    _cfl_limit,
     _curl25,
     _dissipation,
     _state_work,
+    _step_prim,
     _strain,
     _stress,
     _tendencies,
@@ -153,6 +156,14 @@ def test_velocity_gradient_slip_rows():
 # -- right side: one 2/3-rule truncation per sum of products ------------------
 
 
+def assert_band_limited(arr):
+    """No x1 mode of ``arr`` above n1 // 3, to 1e-12 max(1, max|arr|)."""
+    n1 = arr.shape[-1]
+    amplitude = np.abs(np.fft.rfft(arr, axis=-1)) * (2.0 / n1)
+    tail = amplitude[..., n1 // 3 + 1:]
+    assert np.max(tail) <= 1e-12 * max(1.0, np.max(np.abs(arr)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(n1=hst.sampled_from([8, 16, 32]), n3=hst.integers(5, 17),
        eps=hst.floats(0.1, 1.0), seed=hst.integers(0, 2 ** 32 - 1))
@@ -162,9 +173,7 @@ def test_tendencies_are_band_limited(n1, n3, eps, seed):
     cfg = make_cfg(n1=n1, n3=n3)
     st = random_state(cfg, eps, seed)
     for rate in _tendencies(st, cfg, _state_work(st, cfg)):
-        amplitude = np.abs(np.fft.rfft(rate, axis=-1)) * (2.0 / n1)
-        tail = amplitude[..., n1 // 3 + 1:]
-        assert np.max(tail) <= 1e-12 * max(1.0, np.max(np.abs(rate)))
+        assert_band_limited(rate)
 
 
 @settings(max_examples=40, deadline=None)
@@ -172,14 +181,49 @@ def test_tendencies_are_band_limited(n1, n3, eps, seed):
        eps=hst.floats(0.1, 1.0), seed=hst.integers(0, 2 ** 32 - 1))
 def test_tendencies_match_the_physical_space_oracle(n1, n3, eps, seed):
     """The pseudo-spectral right side equals the physical-space one, which
-    truncates each flux by a full round trip, to rounding, on states with
-    every x1 mode filled."""
+    truncates each flux by a full round trip, to rounding.  rho, u and theta
+    fill every x1 mode; a and B2 are projected first, as the drivers do."""
     cfg = make_cfg(n1=n1, n3=n3, G="gravity")
-    st = random_state(cfg, eps, seed)
+    st = _band_limited(random_state(cfg, eps, seed))
     got = _tendencies(st, cfg, _state_work(st, cfg))
     for new, old in zip(got, oracle_tendencies(st, cfg)):
         assert new.shape == old.shape
         assert np.max(np.abs(new - old)) <= 1e-12 * max(1.0, np.max(np.abs(old)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n1=hst.sampled_from([8, 16, 32]), n3=hst.integers(5, 17),
+       eps=hst.floats(0.1, 1.0), seed=hst.integers(0, 2 ** 32 - 1),
+       forced=hst.booleans(), driver=hst.sampled_from(["step_prim", "run_prim"]))
+def test_drivers_keep_the_magnetic_state_band_limited(n1, n3, eps, seed, forced,
+                                                      driver):
+    """From a and B2 filling every x1 mode, with or without a and B2 sources
+    filling every mode, both drivers return a, B2 and B without modes above
+    n1 // 3."""
+    cfg = make_cfg(n1=n1, n3=n3)
+    st = random_state(cfg, eps, seed)
+    rng = np.random.default_rng(seed)
+    extra = {"a": 0.1 * rng.normal(size=st.a.shape),
+             "B2": 0.1 * rng.normal(size=st.a.shape)}
+    src = (lambda _t: extra) if forced else None
+    dt = 0.25 * cfl_limits(st, cfg)
+    if driver == "step_prim":
+        out = step_prim(st, cfg, dt, src)
+    else:
+        out, rows = run_prim(st, cfg, t_end=2 * dt, dt=dt, src=src)
+        assert len(rows) == 2
+    for arr in (out.a, out.B2, out.B):
+        assert_band_limited(arr)
+
+
+def test_projection_keeps_the_wall_relation_and_mean_B3():
+    cfg = make_cfg()
+    g = cfg.grid
+    st = random_state(cfg, 0.5, 11)
+    band = _band_limited(st)
+    assert np.max(np.abs(band.a[0] - (4 * band.a[1] - band.a[2]) / 3)) < 1e-15
+    assert np.max(np.abs(band.a[-1] - (4 * band.a[-2] - band.a[-3]) / 3)) < 1e-15
+    assert mean_arr(band.B[2], g) == pytest.approx(st.c3, abs=1e-15)
 
 
 @settings(max_examples=20, deadline=None)
@@ -218,21 +262,54 @@ def count_transformed_fields(monkeypatch):
 def test_fft_calls_per_tendency_and_step(monkeypatch):
     cfg = make_cfg()
     st = random_state(cfg, 0.5, 3)
-    dt = 0.5 * cfl_limits(st, cfg)  # also builds the state's cached B
+    dt = 0.5 * cfl_limits(st, cfg)
     calls = count_transformed_fields(monkeypatch)
-    work = _state_work(st, cfg)
+    band = _band_limited(st)
+    assert calls[0] <= 4  # a and B2 there and back
+    calls[0] = 0
+    band.B  # cached from here on
+    assert calls[0] <= 2
+    calls[0] = 0
+    work = _state_work(band, cfg)
     assert calls[0] <= 12  # grad u, J and d1 theta
     calls[0] = 0
-    _tendencies(st, cfg, work)
-    assert calls[0] <= 35
+    _tendencies(band, cfg, work)
+    assert calls[0] <= 27
+    calls[0] = 0
+    _step_prim(band, cfg, dt, _cfl_limit(band, work), None, _state_work(band, cfg))
+    # two states' work and right sides and the field of the stage state
+    assert calls[0] <= 80
     calls[0] = 0
     step_prim(st, cfg, dt)
-    # two states' work and right sides and the field of the stage state
-    assert calls[0] <= 96
+    # the projection and the projected state's B come first
+    assert calls[0] <= 4 + 2 + 80
+
+
+def test_public_cfl_bound_reads_the_eos_pass_and_B_only(monkeypatch):
+    """The public bound is the run loop's bound of the projected state, from
+    the projection, B and the EOS pass."""
+    cfg = make_cfg()
+    st = random_state(cfg, 0.5, 5)
+    band = _band_limited(st)
+    expected = _cfl_limit(band, _state_work(band, cfg))
+    calls = count_transformed_fields(monkeypatch)
+    assert cfl_limits(st, cfg) == expected
+    assert calls[0] <= 4 + 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(n1=hst.sampled_from([8, 16, 32]), n3=hst.integers(5, 17),
+       eps=hst.floats(0.1, 1.0), seed=hst.integers(0, 2 ** 32 - 1))
+def test_public_cfl_bound_is_accepted_by_step_prim(n1, n3, eps, seed):
+    """dt = cfl_limits(state) passes step_prim's check, also when a and B2
+    fill every x1 mode and the projection moves the peak of |B|."""
+    cfg = make_cfg(n1=n1, n3=n3)
+    st = random_state(cfg, eps, seed)
+    step_prim(st, cfg, cfl_limits(st, cfg))
 
 
 def test_fft_and_eos_passes_per_run_step(monkeypatch):
-    """A run_prim step, its row included, transforms at most 100 fields and
+    """A run_prim step, its row included, transforms at most 84 fields and
     builds each state's work once: grad u, J and the EOS pass run once for
     the stage state and once for the new state."""
     cfg = make_cfg()
@@ -262,8 +339,9 @@ def test_fft_and_eos_passes_per_run_step(monkeypatch):
     calls = count_transformed_fields(monkeypatch)
     _, rows = run_prim(st, cfg, t_end=n_steps * dt, dt=dt)
     assert len(rows) == n_steps
-    # the starting state's work (12) comes before the first step
-    assert calls[0] <= 12 + 100 * n_steps
+    # the projection (4), the projected state's B (2) and its work (12) come
+    # before the first step
+    assert calls[0] <= 4 + 2 + 12 + 84 * n_steps
     assert passes == {"velocity_gradient": 1 + 2 * n_steps, "_curl25": 1 + 2 * n_steps}
     assert eos[0] == 1 + 2 * n_steps
     assert public[0] == 0
@@ -511,7 +589,11 @@ def test_positivity_rejection_dumps_last_valid(tmp_path):
 
     with pytest.raises(PositivityError) as err:
         run_prim(st, cfg, t_end=1.0, src=chill, fail_snapshot=str(snap))
-    assert err.value.last_valid is st
+    # the step started from the projected copy of st, which here changes no value
+    last = err.value.last_valid
+    for name in ("rho", "u", "theta", "a", "B2"):
+        assert np.array_equal(getattr(last, name), getattr(st, name))
+    assert (last.c3, last.eps, last.t) == (st.c3, st.eps, st.t)
     # the message names the last valid time and the node that went negative
     message = str(err.value)
     assert f"from t = {st.t!r}:" in message
@@ -536,6 +618,17 @@ def test_invalid_state_construction():
     with pytest.raises(FieldError):
         PrimitiveState(g, np.ones(g.shape), good["u"][:2], good["theta"],
                        good["a"], 0.5, good["B2"], 0.5, 0.0)
+
+
+@pytest.mark.parametrize("c3, t", [(np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan),
+                                   (0.5, np.inf), (0.5, -np.inf)])
+def test_non_finite_c3_or_t_is_rejected(c3, t):
+    """A NaN c3 would give a NaN bound and an infinite t a run of no steps."""
+    g = make_cfg().grid
+    with pytest.raises(FieldError, match="must be finite"):
+        PrimitiveState(g, np.ones(g.shape), np.zeros((3,) + g.shape),
+                       np.ones(g.shape), np.zeros(g.shape), c3, np.zeros(g.shape),
+                       0.5, t)
 
 
 # -- energies ---------------------------------------------------------------
