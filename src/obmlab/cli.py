@@ -109,12 +109,12 @@ import configparser
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .fields import FieldError, Geometry, Grid, write_snapshot
+from .fields import FieldError, Geometry, Grid, mean_arr, write_snapshot
 from .mhd import (PositivityError, PrimConfig, PrimitiveState, StepRow, cfl_limits,
                   run_prim, snapshot_fields)
 from .obm import (CflError, ObmConfig, ObmConfigError, ObmState,
@@ -516,39 +516,31 @@ def _seed(cfg: RunConfig, args) -> int:
 
 
 @dataclass(frozen=True)
-class _SlopeTamper:
-    """Structure whose entropy slope disagrees with the entropy itself.
-
-    Perturbing S'(Z) while S, P, P' stay put breaks the Gibbs relation, so
-    the consistency suite must fail; the constant-shift tamper (s0 only)
-    must keep passing.  Both are exercised through [thermo] tamper."""
-
-    base: DefaultPStructure
-    factor: float = 1.01
-
-    def value(self, Z):
-        return self.base.value(Z)
-
-    def deriv(self, Z):
-        return self.base.deriv(Z)
-
-    def entropy(self, Z):
-        return self.base.entropy(Z)
+class _SlopeTamperedP(DefaultPStructure):
+    """The default P and S with the entropy slope S' scaled by 1.01."""
 
     def entropy_deriv(self, Z):
-        return self.factor * self.base.entropy_deriv(Z)
+        return 1.01 * super().entropy_deriv(Z)
+
+
+@dataclass(frozen=True)
+class _SlopeTamperedGas(GasParams):
+    """Gas whose entropy slope S' disagrees with S, P and P': the Gibbs
+    checks must fail, while the constant-shift tamper (s0 only) passes."""
+
+    def structure(self) -> _SlopeTamperedP:
+        return _SlopeTamperedP(p_inf=self.p_inf, s0=self.s0)
 
 
 def cmd_thermo_check(cfg: RunConfig, args) -> int:
     t = cfg["thermo"]
-    structure = None
+    gas = cfg.gas()
     if t["tamper"] == "entropy-constant":
-        structure = DefaultPStructure(p_inf=t["p_inf"], s0=t["s0"] + 0.25)
+        gas = replace(gas, s0=gas.s0 + 0.25)
     elif t["tamper"] == "entropy-slope":
-        structure = _SlopeTamper(cfg.gas().structure())
-    report = thermo_check(cfg.gas(), cfg.ref(), seed=_seed(cfg, args),
-                          n_points=t["n_points"], fd_step=t["fd_step"],
-                          structure=structure)
+        gas = _SlopeTamperedGas(**vars(gas))
+    report = thermo_check(gas, cfg.ref(), seed=_seed(cfg, args),
+                          n_points=t["n_points"], fd_step=t["fd_step"])
     for line in report.lines():
         _say(args, line)
     _say(args, f"thermo-check: {'PASS' if report.passed else 'FAIL'}")
@@ -574,9 +566,8 @@ def cmd_run_obm(cfg: RunConfig, args) -> int:
         state, rows = run_obm(state, ocfg, on_step=snaps.note)
     csv_path = outdir / f"{prefix}_obm.csv"
     _write_csv(csv_path, _OBM_HEADER, rows)
-    final_mean = rows[-1][1] if rows else 0.0
     _say(args, f"run-obm: {len(rows)} steps to t = {state.t:g}, "
-               f"mean theta1 = {final_mean:.6e}")
+               f"mean theta1 = {mean_arr(state.theta1, grid):.6e}")
     _say(args, f"wrote {csv_path} and {len(snaps.written)} snapshots")
     return 0
 

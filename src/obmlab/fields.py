@@ -391,7 +391,9 @@ def write_snapshot(path, grid: Grid, fields: dict) -> None:
 
 
 def read_snapshot(path):
-    """Read a snapshot; returns (grid, dict of named arrays)."""
+    """Read a snapshot; returns (grid, dict of named arrays).  The bytes after
+    the header must be whole fields of its shape, checked before the grid is
+    built; a malformed file raises :class:`SnapshotFormatError`."""
     with open(path, "rb") as fh:
         head = fh.read(24)
         if len(head) != 24:
@@ -405,18 +407,22 @@ def read_snapshot(path):
             geometry = Geometry(geom)
         except ValueError as exc:
             raise SnapshotFormatError(f"unknown geometry tag {geom}") from exc
-        grid = Grid(geometry, n1, n2, n3)
-        count = int(np.prod(grid.shape))
+        count = {Geometry.STRIP2: n3 * n1, Geometry.STRIP3: n3 * n2 * n1,
+                 Geometry.TORUS2: n2 * n1}[geometry]
+        size = os.fstat(fh.fileno()).st_size - len(head)
+        if size % (8 + 8 * count):
+            raise SnapshotFormatError(
+                f"{size} bytes after the header are not whole fields of {count} values")
+        try:
+            grid = Grid(geometry, n1, n2, n3)
+        except FieldError as exc:
+            raise SnapshotFormatError(f"bad grid in header: {exc}") from exc
         fields = {}
-        while True:
+        for _ in range(size // (8 + 8 * count)):
             name_raw = fh.read(8)
-            if not name_raw:
-                break
-            if len(name_raw) != 8:
-                raise SnapshotFormatError("truncated field name")
+            if not name_raw.isascii():
+                raise SnapshotFormatError(f"field name {name_raw!r} is not ASCII")
             payload = fh.read(8 * count)
-            if len(payload) != 8 * count:
-                raise SnapshotFormatError("truncated field payload")
-            name = name_raw.decode("ascii").rstrip()
-            fields[name] = np.frombuffer(payload, dtype="<f8").reshape(grid.shape).copy()
+            fields[name_raw.decode("ascii").rstrip()] = \
+                np.frombuffer(payload, dtype="<f8").reshape(grid.shape).copy()
         return grid, fields

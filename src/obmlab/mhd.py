@@ -329,17 +329,15 @@ def _tendencies(state: PrimitiveState, cfg: PrimConfig, w: _StateWork):
     return rho_t, dealias_arr(u_t, g), dealias_arr(theta_t, g), a_t, B2_t
 
 
-def entropy_production_terms(state: PrimitiveState, cfg: PrimConfig,
-                             fault: bool = False):
+def entropy_production_terms(state: PrimitiveState, cfg: PrimConfig):
     """The three entropy production densities (viscous, Joule, conductive),
-    each non-negative by construction.  ``fault`` flips the sign of the
-    viscous term; it exists so the fault-injection path of the command-line
-    driver has something real to detect."""
-    return _entropy_terms(state, _state_work(state, cfg), fault)
+    each non-negative by construction."""
+    return _entropy_terms(state, _state_work(state, cfg), False)
 
 
 def _entropy_terms(state: PrimitiveState, w: _StateWork, fault: bool):
-    """Body of :func:`entropy_production_terms`, given the state's work."""
+    """Body of :func:`entropy_production_terms`, given the state's work;
+    ``fault`` flips the viscous term's sign (``run_prim(entropy_fault=)``)."""
     theta = state.theta
     phi = _dissipation(w.mu, w.eta, *_strain(w.grad_u)) * state.eps ** 2 / theta
     if fault:
@@ -434,11 +432,6 @@ def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
         return [p + extra.get(key, 0.0)
                 for p, key in zip(parts, ("rho", "u", "theta", "a", "B2"))]
 
-    def stage(cur, parts, w_old, w_new):
-        out = [w_old * b + w_new * (c + dt * p) for b, c, p in zip(base, cur, parts)]
-        _impose_bcs(*out, cfg, state.eps)
-        return out
-
     def assemble(parts, t):
         rho, u, theta, a, B2 = parts
         return PrimitiveState(state.grid, rho=rho, u=u, theta=theta, a=a,
@@ -447,11 +440,13 @@ def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
     base = (state.rho, state.u, state.theta, state.a, state.B2)
     f1 = add_src(_tendencies(state, cfg, work), state.t)
     del work
-    mid = stage(base, f1, 0.0, 1.0)
+    mid = [b + dt * p for b, p in zip(base, f1)]
+    _impose_bcs(*mid, cfg, state.eps)
     _check_admissible(mid, state)
     mid_state = assemble(mid, state.t + dt)
     f2 = add_src(_tendencies(mid_state, cfg, _state_work(mid_state, cfg)), state.t + dt)
-    out = stage(mid, f2, 0.5, 0.5)
+    out = [0.5 * b + 0.5 * (c + dt * p) for b, c, p in zip(base, mid, f2)]
+    _impose_bcs(*out, cfg, state.eps)
     _check_admissible(out, state)
     return assemble(out, state.t + dt)
 
@@ -544,7 +539,8 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
     Each row is the step's one diagnostics pass: t, mass, momentum1,
     total_energy, ballistic_energy, divB_max, rho_min, theta_min, and the
     integral (entropy_production) and pointwise minimum (entropy_floor) of
-    one :func:`entropy_production_terms` call with ``fault=entropy_fault``.
+    the step's :func:`entropy_production_terms`, with the viscous term's sign
+    flipped when ``entropy_fault`` is set (the command-line fault hook).
     Each step is at most dt, or with dt = None cfg.safety times the current
     CFL bound, shrunk by the common landing rule so the run ends exactly on
     t_end; ``on_step`` then gets the new state.  a, B2 and their sources are

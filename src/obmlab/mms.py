@@ -78,11 +78,12 @@ class PrimCase:
     callables of (t, x1, x3), keyed rho, u1, u2, u3, theta, a, B2.
     """
 
+    eps = 0.5  # Mach number of the run
+
     def __init__(self, gas: thermo.GasParams | None = None,
-                 ref: thermo.ReferenceState | None = None, eps: float = 0.5):
+                 ref: thermo.ReferenceState | None = None):
         self.gas = thermo.GasParams() if gas is None else gas
         self.ref = thermo.ReferenceState() if ref is None else ref
-        self.eps = float(eps)
         self.exact, self.sources = self._build()
 
     def _build(self):
@@ -311,12 +312,11 @@ class ConvergenceTable:
         return float(np.max(self.combined) / np.min(self.combined))
 
 
-def _sweep(case, axis: str, ns, fixed: int, t_end: float,
-           dt_factor: float | None = None) -> ConvergenceTable:
+def _sweep(case, axis: str, ns, fixed: int, t_end: float) -> ConvergenceTable:
     """Refinement sweep on the 2.5D strip: ``axis`` ("n3" or "n1") runs over
     ns while the other resolution stays at ``fixed``.  The compressible
-    case steps at its CFL bound; the limit case at dt_factor times the wall
-    spacing, shrunk by the landing rule to end on t_end."""
+    case steps at its CFL bound; the limit case at half the wall spacing,
+    shrunk by the landing rule to end on t_end."""
     errs = []
     for n in ns:
         n1, n3 = (fixed, n) if axis == "n3" else (n, fixed)
@@ -325,7 +325,7 @@ def _sweep(case, axis: str, ns, fixed: int, t_end: float,
         if isinstance(case, PrimCase):
             state, _ = run_prim(state, case.config(grid), t_end, src=src)
         else:
-            cfg = case.config(grid, dt_factor * grid.dx3, t_end)
+            cfg = case.config(grid, 0.5 * grid.dx3, t_end)
             state, _ = run_obm(state, cfg, src=src)
         errs.append(case.error(state))
     names = [k for k in errs[0] if k != "combined"]
@@ -349,18 +349,14 @@ def prim_horizontal(case: PrimCase | None = None, n1_list=(16, 32, 64),
 
 
 def obm_vertical(case: ObmCase | None = None, n3_list=(33, 65, 129),
-                 n1: int = 16, t_end: float = 0.125,
-                 dt_factor: float = 0.5) -> ConvergenceTable:
+                 n1: int = 16, t_end: float = 0.125) -> ConvergenceTable:
     """Vertical refinement sweep of the limit solver, dt tied to the wall
-    spacing (dt = dt_factor * dx3) so temporal and vertical errors shrink
-    together at second order."""
-    return _sweep(ObmCase() if case is None else case, "n3", n3_list, n1, t_end,
-                  dt_factor)
+    spacing (dt = dx3 / 2) so temporal and vertical errors shrink together
+    at second order."""
+    return _sweep(ObmCase() if case is None else case, "n3", n3_list, n1, t_end)
 
 
 def obm_horizontal(case: ObmCase | None = None, n1_list=(8, 16, 32),
-                   n3: int = 65, t_end: float = 0.125,
-                   dt_factor: float = 0.5) -> ConvergenceTable:
-    """Horizontal sweep of the limit solver at fixed n3 and fixed dt."""
-    return _sweep(ObmCase() if case is None else case, "n1", n1_list, n3, t_end,
-                  dt_factor)
+                   n3: int = 65, t_end: float = 0.125) -> ConvergenceTable:
+    """Horizontal sweep of the limit solver at fixed n3 and dt = dx3 / 2."""
+    return _sweep(ObmCase() if case is None else case, "n1", n1_list, n3, t_end)

@@ -299,9 +299,8 @@ def _fd_hessian_min(r, Theta, gas: thermo.GasParams):
     return half_tr - disc
 
 
-def compute_coercivity(gas: thermo.GasParams, ref: thermo.ReferenceState,
-                       n_pairs: int = 40000, n_res: int = 20000,
-                       seed: int = 7) -> CoercivityConstants:
+def compute_coercivity(gas: thermo.GasParams,
+                       ref: thermo.ReferenceState) -> CoercivityConstants:
     """Sample coercivity constants for a gas law and reference state.
 
     Essential regime: the ratio of the Bregman density to the squared
@@ -310,13 +309,14 @@ def compute_coercivity(gas: thermo.GasParams, ref: thermo.ReferenceState,
     Hessian eigenvalue over the box.  Residual regime: the ratio to
     1 + rho*e + rho*|s| is minimized over states outside the box against
     comparison states in the inner box.  A safety factor below one absorbs
-    sampling slack.  Results are cached per (gas, ref).
+    sampling slack.  The sample is fixed, so results are cached per (gas, ref).
     """
     key = (gas, ref)
     cached = _COERC_CACHE.get(key)
     if cached is not None:
         return cached
-    rng = np.random.default_rng(seed)
+    n_pairs, n_res = 40000, 20000
+    rng = np.random.default_rng(7)
     rb, tb = ref.rho_bar, ref.theta_bar
     lo = np.array([0.5 * rb, 0.5 * tb])
     hi = np.array([2.0 * rb, 2.0 * tb])
@@ -460,14 +460,14 @@ def compatibility_residual(theta1, b1, cfg: ObmConfig) -> np.ndarray:
     return res
 
 
-def well_prepared_data(theta1, b1, cfg: ObmConfig, eps: float, U0=None):
+def well_prepared_data(theta1, b1, cfg: ObmConfig, eps: float):
     """Build matched initial states for both solvers from first-order profiles.
 
     The compressible state carries rho_bar + eps*rho1 with rho1 from the
-    diagnostic balance, temperature theta_bar + eps*theta1, the horizontal
-    mean flow U0 (zero by default, must be divergence-free), and the
-    background-plus-perturbation field through its flux function; the limit
-    state carries (theta1, b1, U0) directly.  Returns
+    diagnostic balance, temperature theta_bar + eps*theta1, zero velocity,
+    and the background-plus-perturbation field through its flux function;
+    the limit state carries (theta1, b1) and the zero mean flow that
+    :class:`ObmState` requires on the two-dimensional strip.  Returns
     (PrimitiveState, ObmState, info) where info holds the compatibility
     residual norm and the initial relative energy between the two.
     """
@@ -488,27 +488,15 @@ def well_prepared_data(theta1, b1, cfg: ObmConfig, eps: float, U0=None):
     if np.max(np.abs(theta1[0] - bottom)) > 1e-10 * tscale or \
             np.max(np.abs(theta1[-1] - top)) > 1e-10 * tscale:
         raise FieldError("theta1 trace must match the wall temperatures")
-    if U0 is None:
-        U0 = np.zeros((2,) + g.hshape)
-    else:
-        U0 = np.asarray(U0, dtype=float)
-        if U0.shape != (2,) + g.hshape:
-            raise FieldError(f"U0 shape {U0.shape} != {(2,) + g.hshape}")
-        divU = ddx1_arr(np.broadcast_to(U0[0], g.shape), g)[0]
-        if np.max(np.abs(divU)) > 1e-10 * (1.0 + np.max(np.abs(U0))):
-            raise FieldError("mean flow U0 must be divergence-free")
 
     rho1 = boussinesq_rho(theta1, b1, cfg)
     rho = ref.rho_bar + eps * rho1
     theta = ref.theta_bar + eps * theta1
     a, c3 = a_from_b3_profile(ref.b_bar + eps * b1, g)
     a = fix_flux_walls(a)
-    u = np.zeros((3,) + g.shape)
-    u[0] = U0[0]
-    u[1] = U0[1]
-    prim = PrimitiveState(grid=g, rho=rho, u=u, theta=theta, a=a, c3=c3,
-                          B2=np.zeros(g.shape), eps=eps, t=0.0)
-    limit = ObmState.create(g, theta1, b1, U=U0, gas=cfg.gas, ref=cfg.ref)
+    prim = PrimitiveState(grid=g, rho=rho, u=np.zeros((3,) + g.shape), theta=theta,
+                          a=a, c3=c3, B2=np.zeros(g.shape), eps=eps, t=0.0)
+    limit = ObmState.create(g, theta1, b1, gas=cfg.gas, ref=cfg.ref)
     quad = quadruple_from_obm(limit, cfg, eps)
     info = {
         "compat_residual": float(np.max(np.abs(compatibility_residual(theta1, b1, cfg)))),

@@ -24,7 +24,7 @@ from obmlab.cli import (
     _random_modes,
     main,
 )
-from obmlab.fields import Geometry, Grid, read_snapshot
+from obmlab.fields import Geometry, Grid, mean_arr, read_snapshot
 from obmlab.mhd import PrimConfig, cfl_limits
 from obmlab.obm import ObmConfig, default_potential
 from obmlab.relent import well_prepared_data
@@ -456,6 +456,28 @@ def test_run_obm_lands_on_t_end(tmp_path, capsys, dt, steps):
     assert len(rows) == steps
     assert float(rows[-1].split(",")[0]) == pytest.approx(0.1, rel=1e-14)
     assert len(list(out.glob("run_obm_*.snap"))) == 5
+
+
+def test_run_obm_without_steps_reports_the_initial_mean(tmp_path, capsys):
+    """With t_end = 0 the printed mean theta1 is that of the initial data."""
+    path = write_config(tmp_path, """\
+        [grid]
+        n1 = 16
+        n3 = 17
+
+        [obm]
+        t_end = 0.0
+        theta_b_bottom = 1.0
+    """)
+    assert main(["run-obm", "--config", path, "--out", str(tmp_path)]) == 0
+    cfg = RunConfig.load(path)
+    g = cfg.make_grid()
+    ocfg = ObmConfig(g, cfg.gas(), cfg.ref(), default_potential(g),
+                     cfg.wall_temps("obm"), dt=1.0, t_end=0.0)
+    th, _ = _initial_profiles(ocfg, cfg["obm"], 0, cfg.wall_temps("obm"))
+    mean = mean_arr(th, g)
+    assert mean > 0.1
+    assert f"0 steps to t = 0, mean theta1 = {mean:.6e}" in capsys.readouterr().out
 
 
 def test_run_obm_zero_data_rows_are_zero(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Tests for grids, discrete operators, and snapshot I/O."""
 
 import os
+import struct
 import tempfile
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obmlab.fields import (
@@ -469,6 +470,49 @@ def test_snapshot_round_trip_property(geometry, n1, n2, n3, seed, names):
     assert list(loaded) == names
     for name in names:
         assert loaded[name].tobytes() == fields[name].tobytes()
+
+
+def _header(geom, n1, n2, n3):
+    return struct.pack("<4sIIIII", b"OBMQ", 1, geom, n1, n2, n3)
+
+
+@settings(max_examples=200, deadline=None)
+@example(geom=0, n1=3, n2=1, n3=9, n_fields=1, extra=0, name=b"f       ")
+@example(geom=0, n1=8, n2=1, n3=3, n_fields=1, extra=0, name=b"f       ")
+@given(geom=st.integers(0, 3), n1=st.integers(0, 20), n2=st.integers(0, 20),
+       n3=st.integers(0, 20), n_fields=st.integers(0, 2), extra=st.integers(-9, 9),
+       name=st.binary(min_size=8, max_size=8))
+def test_snapshot_header_property(tmp_path_factory, geom, n1, n2, n3, n_fields,
+                                  extra, name):
+    """Small random header integers, followed by n_fields records of the size
+    the header names (or none for an unknown geometry tag) and ``extra``
+    bytes more or fewer, read back as the grid the header names or raise
+    SnapshotFormatError, never another error."""
+    count = {0: n3 * n1, 1: n3 * n2 * n1, 2: n2 * n1}.get(geom, 0)
+    payload = (name + bytes(8 * count)) * n_fields
+    payload = payload + bytes(extra) if extra >= 0 else payload[:extra]
+    path = tmp_path_factory.mktemp("snap") / "h.snap"
+    path.write_bytes(_header(geom, n1, n2, n3) + payload)
+    try:
+        grid, fields = read_snapshot(path)
+    except SnapshotFormatError:
+        return
+    assert extra == 0 or (extra < 0 and n_fields == 0)
+    assert grid == Grid(Geometry(geom), n1, n2, n3)
+    assert len(fields) == min(n_fields, 1)
+    assert all(f.shape == grid.shape and not f.any() for f in fields.values())
+
+
+@pytest.mark.parametrize("geom, n1, n2, n3", [
+    (0, 8, 1, 2 ** 32 - 1), (0, 2 ** 31, 1, 9), (1, 8, 2 ** 31, 9), (2, 2 ** 31, 8, 1),
+])
+def test_snapshot_rejects_huge_header_counts(tmp_path, geom, n1, n2, n3):
+    """One field of an 8x9 grid under a header whose grid is far larger:
+    SnapshotFormatError from the file size, before any grid array is made."""
+    path = tmp_path / "h.snap"
+    path.write_bytes(_header(geom, n1, n2, n3) + b"f       " + bytes(8 * 72))
+    with pytest.raises(SnapshotFormatError):
+        read_snapshot(path)
 
 
 @pytest.mark.parametrize("bad", [

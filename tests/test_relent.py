@@ -343,11 +343,6 @@ def test_well_prepared_rejects_bad_inputs():
     bad_theta = theta1 + 0.05  # nonzero trace against zero wall data
     with pytest.raises(FieldError):
         well_prepared_data(bad_theta, b1, cfg, 0.1)
-    c = g.coords()
-    U0 = np.stack([np.sin(np.pi * c["x1"][0] if c["x1"].ndim > 1 else np.pi * g.x1),
-                   np.zeros(g.hshape)])
-    with pytest.raises(FieldError):
-        well_prepared_data(theta1, b1, cfg, 0.1, U0=U0)
     with pytest.raises(FieldError):
         well_prepared_data(theta1, b1, cfg, -0.1)
 

@@ -282,8 +282,11 @@ def test_thermo_check_detects_entropy_slope_fault():
         def entropy_deriv(self, Z):
             return super().entropy_deriv(Z) * 1.01  # perturbs s only
 
-    gas = GasParams(p_inf=1.0, a=0.0)
-    rep = thermo_check(gas, ReferenceState(), seed=7, structure=Tampered(p_inf=1.0))
+    class TamperedGas(GasParams):
+        def structure(self):
+            return Tampered(p_inf=self.p_inf, s0=self.s0)
+
+    rep = thermo_check(TamperedGas(p_inf=1.0, a=0.0), ReferenceState(), seed=7)
     assert not rep.passed
     failed = {name for name, ok, _, _ in rep.results if not ok}
     assert any("gibbs" in n for n in failed)
@@ -291,7 +294,5 @@ def test_thermo_check_detects_entropy_slope_fault():
 
 def test_thermo_check_accepts_shifted_entropy_constant():
     # adding a constant to s leaves every Gibbs relation intact
-    gas = GasParams(p_inf=1.0, a=0.0, s0=0.0)
-    rep = thermo_check(gas, ReferenceState(), seed=7,
-                       structure=DefaultPStructure(p_inf=1.0, s0=4.2))
+    rep = thermo_check(GasParams(p_inf=1.0, a=0.0, s0=4.2), ReferenceState(), seed=7)
     assert rep.passed, "\n".join(rep.lines())
