@@ -482,8 +482,10 @@ class _SnapshotSchedule:
         self.outdir = Path(outdir)
         self.stem = stem
         self.fields_fn = fields_fn
-        if count > 0 and t_end > 0:
-            self.targets = [t_end * k / count for k in range(count + 1)]
+        if count > 0:
+            # a run to t_end = 0 has one write time, 0: index 000 alone
+            n = count + 1 if t_end > 0 else 1
+            self.targets = [t_end * k / count for k in range(n)]
         else:
             self.targets = []
         self.written = []

@@ -190,10 +190,11 @@ def hfft(data: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.rfft(data, axis=-1)
 
 
-def hifft(spec: np.ndarray, grid: Grid) -> np.ndarray:
+def hifft(spec: np.ndarray, grid: Grid, out=None) -> np.ndarray:
+    """Inverse of :func:`hfft`, written into ``out`` when given."""
     if grid.has_x2:
-        return np.fft.irfftn(spec, s=(grid.n2, grid.n1), axes=(-2, -1))
-    return np.fft.irfft(spec, n=grid.n1, axis=-1)
+        return np.fft.irfftn(spec, s=(grid.n2, grid.n1), axes=(-2, -1), out=out)
+    return np.fft.irfft(spec, n=grid.n1, axis=-1, out=out)
 
 
 def ddx1_arr(data: np.ndarray, grid: Grid) -> np.ndarray:
@@ -225,11 +226,11 @@ def ddx3_arr(data: np.ndarray, grid: Grid) -> np.ndarray:
     """Second-order d/dx3 along axis 0; one-sided closures at the walls."""
     if not grid.has_walls:
         return np.zeros_like(data)
-    h = grid.dx3
     out = np.empty_like(data)
-    out[1:-1] = (data[2:] - data[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * data[0] + 4.0 * data[1] - data[2]) / (2.0 * h)
-    out[-1] = (3.0 * data[-1] - 4.0 * data[-2] + data[-3]) / (2.0 * h)
+    np.subtract(data[2:], data[:-2], out=out[1:-1])
+    out[0] = -3.0 * data[0] + 4.0 * data[1] - data[2]
+    out[-1] = 3.0 * data[-1] - 4.0 * data[-2] + data[-3]
+    out /= 2.0 * grid.dx3
     return out
 
 
@@ -277,11 +278,12 @@ def helmholtz_solve_arr(rhs: np.ndarray, bottom: np.ndarray, top: np.ndarray,
     return out
 
 
-def dealias_arr(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """2/3-rule truncation of the horizontal spectrum."""
+def dealias_arr(data: np.ndarray, grid: Grid, out=None) -> np.ndarray:
+    """2/3-rule truncation of the horizontal spectrum, written into ``out``
+    (which may be ``data``) when given."""
     spec = hfft(data, grid)
     spec *= grid.dealias_mask
-    return hifft(spec, grid)
+    return hifft(spec, grid, out)
 
 
 def mean_arr(data: np.ndarray, grid: Grid) -> float:
@@ -335,13 +337,15 @@ def leray_arr(v: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.irfftn(spec, s=(grid.n2, grid.n1), axes=(-2, -1))
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of (3, ...) arrays along the leading axis."""
-    return np.stack([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
+def cross3(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Cross product of (3, ...) arrays along the leading axis, written into
+    ``out`` when given."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= a[k] * b[j]
+    return out
 
 
 # -- snapshot I/O --------------------------------------------------------------

@@ -43,8 +43,8 @@ commute) act on the spectrum, and each tendency component is one inverse
 transform.  A state's EOS, transport and derivatives are built once
 (:func:`_state_work`).  a and B2 carry no x1 mode above n1 // 3, an invariant
 the drivers establish on entry (:func:`_band_limited`) and the linear stages
-keep, so the Lorentz force reads B and J as they are.  A step transforms 80
-fields: two states' work (12 each), two right sides (27 each) and the stage
+keep, so the Lorentz force reads B and J as they are.  A step transforms 78
+fields: two states' work (12 each), two right sides (26 each) and the stage
 state's B (2).
 
 Mass bookkeeping: the trapezoid rule does not telescope against the
@@ -84,7 +84,6 @@ __all__ = [
     "PrimitiveState",
     "StepRow",
     "fix_flux_walls",
-    "velocity_gradient",
     "entropy_production_terms",
     "cfl_limits",
     "step_prim",
@@ -201,44 +200,34 @@ def a_from_b3_profile(b3: np.ndarray, grid: Grid):
     return np.broadcast_to(a_line, grid.shape).copy(), c3
 
 
-def velocity_gradient(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """(3, 3) array of derivatives d_i u_j on the 2.5D strip (d2 = 0).
-
-    The wall rows of d3 u1 and d3 u2 are zeroed, which encodes the
-    stress-free tangential condition when the stress tensor is built from
-    this gradient."""
-    out = np.zeros((3, 3) + grid.shape)
-    for j in range(3):
-        out[0, j] = ddx1_arr(u[j], grid)
-        out[2, j] = ddx3_arr(u[j], grid)
-    out[2, :2, 0] = 0.0
-    out[2, :2, -1] = 0.0
-    return out
-
-
-def _strain(grad_u):
-    """(div u, D) with D = grad u + grad u^T - (2/3) div u I: the one strain
-    tensor that the stress and the dissipation are built from."""
-    divu = grad_u[0, 0] + grad_u[1, 1] + grad_u[2, 2]
-    D = grad_u + grad_u.swapaxes(0, 1)
-    for i in range(3):
-        D[i, i] -= (2.0 / 3.0) * divu
-    return divu, D
+def _strain(d1u, d3u):
+    """(div u, D) on the 2.5D strip from the two nonzero rows d1 u and d3 u of
+    grad u, with D = grad u + grad u^T - (2/3) div u I given by the entries
+    the stress divergence reads, (D11, D12, D13, D23, D33); D12 and D23 are
+    d1 u2 and d3 u2 themselves, and D22 = -(2/3) div u."""
+    divu = d1u[0] + d3u[2]
+    third = (2.0 / 3.0) * divu
+    return divu, (d1u[0] + d1u[0] - third, d1u[1], d1u[2] + d3u[0], d3u[1],
+                  d3u[2] + d3u[2] - third)
 
 
 def _stress(mu, eta, divu, D):
-    """Newtonian stress mu D + eta div u I, as a (3, 3, ...) array built in
-    the storage of D, which it consumes."""
-    D *= mu
-    for i in range(3):
-        D[i, i] += eta * divu
-    return D
+    """(S11, S12, S13, S23, S33) of the Newtonian stress mu D + eta div u I;
+    S22 is never differentiated on the strip."""
+    bulk = eta * divu
+    D11, D12, D13, D23, D33 = D
+    return mu * D11 + bulk, mu * D12, mu * D13, mu * D23, mu * D33 + bulk
 
 
 def _dissipation(mu, eta, divu, D):
     """S : grad u evaluated as the manifestly non-negative quadratic form
-    (mu/2)|D|^2 + eta (div u)^2."""
-    return 0.5 * mu * np.einsum("ij...,ij...->...", D, D) + eta * divu ** 2
+    (mu/2)|D|^2 + eta (div u)^2, |D|^2 summed over the nine entries in row
+    order."""
+    D11, D12, D13, D23, D33 = D
+    d22 = (2.0 / 3.0) * divu
+    q12, q13, q23 = D12 * D12, D13 * D13, D23 * D23
+    sq = D11 * D11 + q12 + q13 + q12 + d22 * d22 + q23 + q13 + q23 + D33 * D33
+    return 0.5 * mu * sq + eta * divu ** 2
 
 
 def _curl25(B: np.ndarray, grid: Grid) -> np.ndarray:
@@ -250,18 +239,30 @@ def _curl25(B: np.ndarray, grid: Grid) -> np.ndarray:
     ])
 
 
-# A state's EOS, transport, grad u, J = curl B and grad theta; passed to each
-# reader, never cached on the state, which would keep it alive for a step.
+# A state's EOS (rho e included) and transport, the nonzero rows d1 u and d3 u
+# of grad u, div u, the strain D of :func:`_strain`, the dissipation phi,
+# J = curl B and grad theta; passed to each reader, never cached on the state,
+# which would keep it alive for a step.
 _StateWork = NamedTuple("_StateWork", [(name, np.ndarray) for name in (
-    "p dp_drho dp_dtheta de_dtheta mu eta kappa zeta grad_u J d1th d3th".split())])
+    "p dp_drho dp_dtheta de_dtheta rho_e mu eta kappa zeta "
+    "d1u d3u divu D phi J d1th d3th".split())])
 
 
 def _state_work(state: PrimitiveState, cfg: PrimConfig) -> _StateWork:
-    """The state's work, from one EOS pass and 12 transformed fields."""
+    """The state's work, from one EOS pass and 12 transformed fields.  The
+    wall rows of d3 u1 and d3 u2 are zeroed, which encodes the stress-free
+    tangential condition in the strain built from them."""
     g = state.grid
-    return _StateWork(*thermo._eos_and_transport(state.rho, state.theta, cfg.gas),
-                      velocity_gradient(state.u, g), _curl25(state.B, g),
-                      ddx1_arr(state.theta, g), ddx3_arr(state.theta, g))
+    u = state.u
+    d1u = np.stack([ddx1_arr(c, g) for c in u])
+    d3u = np.stack([ddx3_arr(c, g) for c in u])
+    d3u[:2, 0] = 0.0
+    d3u[:2, -1] = 0.0
+    divu, D = _strain(d1u, d3u)
+    w = _StateWork(*thermo._eos_and_transport(state.rho, state.theta, cfg.gas),
+                   d1u, d3u, divu, D, None, _curl25(state.B, g),
+                   ddx1_arr(state.theta, g), ddx3_arr(state.theta, g))
+    return w._replace(phi=_dissipation(w.mu, w.eta, divu, D))
 
 
 def _band_limited(state: PrimitiveState) -> PrimitiveState:
@@ -273,50 +274,65 @@ def _band_limited(state: PrimitiveState) -> PrimitiveState:
 
 def _tendencies(state: PrimitiveState, cfg: PrimConfig, w: _StateWork):
     """Time derivatives of (rho, u, theta, a, B2) from the state's work, with
-    27 transformed fields, for a state whose a and B2 are band-limited (see
+    26 transformed fields, for a state whose a and B2 are band-limited (see
     :func:`_band_limited`), so that B and J are.  Truncated on the spectrum:
     the mass fluxes, the stress rows with -d1 p / eps^2 folded into the
-    first, the d1 heat flux and the electric field.  Left physical: d3 p and
+    first, each distinct stress entry transformed once (S31 = S13), the d1
+    heat flux and the electric field.  Left physical: d3 p and
     d3(kappa d3 theta), untruncated, and the advection, Lorentz, Joule and
     dissipation products, which the final truncation of u_t and theta_t
-    covers, since dz(dz(a) + b) = dz(a + b)."""
+    covers, since dz(dz(a) + b) = dz(a + b).  The returned arrays are new and
+    the caller's to overwrite."""
     g = state.grid
     eps = state.eps
     rho, u, theta = state.rho, state.u, state.theta
+    B, J = state.B, w.J
     mask = g.dealias_mask
     ik = 1j * g.k1r_d * mask  # truncated d1 on a spectrum
     spec, phys, ddx3 = (partial(op, grid=g) for op in (hfft, hifft, ddx3_arr))
+    # the cross products and the advection terms
+    buf = np.empty((2, 3) + g.shape)
 
     # continuity in divergence form with the uniform mean-defect correction
     div_flux = phys(ik * spec(rho * u[0]) + ddx3(mask * spec(rho * u[2])))
     rho_t = -div_flux + mean_arr(div_flux, g)
 
     # momentum: stress and pressure, gravity, Lorentz, advection
-    divu, D = _strain(w.grad_u)
-    phi = _dissipation(w.mu, w.eta, divu, D)  # before the stress takes over D
-    S = _stress(w.mu, w.eta, divu, D)
-    S[0, 0] -= w.p / eps ** 2
-    u_t = np.stack([phys(ik * spec(S[0, j]) + ddx3(mask * spec(S[2, j])))
-                    for j in range(3)])
-    del S
+    S11, S12, S13, S23, S33 = _stress(w.mu, w.eta, w.divu, w.D)
+    S11 -= w.p / eps ** 2
+    s13 = spec(S13)
+    u_t = np.empty((3,) + g.shape)
+    phys(ik * spec(S11) + ddx3(mask * s13), out=u_t[0])
+    phys(ik * spec(S12) + ddx3(mask * spec(S23)), out=u_t[1])
+    phys(ik * s13 + ddx3(mask * spec(S33)), out=u_t[2])
+    del S11, S12, S13, S23, S33, s13
     u_t[2] -= ddx3(w.p) / eps ** 2
     u_t[0] += rho * cfg.G1 / eps
     u_t[2] += rho * cfg.G3 / eps
-    u_t += cross3(w.J, state.B) / eps ** 2
+    lorentz = cross3(J, B, out=buf[0])
+    lorentz /= eps ** 2
+    u_t += lorentz
     u_t /= rho
-    u_t -= u[0] * w.grad_u[0] + u[2] * w.grad_u[2]
+    adv = np.multiply(u[0], w.d1u, out=buf[0])
+    adv += np.multiply(u[2], w.d3u, out=buf[1])
+    u_t -= adv
 
     # temperature in internal-energy form
-    J = w.J
-    heat_flux_div = phys(ik * spec(w.kappa * w.d1th)) + ddx3(w.kappa * w.d3th)
-    joule = w.zeta * (J[0] ** 2 + J[1] ** 2 + J[2] ** 2)
-    theta_t = (-theta * w.dp_dtheta * divu + eps ** 2 * phi + heat_flux_div + joule) \
-        / (rho * w.de_dtheta) - (u[0] * w.d1th + u[2] * w.d3th)
+    heat_flux_div = phys(ik * spec(w.kappa * w.d1th))
+    heat_flux_div += ddx3(w.kappa * w.d3th)
+    theta_t = -theta * w.dp_dtheta
+    theta_t *= w.divu
+    theta_t += eps ** 2 * w.phi
+    theta_t += heat_flux_div
+    theta_t += w.zeta * (J[0] ** 2 + J[1] ** 2 + J[2] ** 2)  # Joule
+    theta_t /= rho * w.de_dtheta
+    theta_t -= u[0] * w.d1th + u[2] * w.d3th
 
     # induction through the electric field E = zeta curl B - u x B
-    uxB = cross3(u, state.B)
+    uxB = cross3(u, B, out=buf[0])
     E = [spec(w.zeta * J[i] - uxB[i]) for i in range(3)]
-    a_t = -phys(mask * E[1])
+    a_t = phys(mask * E[1])
+    np.negative(a_t, out=a_t)
     # differentiated form of the wall constraint d3 a = 0 (an O(h^3)
     # perturbation since d3 E2 vanishes at the walls for B1|wall = 0);
     # as a linear invariant it then propagates exactly through any
@@ -326,7 +342,8 @@ def _tendencies(state: PrimitiveState, cfg: PrimConfig, w: _StateWork):
     a_t[-1] = (4.0 * a_t[-2] - a_t[-3]) / 3.0
     B2_t = phys(ik * E[2] - ddx3(mask * E[0]))
 
-    return rho_t, dealias_arr(u_t, g), dealias_arr(theta_t, g), a_t, B2_t
+    return (rho_t, dealias_arr(u_t, g, out=u_t), dealias_arr(theta_t, g, out=theta_t),
+            a_t, B2_t)
 
 
 def entropy_production_terms(state: PrimitiveState, cfg: PrimConfig):
@@ -339,7 +356,7 @@ def _entropy_terms(state: PrimitiveState, w: _StateWork, fault: bool):
     """Body of :func:`entropy_production_terms`, given the state's work;
     ``fault`` flips the viscous term's sign (``run_prim(entropy_fault=)``)."""
     theta = state.theta
-    phi = _dissipation(w.mu, w.eta, *_strain(w.grad_u)) * state.eps ** 2 / theta
+    phi = w.phi * state.eps ** 2 / theta
     if fault:
         phi = -phi
     J = w.J
@@ -356,7 +373,7 @@ def cfl_limits(state: PrimitiveState, cfg: PrimConfig) -> float:
     the EOS pass and B alone."""
     state = _band_limited(state)
     eos = thermo._eos_and_transport(state.rho, state.theta, cfg.gas)
-    return _cfl_limit(state, _StateWork(*eos, *[None] * 4))
+    return _cfl_limit(state, _StateWork(*eos, *[None] * (len(_StateWork._fields) - len(eos))))
 
 
 def _cfl_limit(state: PrimitiveState, w: _StateWork) -> float:
@@ -419,33 +436,46 @@ def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
     ``limit`` and work, so that a driver which has already built them for
     choosing dt does not build them again.  The state's a and B2 must be
     band-limited; their sources are projected here.  The work is dropped
-    after the first stage, and freed then if the caller kept no reference."""
+    after the first stage, and freed then if the caller kept no reference.
+    Each stage is summed in the storage of its tendencies and assembled
+    without the constructor's checks, which :func:`_check_admissible` has
+    made."""
     if dt > limit * (1.0 + 1e-12):
         raise CflError(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e} "
                        f"in the step from t = {state.t!r}")
 
+    names = ("rho", "u", "theta", "a", "B2")
+
     def add_src(parts, t):
-        if src is None:
-            return parts
-        extra = {key: dealias_arr(v, state.grid) if key in ("a", "B2") else v
-                 for key, v in src(t).items()}
-        return [p + extra.get(key, 0.0)
-                for p, key in zip(parts, ("rho", "u", "theta", "a", "B2"))]
+        if src is not None:
+            extra = src(t)  # only read: a hook may hand the same fields out again
+            for p, key in zip(parts, names):
+                if key in extra:
+                    p += dealias_arr(extra[key], state.grid) if key in ("a", "B2") \
+                        else extra[key]
+        return parts
 
     def assemble(parts, t):
-        rho, u, theta, a, B2 = parts
-        return PrimitiveState(state.grid, rho=rho, u=u, theta=theta, a=a,
-                              c3=state.c3, B2=B2, eps=state.eps, t=t)
+        new = object.__new__(PrimitiveState)
+        vars(new).update(zip(names, parts), grid=state.grid, c3=state.c3,
+                         eps=state.eps, t=t)
+        return new
 
     base = (state.rho, state.u, state.theta, state.a, state.B2)
-    f1 = add_src(_tendencies(state, cfg, work), state.t)
+    mid = add_src(_tendencies(state, cfg, work), state.t)
     del work
-    mid = [b + dt * p for b, p in zip(base, f1)]
+    for m, b in zip(mid, base):  # mid = base + dt f1
+        m *= dt
+        m += b
     _impose_bcs(*mid, cfg, state.eps)
     _check_admissible(mid, state)
     mid_state = assemble(mid, state.t + dt)
-    f2 = add_src(_tendencies(mid_state, cfg, _state_work(mid_state, cfg)), state.t + dt)
-    out = [0.5 * b + 0.5 * (c + dt * p) for b, c, p in zip(base, mid, f2)]
+    out = add_src(_tendencies(mid_state, cfg, _state_work(mid_state, cfg)), state.t + dt)
+    for o, b, m in zip(out, base, mid):  # out = b / 2 + (mid + dt f2) / 2
+        o *= dt
+        o += m
+        o *= 0.5
+        o += 0.5 * b
     _impose_bcs(*out, cfg, state.eps)
     _check_admissible(out, state)
     return assemble(out, state.t + dt)
@@ -468,14 +498,18 @@ def _check_admissible(parts, last_valid):
 
 def total_energy(state: PrimitiveState, gas: thermo.GasParams) -> float:
     """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2) ]."""
-    return _energy(state, gas, (0.0,))[0]
+    return _energy(state, _rho_e(state, gas), (0.0,))[0]
 
 
 def ballistic_energy(state: PrimitiveState, psi: np.ndarray,
                      gas: thermo.GasParams) -> float:
     """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2 - psi rho s) ]
     for a positive test temperature psi."""
-    return _energy(state, gas, (_psi_rho_s(state, psi, gas),))[0]
+    return _energy(state, _rho_e(state, gas), (_psi_rho_s(state, psi, gas),))[0]
+
+
+def _rho_e(state: PrimitiveState, gas: thermo.GasParams):
+    return np.asarray(thermo.rho_e_total(state.rho, state.theta, gas))
 
 
 def _psi_rho_s(state: PrimitiveState, psi, gas: thermo.GasParams):
@@ -485,12 +519,11 @@ def _psi_rho_s(state: PrimitiveState, psi, gas: thermo.GasParams):
     return psi * np.asarray(thermo.rho_s_total(state.rho, state.theta, gas))
 
 
-def _energy(state: PrimitiveState, gas: thermo.GasParams, psi_rho_s) -> list:
+def _energy(state: PrimitiveState, roe, psi_rho_s) -> list:
     """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2 - q) ] for each q
-    in ``psi_rho_s``: the body of both energies, so that a caller wanting
-    both evaluates rho e once."""
+    in ``psi_rho_s``, given rho e: the body of both energies, so that a
+    caller wanting both evaluates rho e once."""
     g = state.grid
-    roe = np.asarray(thermo.rho_e_total(state.rho, state.theta, gas))
     kinetic = 0.5 * state.rho * (state.u ** 2).sum(axis=0)
     inner = roe + 0.5 * (state.B ** 2).sum(axis=0)
     return [g.volume * mean_arr(kinetic + (inner - q) / state.eps ** 2, g)
@@ -574,7 +607,7 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
             state.t,
             g.volume * mean_arr(state.rho, g),
             g.volume * mean_arr(state.rho * state.u[0], g),
-            *_energy(state, cfg.gas, (0.0, _psi_rho_s(state, psi, cfg.gas))),
+            *_energy(state, work[0].rho_e, (0.0, _psi_rho_s(state, psi, cfg.gas))),
             float(np.max(np.abs(divB))),
             float(np.min(state.rho)),
             float(np.min(state.theta)),

@@ -68,14 +68,31 @@ def _evaluate(fns: dict, tval: float, grid: Grid) -> dict:
     return out
 
 
+def _source_hook(fns: dict, grid: Grid):
+    """Additive source hook ``src(t)`` that keeps its last (t, fields) pair
+    and returns those fields again for the same t: a step's last stage and
+    the next step's first ask for the same time.  The solvers only read the
+    fields; a caller must not write to them."""
+    last_t, last = None, None
+
+    def src(tval):
+        nonlocal last_t, last
+        if last is None or tval != last_t:
+            last_t, last = tval, _evaluate(fns, tval, grid)
+        return last
+    return src
+
+
 class PrimCase:
     """Forced compressible run with a known closed-form solution.
 
     The exact fields are single-mode trigonometric polynomials with gentle
     time envelopes; the sources are the symbolic residuals of the
-    continuous equations under the closed-form gas and transport laws.
-    ``exact`` and ``sources`` expose the fields and residuals as vectorized
-    callables of (t, x1, x3), keyed rho, u1, u2, u3, theta, a, B2.
+    continuous equations under the closed-form gas and transport laws, so
+    the gas must have the default structural function P for its p_inf
+    (FieldError otherwise).  ``exact`` and ``sources`` expose the fields and
+    residuals as vectorized callables of (t, x1, x3), keyed rho, u1, u2, u3,
+    theta, a, B2.
     """
 
     eps = 0.5  # Mach number of the run
@@ -84,6 +101,11 @@ class PrimCase:
                  ref: thermo.ReferenceState | None = None):
         self.gas = thermo.GasParams() if gas is None else gas
         self.ref = thermo.ReferenceState() if ref is None else ref
+        P = self.gas.structure()
+        if type(P) is not thermo.DefaultPStructure or P.p_inf != self.gas.p_inf:
+            raise FieldError(f"the compressible case's sources assume the default "
+                             f"structural function P for p_inf = {self.gas.p_inf}, "
+                             f"got {P!r}")
         self.exact, self.sources = self._build()
 
     def _build(self):
@@ -201,7 +223,7 @@ class PrimCase:
 
     def source(self, grid: Grid):
         """Additive source hook ``src(t)`` for step_prim / run_prim."""
-        return lambda tval: _evaluate(self.sources, tval, grid)
+        return _source_hook(self.sources, grid)
 
     def error(self, state: PrimitiveState) -> dict:
         """Per-field L2 errors against the exact fields at state.t."""
@@ -280,7 +302,7 @@ class ObmCase:
 
     def source(self, grid: Grid):
         """Additive source hook ``src(t)`` for step_obm / run_obm."""
-        return lambda tval: _evaluate(self.sources, tval, grid)
+        return _source_hook(self.sources, grid)
 
     def error(self, state: ObmState) -> dict:
         f = self.fields(state.t, state.grid)

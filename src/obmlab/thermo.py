@@ -186,9 +186,14 @@ def _eos_inputs(rho, theta, gas: GasParams, need_rho_pos: bool):
     return rho, theta, gas.structure(), rho * theta ** -1.5
 
 
-# Each EOS formula once, on checked inputs, Pv = P(Z) and Pd = P'(Z).
-def _pressure(theta, Pv, gas: GasParams):
-    return theta ** 2.5 * Pv + (gas.a / 3.0) * theta ** 4
+# Each EOS formula once, on checked inputs, Pv = P(Z), Pd = P'(Z) and the
+# molecular pressure p_mol = theta**(5/2) P(Z).
+def _pressure(theta, p_mol, gas: GasParams):
+    return p_mol + (gas.a / 3.0) * theta ** 4
+
+
+def _rho_e(theta, p_mol, gas: GasParams):
+    return 1.5 * p_mol + gas.a * theta ** 4
 
 
 def _dp_drho(theta, Pd):
@@ -215,19 +220,22 @@ def _transport(theta, gas: GasParams):
 
 
 def _eos_and_transport(rho, theta, gas: GasParams):
-    """(p, dp_drho, dp_dtheta, de_dtheta, mu, eta, kappa, zeta), equal to the
-    public functions' values, from one domain check, Z, P(Z) and P'(Z)."""
+    """(p, dp_drho, dp_dtheta, de_dtheta, rho_e, mu, eta, kappa, zeta), equal
+    to the public functions' values (rho_e: :func:`rho_e_total`), from one
+    domain check, Z, P(Z) and P'(Z)."""
     rho, theta, P, Z = _eos_inputs(rho, theta, gas, need_rho_pos=True)
     Pv, Pd = P.value(Z), P.deriv(Z)
     mol = _dtheta_mol(theta, Z, Pv, Pd)
-    return (_pressure(theta, Pv, gas), _dp_drho(theta, Pd), _dp_dtheta(theta, mol, gas),
-            _de_dtheta(rho, theta, mol, gas)) + _transport(theta, gas)
+    p_mol = theta ** 2.5 * Pv
+    return (_pressure(theta, p_mol, gas), _dp_drho(theta, Pd), _dp_dtheta(theta, mol, gas),
+            _de_dtheta(rho, theta, mol, gas), _rho_e(theta, p_mol, gas)) \
+        + _transport(theta, gas)
 
 
 def pressure(rho, theta, gas: GasParams):
     """Total pressure p = theta**(5/2) P(Z) + (a/3) theta**4, rho >= 0."""
     rho, theta, P, Z = _eos_inputs(rho, theta, gas, need_rho_pos=False)
-    return _pressure(theta, P.value(Z), gas)
+    return _pressure(theta, theta ** 2.5 * P.value(Z), gas)
 
 
 def rho_e_total(rho, theta, gas: GasParams):
@@ -237,8 +245,7 @@ def rho_e_total(rho, theta, gas: GasParams):
     relation p_M = (2/3) * (rho*e)_M holds to rounding by construction.
     """
     rho, theta, P, Z = _eos_inputs(rho, theta, gas, need_rho_pos=False)
-    p_mol = theta ** 2.5 * P.value(Z)
-    return 1.5 * p_mol + gas.a * theta ** 4
+    return _rho_e(theta, theta ** 2.5 * P.value(Z), gas)
 
 
 def internal_energy(rho, theta, gas: GasParams):

@@ -21,7 +21,6 @@ from obmlab.mhd import (
     PrimitiveState,
     _band_limited,
     _cfl_limit,
-    _curl25,
     _dissipation,
     _state_work,
     _step_prim,
@@ -37,11 +36,10 @@ from obmlab.mhd import (
     run_prim,
     step_prim,
     total_energy,
-    velocity_gradient,
 )
 from obmlab.obm import CflError
 
-from tendencies_oracle import tendencies as oracle_tendencies
+import tendencies_oracle as oracle
 
 GAS = thermo.GasParams(p_inf=1.0, a=0.0)
 REF = thermo.ReferenceState(rho_bar=1.0, theta_bar=1.0, b_bar=0.5)
@@ -94,30 +92,37 @@ def random_state(cfg, eps, seed):
         0.05 * rng.normal(size=g.shape), eps, 0.0)
 
 
-def strain(theta, grad_u, gas):
-    """(mu, eta, div u, D) as the right side reads them."""
-    return (thermo.mu(theta, gas), thermo.eta(theta, gas)) + _strain(grad_u)
+def strain(theta, d1u, d3u, gas):
+    """(mu, eta, div u, D) as the state's work holds them."""
+    return (thermo.mu(theta, gas), thermo.eta(theta, gas)) + _strain(d1u, d3u)
 
 
-def viscous_stress(theta, grad_u, gas):
-    """The stress as the right side builds it, from the shared strain."""
-    return _stress(*strain(theta, grad_u, gas))
+def viscous_stress(theta, d1u, d3u, gas):
+    """The full 3x3 stress from the solver's entries, with the one it never
+    forms, S22 = mu D22 + eta div u and D22 = -(2/3) div u, added here."""
+    mu, eta, divu, D = strain(theta, d1u, d3u, gas)
+    S11, S12, S13, S23, S33 = _stress(mu, eta, divu, D)
+    S22 = mu * (-(2.0 / 3.0) * divu) + eta * divu
+    return np.array([[S11, S12, S13], [S12, S22, S23], [S13, S23, S33]])
+
+
+# the (i, j) of the strain and stress entries the solver forms, in its order
+ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2))
 
 
 # -- viscous stress --------------------------------------------------------
 
 
 def test_stress_zero_gradient():
-    S = viscous_stress(np.array(1.3), np.zeros((3, 3)), GAS)
+    S = viscous_stress(np.array(1.3), np.zeros(3), np.zeros(3), GAS)
     assert np.all(S == 0.0)
 
 
 def test_stress_simple_shear():
     # u = (x3, 0, 0): only d3 u1 = 1 is nonzero
-    grad_u = np.zeros((3, 3))
-    grad_u[2, 0] = 1.0
+    d3u = np.array([1.0, 0.0, 0.0])
     theta = np.array(1.3)
-    S = viscous_stress(theta, grad_u, GAS)
+    S = viscous_stress(theta, np.zeros(3), d3u, GAS)
     mu = thermo.mu(1.3, GAS)
     assert S[0, 2] == pytest.approx(mu, rel=1e-14)
     assert S[2, 0] == pytest.approx(mu, rel=1e-14)
@@ -128,29 +133,60 @@ def test_stress_simple_shear():
 
 def test_stress_trace_is_pure_bulk():
     rng = np.random.default_rng(7)
-    grad_u = rng.normal(size=(3, 3))
+    d1u, d3u = rng.normal(size=(2, 3))
     theta = np.array(0.9)
-    S0 = viscous_stress(theta, grad_u, GAS)
+    S0 = viscous_stress(theta, d1u, d3u, GAS)
     assert abs(S0[0, 0] + S0[1, 1] + S0[2, 2]) < 1e-12
     gas_bulk = thermo.GasParams(p_inf=1.0, a=0.0, eta_high=0.3)
-    S1 = viscous_stress(theta, grad_u, gas_bulk)
-    divu = np.trace(grad_u)
+    S1 = viscous_stress(theta, d1u, d3u, gas_bulk)
+    divu = d1u[0] + d3u[2]
     expected = 3.0 * thermo.eta(0.9, gas_bulk) * divu
     assert S1[0, 0] + S1[1, 1] + S1[2, 2] == pytest.approx(expected, rel=1e-12)
 
 
 def test_velocity_gradient_slip_rows():
+    """The state's work holds the two nonzero rows of grad u, with the wall
+    rows of d3 u1 and d3 u2 zeroed."""
     cfg = make_cfg()
     st = wavy_state(cfg, with_u2=True)
-    gu = velocity_gradient(st.u, cfg.grid)
-    assert np.all(gu[2, 0, 0] == 0.0) and np.all(gu[2, 0, -1] == 0.0)
-    assert np.all(gu[2, 1, 0] == 0.0) and np.all(gu[2, 1, -1] == 0.0)
-    assert np.all(gu[1] == 0.0)
+    w = _state_work(st, cfg)
+    assert w.d1u.shape == w.d3u.shape == st.u.shape
+    assert np.all(w.d3u[0, 0] == 0.0) and np.all(w.d3u[0, -1] == 0.0)
+    assert np.all(w.d3u[1, 0] == 0.0) and np.all(w.d3u[1, -1] == 0.0)
     # every other entry is the plain derivative, d3 u3 at the walls included
     for j in range(3):
-        assert np.array_equal(gu[0, j], ddx1_arr(st.u[j], cfg.grid))
+        assert np.array_equal(w.d1u[j], ddx1_arr(st.u[j], cfg.grid))
         rows = slice(None) if j == 2 else slice(1, -1)
-        assert np.array_equal(gu[2, j, rows], ddx3_arr(st.u[j], cfg.grid)[rows])
+        assert np.array_equal(w.d3u[j, rows], ddx3_arr(st.u[j], cfg.grid)[rows])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=hst.integers(0, 2 ** 32 - 1), bulk=hst.booleans())
+def test_strain_stress_and_dissipation_match_the_full_3x3_forms(seed, bulk):
+    """On random gradients with a zero d2 row, the 2.5D strain, stress and
+    dissipation equal the oracle's 3x3 forms to 1e-14 relative."""
+    rng = np.random.default_rng(seed)
+    gas = thermo.GasParams(p_inf=1.0, a=0.0, eta_high=0.3 if bulk else 0.0)
+    theta = 1.0 + 0.3 * rng.uniform(-1, 1, 7)
+    d1u, d3u = rng.normal(size=(2, 3, 7))
+    mu, eta = thermo.mu(theta, gas), thermo.eta(theta, gas)
+    divu_3, D_3 = oracle.strain(np.stack([d1u, np.zeros_like(d1u), d3u]))
+    phi_3 = oracle.dissipation(mu, eta, divu_3, D_3)
+    S_3 = oracle.stress(mu, eta, divu_3, D_3.copy())
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    divu, D = _strain(d1u, d3u)
+    close(divu, divu_3)
+    close(-(2.0 / 3.0) * divu, D_3[1, 1])
+    for got, (i, j) in zip(D, ENTRIES):
+        close(got, D_3[i, j])
+        close(got, D_3[j, i])
+    for got, (i, j) in zip(_stress(mu, eta, divu, D), ENTRIES):
+        close(got, S_3[i, j])
+        close(got, S_3[j, i])
+    close(_dissipation(mu, eta, divu, D), phi_3)
 
 
 # -- right side: one 2/3-rule truncation per sum of products ------------------
@@ -186,7 +222,7 @@ def test_tendencies_match_the_physical_space_oracle(n1, n3, eps, seed):
     cfg = make_cfg(n1=n1, n3=n3, G="gravity")
     st = _band_limited(random_state(cfg, eps, seed))
     got = _tendencies(st, cfg, _state_work(st, cfg))
-    for new, old in zip(got, oracle_tendencies(st, cfg)):
+    for new, old in zip(got, oracle.tendencies(st, cfg)):
         assert new.shape == old.shape
         assert np.max(np.abs(new - old)) <= 1e-12 * max(1.0, np.max(np.abs(old)))
 
@@ -240,9 +276,17 @@ def test_state_work_eos_and_transport_are_the_public_values(seed, radiative):
     for got, fn in ((w.mu, thermo.mu), (w.eta, thermo.eta),
                     (w.kappa, thermo.kappa), (w.zeta, thermo.zeta)):
         assert np.array_equal(got, fn(theta, gas))
+    assert np.array_equal(w.rho_e, thermo.rho_e_total(rho, theta, gas))
     g = cfg.grid
-    assert np.array_equal(w.grad_u, velocity_gradient(st.u, g))
-    assert np.array_equal(w.J, _curl25(st.B, g))
+    grad = oracle.velocity_gradient(st.u, g)
+    assert np.array_equal(w.d1u, grad[0]) and np.array_equal(w.d3u, grad[2])
+    divu, D = oracle.strain(grad)
+    assert np.array_equal(w.divu, divu)
+    for got, (i, j) in zip(w.D, ENTRIES):
+        assert np.array_equal(got, D[i, j])
+    assert np.allclose(w.phi, oracle.dissipation(w.mu, w.eta, divu, D),
+                       rtol=1e-14, atol=0.0)
+    assert np.array_equal(w.J, oracle.curl25(st.B, g))
     assert np.array_equal(w.d1th, ddx1_arr(theta, g))
     assert np.array_equal(w.d3th, ddx3_arr(theta, g))
 
@@ -274,15 +318,15 @@ def test_fft_calls_per_tendency_and_step(monkeypatch):
     assert calls[0] <= 12  # grad u, J and d1 theta
     calls[0] = 0
     _tendencies(band, cfg, work)
-    assert calls[0] <= 27
+    assert calls[0] <= 26
     calls[0] = 0
     _step_prim(band, cfg, dt, _cfl_limit(band, work), None, _state_work(band, cfg))
     # two states' work and right sides and the field of the stage state
-    assert calls[0] <= 80
+    assert calls[0] <= 78
     calls[0] = 0
     step_prim(st, cfg, dt)
     # the projection and the projected state's B come first
-    assert calls[0] <= 4 + 2 + 80
+    assert calls[0] <= 4 + 2 + 78
 
 
 def test_public_cfl_bound_reads_the_eos_pass_and_B_only(monkeypatch):
@@ -309,14 +353,15 @@ def test_public_cfl_bound_is_accepted_by_step_prim(n1, n3, eps, seed):
 
 
 def test_fft_and_eos_passes_per_run_step(monkeypatch):
-    """A run_prim step, its row included, transforms at most 84 fields and
-    builds each state's work once: grad u, J and the EOS pass run once for
-    the stage state and once for the new state."""
+    """A run_prim step, its row included, transforms at most 82 fields and
+    builds each state's work once: the strain, the dissipation, J and the
+    EOS pass run once for the stage state and once for the new state, and
+    the row reads rho e and the dissipation from that work."""
     cfg = make_cfg()
     st = random_state(cfg, 0.5, 4)
     dt = 0.5 * cfl_limits(st, cfg)
     n_steps = 3
-    passes = {"velocity_gradient": 0, "_curl25": 0}
+    passes = {"_strain": 0, "_dissipation": 0, "_curl25": 0}
     for name in passes:
         def counted(*args, _name=name, _fn=getattr(mhd, name)):
             passes[_name] += 1
@@ -330,7 +375,7 @@ def test_fft_and_eos_passes_per_run_step(monkeypatch):
         return original_eos(*args)
     monkeypatch.setattr(thermo, "_eos_and_transport", counted_eos)
     public = [0]
-    for name in ("pressure", "dp_drho", "dp_dtheta", "de_dtheta",
+    for name in ("pressure", "dp_drho", "dp_dtheta", "de_dtheta", "rho_e_total",
                  "mu", "eta", "kappa", "zeta"):
         def counted_public(*args, _fn=getattr(thermo, name), **kwargs):
             public[0] += 1
@@ -341,8 +386,8 @@ def test_fft_and_eos_passes_per_run_step(monkeypatch):
     assert len(rows) == n_steps
     # the projection (4), the projected state's B (2) and its work (12) come
     # before the first step
-    assert calls[0] <= 4 + 2 + 12 + 84 * n_steps
-    assert passes == {"velocity_gradient": 1 + 2 * n_steps, "_curl25": 1 + 2 * n_steps}
+    assert calls[0] <= 4 + 2 + 12 + 82 * n_steps
+    assert passes == dict.fromkeys(passes, 1 + 2 * n_steps)
     assert eos[0] == 1 + 2 * n_steps
     assert public[0] == 0
 
@@ -354,9 +399,10 @@ def test_dissipation_is_stress_contracted_with_gradient(seed):
     the same strain."""
     rng = np.random.default_rng(seed)
     theta = 1.0 + 0.3 * rng.uniform(-1, 1, 7)
-    grad_u = rng.normal(size=(3, 3, 7))
-    S = viscous_stress(theta, grad_u, GAS)
-    phi = _dissipation(*strain(theta, grad_u, GAS))
+    d1u, d3u = rng.normal(size=(2, 3, 7))
+    S = viscous_stress(theta, d1u, d3u, GAS)
+    phi = _dissipation(*strain(theta, d1u, d3u, GAS))
+    grad_u = np.stack([d1u, np.zeros_like(d1u), d3u])
     assert np.all(phi >= 0.0)
     assert np.allclose(phi, np.einsum("ij...,ij...->...", S, grad_u),
                        rtol=1e-12, atol=1e-14)

@@ -1,10 +1,14 @@
 """Tests for the manufactured-solution cases and refinement sweeps."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from obmlab import mms, thermo
 from obmlab.fields import FieldError, Geometry, Grid, ddx1_arr, ddx3_arr
+from obmlab.mhd import run_prim
+from obmlab.obm import run_obm
 
 GAS = thermo.GasParams(p_inf=1.0, a=0.0)
 REF = thermo.ReferenceState(rho_bar=1.0, theta_bar=1.0, b_bar=0.5)
@@ -78,6 +82,56 @@ def test_cases_reject_wrong_geometry(prim_case, obm_case):
 
 
 # -- source oracles -------------------------------------------------------------
+
+
+def test_prim_case_rejects_a_gas_with_another_structural_function():
+    """The compressible sources are built for the default P, so a gas whose
+    P is the default one scaled by 1.2 is refused at construction."""
+
+    @dataclass(frozen=True)
+    class ScaledP(thermo.DefaultPStructure):
+        def value(self, Z):
+            return 1.2 * super().value(Z)
+
+        def deriv(self, Z):
+            return 1.2 * super().deriv(Z)
+
+    @dataclass(frozen=True)
+    class ScaledGas(thermo.GasParams):
+        def structure(self):
+            return ScaledP(p_inf=self.p_inf, s0=self.s0)
+
+    with pytest.raises(FieldError, match="structural function"):
+        mms.PrimCase(gas=ScaledGas(p_inf=1.0, a=0.0), ref=REF)
+
+
+@pytest.mark.parametrize("which", ["prim", "obm"])
+def test_source_hook_evaluates_each_time_once(which, prim_case, obm_case, monkeypatch):
+    """A run asks for the sources at the n + 1 step times, each evaluated
+    once, and the kept fields give the same run as fresh ones: no solver
+    writes to them."""
+    case = prim_case if which == "prim" else obm_case
+    grid = Grid(Geometry.STRIP2, n1=16, n3=9)
+    times = []
+    evaluate = mms._evaluate
+
+    def counted(fns, tval, g):
+        if fns is case.sources:
+            times.append(tval)
+        return evaluate(fns, tval, g)
+    monkeypatch.setattr(mms, "_evaluate", counted)
+
+    def run(src):
+        if which == "prim":
+            return run_prim(case.state(0.0, grid), case.config(grid), 0.02, src=src)
+        return run_obm(case.state(0.0, grid), case.config(grid, 0.01, 0.05), src=src)
+
+    state, rows = run(case.source(grid))
+    assert len(rows) >= 3
+    assert len(times) == len(set(times)) == len(rows) + 1
+    fresh, _ = run(lambda tval: evaluate(case.sources, tval, grid))
+    for name in ("rho", "u", "theta", "a", "B2") if which == "prim" else ("theta1", "b1"):
+        assert np.array_equal(getattr(state, name), getattr(fresh, name))
 
 
 def test_prim_continuity_source_matches_fd(prim_case):
