@@ -482,12 +482,9 @@ class _SnapshotSchedule:
         self.outdir = Path(outdir)
         self.stem = stem
         self.fields_fn = fields_fn
-        if count > 0:
-            # a run to t_end = 0 has one write time, 0: index 000 alone
-            n = count + 1 if t_end > 0 else 1
-            self.targets = [t_end * k / count for k in range(n)]
-        else:
-            self.targets = []
+        # a run to t_end = 0 has one write time, 0, and writes index 000 alone
+        n = (count + 1 if t_end > 0 else 1) if count > 0 else 0
+        self.targets = [t_end * k / count for k in range(n)]
         self.written = []
 
     def note(self, state) -> None:

@@ -139,7 +139,8 @@ class Grid:
         self.k1r_d = self.k1r.copy()
         self.k1r_d[-1] = 0.0  # odd derivative of the Nyquist mode is dropped
         m1 = np.arange(n1r)
-        keep1 = m1 <= self.n1 // 3
+        self.n1_kept = self.n1 // 3 + 1  # the 2/3 rule keeps the x1 modes below
+        keep1 = m1 < self.n1_kept
         if self.has_x2:
             m2 = np.fft.fftfreq(self.n2, d=1.0 / self.n2)
             self.k2 = np.pi * m2
@@ -226,11 +227,12 @@ def ddx3_arr(data: np.ndarray, grid: Grid) -> np.ndarray:
     """Second-order d/dx3 along axis 0; one-sided closures at the walls."""
     if not grid.has_walls:
         return np.zeros_like(data)
-    out = np.empty_like(data)
+    out = np.empty_like(data, order="C")
     np.subtract(data[2:], data[:-2], out=out[1:-1])
     out[0] = -3.0 * data[0] + 4.0 * data[1] - data[2]
     out[-1] = 3.0 * data[-1] - 4.0 * data[-2] + data[-3]
-    out /= 2.0 * grid.dx3
+    real = out.view(float)  # a spectrum's real view: the values of a complex division
+    real /= 2.0 * grid.dx3
     return out
 
 
@@ -278,12 +280,11 @@ def helmholtz_solve_arr(rhs: np.ndarray, bottom: np.ndarray, top: np.ndarray,
     return out
 
 
-def dealias_arr(data: np.ndarray, grid: Grid, out=None) -> np.ndarray:
-    """2/3-rule truncation of the horizontal spectrum, written into ``out``
-    (which may be ``data``) when given."""
+def dealias_arr(data: np.ndarray, grid: Grid) -> np.ndarray:
+    """2/3-rule truncation of the horizontal spectrum."""
     spec = hfft(data, grid)
     spec *= grid.dealias_mask
-    return hifft(spec, grid, out)
+    return hifft(spec, grid)
 
 
 def mean_arr(data: np.ndarray, grid: Grid) -> float:
@@ -338,13 +339,10 @@ def leray_arr(v: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def cross3(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """Cross product of (3, ...) arrays along the leading axis, written into
-    ``out`` when given."""
-    if out is None:
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    """Cross product of (3, ...) arrays along the leading axis, into ``out``."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape)) if out is None else out
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[j], b[k], out=out[i])
-        out[i] -= a[k] * b[j]
+        np.subtract(a[j] * b[k], a[k] * b[j], out=out[i])
     return out
 
 

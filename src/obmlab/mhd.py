@@ -56,6 +56,7 @@ exact to rounding without touching the local truncation order.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -239,30 +240,29 @@ def _curl25(B: np.ndarray, grid: Grid) -> np.ndarray:
     ])
 
 
-# A state's EOS (rho e included) and transport, the nonzero rows d1 u and d3 u
-# of grad u, div u, the strain D of :func:`_strain`, the dissipation phi,
-# J = curl B and grad theta; passed to each reader, never cached on the state,
-# which would keep it alive for a step.
-_StateWork = NamedTuple("_StateWork", [(name, np.ndarray) for name in (
-    "p dp_drho dp_dtheta de_dtheta rho_e mu eta kappa zeta "
-    "d1u d3u divu D phi J d1th d3th".split())])
+# A state's EOS (rho e, rho s) and transport, d1 u, d3 u, :func:`_strain`, phi,
+# J = curl B, zeta |J|^2 and grad theta; passed to each reader, never cached on
+# the state, which would keep it alive for a step.  The bound reads the EOS alone.
+_StateWork = namedtuple(
+    "_StateWork", "p dp_drho dp_dtheta de_dtheta rho_e rho_s mu eta kappa zeta "
+    "d1u d3u divu D phi J joule d1th d3th", defaults=[None] * 9)
 
 
 def _state_work(state: PrimitiveState, cfg: PrimConfig) -> _StateWork:
-    """The state's work, from one EOS pass and 12 transformed fields.  The
-    wall rows of d3 u1 and d3 u2 are zeroed, which encodes the stress-free
-    tangential condition in the strain built from them."""
+    """The state's work, from one EOS pass and 12 transformed fields.  Zeroed
+    wall rows of d3 u1 and d3 u2 make the strain's tangential stress vanish
+    there (stress-free slip walls)."""
     g = state.grid
-    u = state.u
-    d1u = np.stack([ddx1_arr(c, g) for c in u])
-    d3u = np.stack([ddx3_arr(c, g) for c in u])
-    d3u[:2, 0] = 0.0
-    d3u[:2, -1] = 0.0
+    d1u = np.stack([ddx1_arr(c, g) for c in state.u])
+    d3u = np.stack([ddx3_arr(c, g) for c in state.u])
+    d3u[:2, [0, -1]] = 0.0
     divu, D = _strain(d1u, d3u)
-    w = _StateWork(*thermo._eos_and_transport(state.rho, state.theta, cfg.gas),
-                   d1u, d3u, divu, D, None, _curl25(state.B, g),
-                   ddx1_arr(state.theta, g), ddx3_arr(state.theta, g))
-    return w._replace(phi=_dissipation(w.mu, w.eta, divu, D))
+    J = _curl25(state.B, g)
+    w = _StateWork(*thermo._eos_and_transport(state.rho, state.theta, cfg.gas))
+    return w._replace(d1u=d1u, d3u=d3u, divu=divu, D=D, J=J,
+                      phi=_dissipation(w.mu, w.eta, divu, D),
+                      joule=w.zeta * (J[0] ** 2 + J[1] ** 2 + J[2] ** 2),
+                      d1th=ddx1_arr(state.theta, g), d3th=ddx3_arr(state.theta, g))
 
 
 def _band_limited(state: PrimitiveState) -> PrimitiveState:
@@ -277,24 +277,26 @@ def _tendencies(state: PrimitiveState, cfg: PrimConfig, w: _StateWork):
     26 transformed fields, for a state whose a and B2 are band-limited (see
     :func:`_band_limited`), so that B and J are.  Truncated on the spectrum:
     the mass fluxes, the stress rows with -d1 p / eps^2 folded into the
-    first, each distinct stress entry transformed once (S31 = S13), the d1
-    heat flux and the electric field.  Left physical: d3 p and
+    first, each distinct entry transformed once (S31 = S13), the d1 heat flux
+    and the electric field: their modes above n1 // 3 are dropped, and the
+    inverse transform pads them with zeros.  Left physical: d3 p and
     d3(kappa d3 theta), untruncated, and the advection, Lorentz, Joule and
     dissipation products, which the final truncation of u_t and theta_t
-    covers, since dz(dz(a) + b) = dz(a + b).  The returned arrays are new and
-    the caller's to overwrite."""
+    covers, since dz(dz(a) + b) = dz(a + b).  Returns new arrays."""
     g = state.grid
     eps = state.eps
     rho, u, theta = state.rho, state.u, state.theta
     B, J = state.B, w.J
-    mask = g.dealias_mask
-    ik = 1j * g.k1r_d * mask  # truncated d1 on a spectrum
-    spec, phys, ddx3 = (partial(op, grid=g) for op in (hfft, hifft, ddx3_arr))
-    # the cross products and the advection terms
-    buf = np.empty((2, 3) + g.shape)
+    m = g.n1_kept
+    ik = 1j * g.k1r_d[:m]  # d1 on a truncated spectrum
+    phys, ddx3 = partial(hifft, grid=g), partial(ddx3_arr, grid=g)
+    buf = np.empty((2, 3) + g.shape)  # for the cross products and the advection
+
+    def spec(arr):  # the truncated spectrum
+        return hfft(arr, g)[..., :m]
 
     # continuity in divergence form with the uniform mean-defect correction
-    div_flux = phys(ik * spec(rho * u[0]) + ddx3(mask * spec(rho * u[2])))
+    div_flux = phys(ik * spec(rho * u[0]) + ddx3(spec(rho * u[2])))
     rho_t = -div_flux + mean_arr(div_flux, g)
 
     # momentum: stress and pressure, gravity, Lorentz, advection
@@ -302,36 +304,27 @@ def _tendencies(state: PrimitiveState, cfg: PrimConfig, w: _StateWork):
     S11 -= w.p / eps ** 2
     s13 = spec(S13)
     u_t = np.empty((3,) + g.shape)
-    phys(ik * spec(S11) + ddx3(mask * s13), out=u_t[0])
-    phys(ik * spec(S12) + ddx3(mask * spec(S23)), out=u_t[1])
-    phys(ik * s13 + ddx3(mask * spec(S33)), out=u_t[2])
+    phys(ik * spec(S11) + ddx3(s13), out=u_t[0])
+    phys(ik * spec(S12) + ddx3(spec(S23)), out=u_t[1])
+    phys(ik * s13 + ddx3(spec(S33)), out=u_t[2])
     del S11, S12, S13, S23, S33, s13
     u_t[2] -= ddx3(w.p) / eps ** 2
     u_t[0] += rho * cfg.G1 / eps
     u_t[2] += rho * cfg.G3 / eps
-    lorentz = cross3(J, B, out=buf[0])
-    lorentz /= eps ** 2
-    u_t += lorentz
+    u_t += np.divide(cross3(J, B, out=buf[0]), eps ** 2, out=buf[0])  # Lorentz
     u_t /= rho
-    adv = np.multiply(u[0], w.d1u, out=buf[0])
-    adv += np.multiply(u[2], w.d3u, out=buf[1])
-    u_t -= adv
+    u_t -= np.add(np.multiply(u[0], w.d1u, out=buf[0]),  # advection
+                  np.multiply(u[2], w.d3u, out=buf[1]), out=buf[0])
 
     # temperature in internal-energy form
-    heat_flux_div = phys(ik * spec(w.kappa * w.d1th))
-    heat_flux_div += ddx3(w.kappa * w.d3th)
-    theta_t = -theta * w.dp_dtheta
-    theta_t *= w.divu
-    theta_t += eps ** 2 * w.phi
-    theta_t += heat_flux_div
-    theta_t += w.zeta * (J[0] ** 2 + J[1] ** 2 + J[2] ** 2)  # Joule
-    theta_t /= rho * w.de_dtheta
-    theta_t -= u[0] * w.d1th + u[2] * w.d3th
+    heat_flux_div = phys(ik * spec(w.kappa * w.d1th)) + ddx3(w.kappa * w.d3th)
+    theta_t = (-theta * w.dp_dtheta * w.divu + eps ** 2 * w.phi + heat_flux_div
+               + w.joule) / (rho * w.de_dtheta) - (u[0] * w.d1th + u[2] * w.d3th)
 
     # induction through the electric field E = zeta curl B - u x B
     uxB = cross3(u, B, out=buf[0])
     E = [spec(w.zeta * J[i] - uxB[i]) for i in range(3)]
-    a_t = phys(mask * E[1])
+    a_t = phys(E[1])
     np.negative(a_t, out=a_t)
     # differentiated form of the wall constraint d3 a = 0 (an O(h^3)
     # perturbation since d3 E2 vanishes at the walls for B1|wall = 0);
@@ -340,10 +333,9 @@ def _tendencies(state: PrimitiveState, cfg: PrimConfig, w: _StateWork):
     # costs a temporal order
     a_t[0] = (4.0 * a_t[1] - a_t[2]) / 3.0
     a_t[-1] = (4.0 * a_t[-2] - a_t[-3]) / 3.0
-    B2_t = phys(ik * E[2] - ddx3(mask * E[0]))
+    B2_t = phys(ik * E[2] - ddx3(E[0]))
 
-    return (rho_t, dealias_arr(u_t, g, out=u_t), dealias_arr(theta_t, g, out=theta_t),
-            a_t, B2_t)
+    return rho_t, phys(spec(u_t), out=u_t), phys(spec(theta_t), out=theta_t), a_t, B2_t
 
 
 def entropy_production_terms(state: PrimitiveState, cfg: PrimConfig):
@@ -359,8 +351,7 @@ def _entropy_terms(state: PrimitiveState, w: _StateWork, fault: bool):
     phi = w.phi * state.eps ** 2 / theta
     if fault:
         phi = -phi
-    J = w.J
-    joule = w.zeta * (J[0] ** 2 + J[1] ** 2 + J[2] ** 2) / theta
+    joule = w.joule / theta
     cond = w.kappa * (w.d1th ** 2 + w.d3th ** 2) / theta ** 2
     return phi, joule, cond
 
@@ -373,7 +364,7 @@ def cfl_limits(state: PrimitiveState, cfg: PrimConfig) -> float:
     the EOS pass and B alone."""
     state = _band_limited(state)
     eos = thermo._eos_and_transport(state.rho, state.theta, cfg.gas)
-    return _cfl_limit(state, _StateWork(*eos, *[None] * (len(_StateWork._fields) - len(eos))))
+    return _cfl_limit(state, _StateWork(*eos))
 
 
 def _cfl_limit(state: PrimitiveState, w: _StateWork) -> float:
@@ -437,36 +428,31 @@ def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
     choosing dt does not build them again.  The state's a and B2 must be
     band-limited; their sources are projected here.  The work is dropped
     after the first stage, and freed then if the caller kept no reference.
-    Each stage is summed in the storage of its tendencies and assembled
-    without the constructor's checks, which :func:`_check_admissible` has
-    made."""
+    Each stage is summed in its tendencies' storage and assembled without the
+    constructor's checks, which :func:`_check_admissible` has made."""
     if dt > limit * (1.0 + 1e-12):
         raise CflError(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e} "
                        f"in the step from t = {state.t!r}")
-
+    g = state.grid
     names = ("rho", "u", "theta", "a", "B2")
 
     def add_src(parts, t):
-        if src is not None:
-            extra = src(t)  # only read: a hook may hand the same fields out again
-            for p, key in zip(parts, names):
-                if key in extra:
-                    p += dealias_arr(extra[key], state.grid) if key in ("a", "B2") \
-                        else extra[key]
+        extra = {} if src is None else src(t)  # only read: a hook may hand them out again
+        for p, key in zip(parts, names):
+            if key in extra:
+                p += extra[key] if key not in ("a", "B2") else dealias_arr(extra[key], g)
         return parts
 
     def assemble(parts, t):
         new = object.__new__(PrimitiveState)
-        vars(new).update(zip(names, parts), grid=state.grid, c3=state.c3,
-                         eps=state.eps, t=t)
+        vars(new).update(zip(names, parts), grid=g, c3=state.c3, eps=state.eps, t=t)
         return new
 
     base = (state.rho, state.u, state.theta, state.a, state.B2)
     mid = add_src(_tendencies(state, cfg, work), state.t)
     del work
     for m, b in zip(mid, base):  # mid = base + dt f1
-        m *= dt
-        m += b
+        np.add(np.multiply(m, dt, out=m), b, out=m)
     _impose_bcs(*mid, cfg, state.eps)
     _check_admissible(mid, state)
     mid_state = assemble(mid, state.t + dt)
@@ -475,7 +461,7 @@ def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
         o *= dt
         o += m
         o *= 0.5
-        o += 0.5 * b
+        o += np.multiply(0.5, b, out=m)  # the stage state is spent
     _impose_bcs(*out, cfg, state.eps)
     _check_admissible(out, state)
     return assemble(out, state.t + dt)
@@ -498,25 +484,23 @@ def _check_admissible(parts, last_valid):
 
 def total_energy(state: PrimitiveState, gas: thermo.GasParams) -> float:
     """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2) ]."""
-    return _energy(state, _rho_e(state, gas), (0.0,))[0]
+    return _energy(state, thermo.rho_e_total(state.rho, state.theta, gas), (0.0,))[0]
 
 
 def ballistic_energy(state: PrimitiveState, psi: np.ndarray,
                      gas: thermo.GasParams) -> float:
     """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2 - psi rho s) ]
     for a positive test temperature psi."""
-    return _energy(state, _rho_e(state, gas), (_psi_rho_s(state, psi, gas),))[0]
+    rho, theta = state.rho, state.theta
+    return _energy(state, thermo.rho_e_total(rho, theta, gas),
+                   (_psi_rho_s(psi, thermo.rho_s_total(rho, theta, gas)),))[0]
 
 
-def _rho_e(state: PrimitiveState, gas: thermo.GasParams):
-    return np.asarray(thermo.rho_e_total(state.rho, state.theta, gas))
-
-
-def _psi_rho_s(state: PrimitiveState, psi, gas: thermo.GasParams):
+def _psi_rho_s(psi, rho_s):
     psi = np.asarray(psi, dtype=float)
     if np.any(psi <= 0.0) or not np.all(np.isfinite(psi)):
         raise thermo.ThermoDomainError("psi must be positive and finite")
-    return psi * np.asarray(thermo.rho_s_total(state.rho, state.theta, gas))
+    return psi * rho_s
 
 
 def _energy(state: PrimitiveState, roe, psi_rho_s) -> list:
@@ -607,7 +591,7 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
             state.t,
             g.volume * mean_arr(state.rho, g),
             g.volume * mean_arr(state.rho * state.u[0], g),
-            *_energy(state, work[0].rho_e, (0.0, _psi_rho_s(state, psi, cfg.gas))),
+            *_energy(state, work[0].rho_e, (0.0, _psi_rho_s(psi, work[0].rho_s))),
             float(np.max(np.abs(divB))),
             float(np.min(state.rho)),
             float(np.min(state.theta)),

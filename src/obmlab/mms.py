@@ -27,6 +27,7 @@ that source through the magnetic diffusivity zeta(theta).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 import sympy as sp
@@ -68,31 +69,15 @@ def _evaluate(fns: dict, tval: float, grid: Grid) -> dict:
     return out
 
 
-def _source_hook(fns: dict, grid: Grid):
-    """Additive source hook ``src(t)`` that keeps its last (t, fields) pair
-    and returns those fields again for the same t: a step's last stage and
-    the next step's first ask for the same time.  The solvers only read the
-    fields; a caller must not write to them."""
-    last_t, last = None, None
-
-    def src(tval):
-        nonlocal last_t, last
-        if last is None or tval != last_t:
-            last_t, last = tval, _evaluate(fns, tval, grid)
-        return last
-    return src
-
-
 class PrimCase:
     """Forced compressible run with a known closed-form solution.
 
     The exact fields are single-mode trigonometric polynomials with gentle
     time envelopes; the sources are the symbolic residuals of the
-    continuous equations under the closed-form gas and transport laws, so
-    the gas must have the default structural function P for its p_inf
-    (FieldError otherwise).  ``exact`` and ``sources`` expose the fields and
-    residuals as vectorized callables of (t, x1, x3), keyed rho, u1, u2, u3,
-    theta, a, B2.
+    continuous equations under the default P of the gas's p_inf (another P
+    raises FieldError) and its transport laws.  ``exact`` and ``sources``
+    expose the fields and residuals as vectorized callables of (t, x1, x3),
+    keyed rho, u1, u2, u3, theta, a, B2.
     """
 
     eps = 0.5  # Mach number of the run
@@ -103,9 +88,8 @@ class PrimCase:
         self.ref = thermo.ReferenceState() if ref is None else ref
         P = self.gas.structure()
         if type(P) is not thermo.DefaultPStructure or P.p_inf != self.gas.p_inf:
-            raise FieldError(f"the compressible case's sources assume the default "
-                             f"structural function P for p_inf = {self.gas.p_inf}, "
-                             f"got {P!r}")
+            raise FieldError(f"the compressible sources assume the default "
+                             f"structural function P, got {P!r}")
         self.exact, self.sources = self._build()
 
     def _build(self):
@@ -222,8 +206,10 @@ class PrimCase:
                           (0.0, 0.0))
 
     def source(self, grid: Grid):
-        """Additive source hook ``src(t)`` for step_prim / run_prim."""
-        return _source_hook(self.sources, grid)
+        """Additive source hook ``src(t)`` for step_prim / run_prim.  It keeps
+        its last (t, fields) pair, as a step's last stage and the next step's
+        first ask for the same t; the solvers only read the fields."""
+        return lru_cache(maxsize=1)(partial(_evaluate, self.sources, grid=grid))
 
     def error(self, state: PrimitiveState) -> dict:
         """Per-field L2 errors against the exact fields at state.t."""
@@ -301,8 +287,9 @@ class ObmCase:
                          (0.0, 0.0), dt, t_end)
 
     def source(self, grid: Grid):
-        """Additive source hook ``src(t)`` for step_obm / run_obm."""
-        return _source_hook(self.sources, grid)
+        """Additive source hook ``src(t)`` for step_obm / run_obm, which keeps
+        its last (t, fields) pair as :meth:`PrimCase.source` does."""
+        return lru_cache(maxsize=1)(partial(_evaluate, self.sources, grid=grid))
 
     def error(self, state: ObmState) -> dict:
         f = self.fields(state.t, state.grid)

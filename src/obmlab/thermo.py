@@ -186,14 +186,19 @@ def _eos_inputs(rho, theta, gas: GasParams, need_rho_pos: bool):
     return rho, theta, gas.structure(), rho * theta ** -1.5
 
 
-# Each EOS formula once, on checked inputs, Pv = P(Z), Pd = P'(Z) and the
-# molecular pressure p_mol = theta**(5/2) P(Z).
-def _pressure(theta, p_mol, gas: GasParams):
-    return p_mol + (gas.a / 3.0) * theta ** 4
+# Each EOS formula once, on checked inputs, Pv = P(Z), Pd = P'(Z), the
+# molecular pressure p_mol = theta**(5/2) P(Z) and the powers t3 = theta**3
+# and t4 = theta**4 of the radiative terms.
+def _pressure(p_mol, t4, gas: GasParams):
+    return p_mol + (gas.a / 3.0) * t4
 
 
-def _rho_e(theta, p_mol, gas: GasParams):
-    return 1.5 * p_mol + gas.a * theta ** 4
+def _rho_e(p_mol, t4, gas: GasParams):
+    return 1.5 * p_mol + gas.a * t4
+
+
+def _rho_s(rho, Z, t3, P, gas: GasParams):
+    return rho * P.entropy(Z) + (4.0 * gas.a / 3.0) * t3
 
 
 def _dp_drho(theta, Pd):
@@ -205,12 +210,12 @@ def _dtheta_mol(theta, Z, Pv, Pd):
     return theta ** 1.5 * (2.5 * Pv - 1.5 * Z * Pd)
 
 
-def _dp_dtheta(theta, mol, gas: GasParams):
-    return mol + (4.0 * gas.a / 3.0) * theta ** 3
+def _dp_dtheta(mol, t3, gas: GasParams):
+    return mol + (4.0 * gas.a / 3.0) * t3
 
 
-def _de_dtheta(rho, theta, mol, gas: GasParams):
-    return 1.5 * mol / rho + 4.0 * gas.a * theta ** 3 / rho
+def _de_dtheta(rho, mol, t3, gas: GasParams):
+    return 1.5 * mol / rho + 4.0 * gas.a * t3 / rho
 
 
 def _transport(theta, gas: GasParams):
@@ -220,22 +225,23 @@ def _transport(theta, gas: GasParams):
 
 
 def _eos_and_transport(rho, theta, gas: GasParams):
-    """(p, dp_drho, dp_dtheta, de_dtheta, rho_e, mu, eta, kappa, zeta), equal
-    to the public functions' values (rho_e: :func:`rho_e_total`), from one
-    domain check, Z, P(Z) and P'(Z)."""
+    """(p, dp_drho, dp_dtheta, de_dtheta, rho_e, rho_s, mu, eta, kappa, zeta),
+    equal to the public functions' values (rho_e: :func:`rho_e_total`, rho_s:
+    :func:`rho_s_total`), from one domain check, Z, P(Z) and P'(Z)."""
     rho, theta, P, Z = _eos_inputs(rho, theta, gas, need_rho_pos=True)
     Pv, Pd = P.value(Z), P.deriv(Z)
     mol = _dtheta_mol(theta, Z, Pv, Pd)
+    t3, t4 = (theta ** 3, theta ** 4) if gas.a else (0.0, 0.0)  # a = 0: no radiation
     p_mol = theta ** 2.5 * Pv
-    return (_pressure(theta, p_mol, gas), _dp_drho(theta, Pd), _dp_dtheta(theta, mol, gas),
-            _de_dtheta(rho, theta, mol, gas), _rho_e(theta, p_mol, gas)) \
-        + _transport(theta, gas)
+    return (_pressure(p_mol, t4, gas), _dp_drho(theta, Pd), _dp_dtheta(mol, t3, gas),
+            _de_dtheta(rho, mol, t3, gas), _rho_e(p_mol, t4, gas),
+            _rho_s(rho, Z, t3, P, gas)) + _transport(theta, gas)
 
 
 def pressure(rho, theta, gas: GasParams):
     """Total pressure p = theta**(5/2) P(Z) + (a/3) theta**4, rho >= 0."""
     rho, theta, P, Z = _eos_inputs(rho, theta, gas, need_rho_pos=False)
-    return _pressure(theta, theta ** 2.5 * P.value(Z), gas)
+    return _pressure(theta ** 2.5 * P.value(Z), theta ** 4, gas)
 
 
 def rho_e_total(rho, theta, gas: GasParams):
@@ -245,7 +251,7 @@ def rho_e_total(rho, theta, gas: GasParams):
     relation p_M = (2/3) * (rho*e)_M holds to rounding by construction.
     """
     rho, theta, P, Z = _eos_inputs(rho, theta, gas, need_rho_pos=False)
-    return _rho_e(theta, theta ** 2.5 * P.value(Z), gas)
+    return _rho_e(theta ** 2.5 * P.value(Z), theta ** 4, gas)
 
 
 def internal_energy(rho, theta, gas: GasParams):
@@ -267,8 +273,7 @@ def rho_s_total(rho, theta, gas: GasParams):
     _check_rho_theta(rho, theta, need_rho_pos=False)
     P = gas.structure()
     rho_safe = np.where(rho > 0, rho, 1.0)
-    Z = rho_safe * theta ** -1.5
-    out = rho_safe * P.entropy(Z) + (4.0 * gas.a / 3.0) * theta ** 3
+    out = _rho_s(rho_safe, rho_safe * theta ** -1.5, theta ** 3, P, gas)
     return np.where(rho > 0, out, (4.0 * gas.a / 3.0) * theta ** 3)
 
 
@@ -281,7 +286,7 @@ def dp_drho(rho, theta, gas: GasParams):
 def dp_dtheta(rho, theta, gas: GasParams):
     """d p / d theta = theta**(3/2) [ (5/2)P - (3/2) Z P' ] + (4a/3) theta**3."""
     rho, theta, P, Z = _eos_inputs(rho, theta, gas, need_rho_pos=False)
-    return _dp_dtheta(theta, _dtheta_mol(theta, Z, P.value(Z), P.deriv(Z)), gas)
+    return _dp_dtheta(_dtheta_mol(theta, Z, P.value(Z), P.deriv(Z)), theta ** 3, gas)
 
 
 def de_drho(rho, theta, gas: GasParams):
@@ -294,7 +299,7 @@ def de_drho(rho, theta, gas: GasParams):
 def de_dtheta(rho, theta, gas: GasParams):
     """d e / d theta; strictly positive (thermodynamic stability)."""
     rho, theta, P, Z = _eos_inputs(rho, theta, gas, need_rho_pos=True)
-    return _de_dtheta(rho, theta, _dtheta_mol(theta, Z, P.value(Z), P.deriv(Z)), gas)
+    return _de_dtheta(rho, _dtheta_mol(theta, Z, P.value(Z), P.deriv(Z)), theta ** 3, gas)
 
 
 def ds_drho(rho, theta, gas: GasParams):

@@ -277,6 +277,7 @@ def test_state_work_eos_and_transport_are_the_public_values(seed, radiative):
                     (w.kappa, thermo.kappa), (w.zeta, thermo.zeta)):
         assert np.array_equal(got, fn(theta, gas))
     assert np.array_equal(w.rho_e, thermo.rho_e_total(rho, theta, gas))
+    assert np.array_equal(w.rho_s, thermo.rho_s_total(rho, theta, gas))
     g = cfg.grid
     grad = oracle.velocity_gradient(st.u, g)
     assert np.array_equal(w.d1u, grad[0]) and np.array_equal(w.d3u, grad[2])
@@ -356,7 +357,7 @@ def test_fft_and_eos_passes_per_run_step(monkeypatch):
     """A run_prim step, its row included, transforms at most 82 fields and
     builds each state's work once: the strain, the dissipation, J and the
     EOS pass run once for the stage state and once for the new state, and
-    the row reads rho e and the dissipation from that work."""
+    the row reads rho e, rho s and the dissipation from that work."""
     cfg = make_cfg()
     st = random_state(cfg, 0.5, 4)
     dt = 0.5 * cfl_limits(st, cfg)
@@ -376,7 +377,7 @@ def test_fft_and_eos_passes_per_run_step(monkeypatch):
     monkeypatch.setattr(thermo, "_eos_and_transport", counted_eos)
     public = [0]
     for name in ("pressure", "dp_drho", "dp_dtheta", "de_dtheta", "rho_e_total",
-                 "mu", "eta", "kappa", "zeta"):
+                 "rho_s_total", "mu", "eta", "kappa", "zeta"):
         def counted_public(*args, _fn=getattr(thermo, name), **kwargs):
             public[0] += 1
             return _fn(*args, **kwargs)

@@ -115,10 +115,10 @@ def test_source_hook_evaluates_each_time_once(which, prim_case, obm_case, monkey
     times = []
     evaluate = mms._evaluate
 
-    def counted(fns, tval, g):
+    def counted(fns, tval, grid):
         if fns is case.sources:
             times.append(tval)
-        return evaluate(fns, tval, g)
+        return evaluate(fns, tval, grid)
     monkeypatch.setattr(mms, "_evaluate", counted)
 
     def run(src):
