@@ -231,7 +231,7 @@ def ddx3_arr(data: np.ndarray, grid: Grid) -> np.ndarray:
     np.subtract(data[2:], data[:-2], out=out[1:-1])
     out[0] = -3.0 * data[0] + 4.0 * data[1] - data[2]
     out[-1] = 3.0 * data[-1] - 4.0 * data[-2] + data[-3]
-    real = out.view(float)  # a spectrum's real view: the values of a complex division
+    real = out.view(out.real.dtype)  # a spectrum's real view: a complex division's values
     real /= 2.0 * grid.dx3
     return out
 

@@ -324,8 +324,7 @@ def _tendencies(state: PrimitiveState, cfg: PrimConfig, w: _StateWork):
     # induction through the electric field E = zeta curl B - u x B
     uxB = cross3(u, B, out=buf[0])
     E = [spec(w.zeta * J[i] - uxB[i]) for i in range(3)]
-    a_t = phys(E[1])
-    np.negative(a_t, out=a_t)
+    a_t = -phys(E[1])
     # differentiated form of the wall constraint d3 a = 0 (an O(h^3)
     # perturbation since d3 E2 vanishes at the walls for B1|wall = 0);
     # as a linear invariant it then propagates exactly through any

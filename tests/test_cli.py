@@ -459,7 +459,9 @@ def test_run_obm_lands_on_t_end(tmp_path, capsys, dt, steps):
 
 
 def test_run_obm_without_steps_reports_the_initial_mean(tmp_path, capsys):
-    """With t_end = 0 the printed mean theta1 is that of the initial data."""
+    """With t_end = 0 the printed mean theta1 is that of the initial data,
+    and of the 25 snapshots configured the run writes one, 000, of that
+    data."""
     path = write_config(tmp_path, """\
         [grid]
         n1 = 16
@@ -474,37 +476,14 @@ def test_run_obm_without_steps_reports_the_initial_mean(tmp_path, capsys):
     g = cfg.make_grid()
     ocfg = ObmConfig(g, cfg.gas(), cfg.ref(), default_potential(g),
                      cfg.wall_temps("obm"), dt=1.0, t_end=0.0)
-    th, _ = _initial_profiles(ocfg, cfg["obm"], 0, cfg.wall_temps("obm"))
+    th, b1 = _initial_profiles(ocfg, cfg["obm"], 0, cfg.wall_temps("obm"))
     mean = mean_arr(th, g)
     assert mean > 0.1
-    assert f"0 steps to t = 0, mean theta1 = {mean:.6e}" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("snapshots", [1, 3])
-def test_run_obm_without_steps_writes_snapshot_000(tmp_path, capsys, snapshots):
-    """With t_end = 0 and snapshots >= 1 the run writes one snapshot, 000,
-    of the configured data."""
-    path = write_config(tmp_path, f"""\
-        [grid]
-        n1 = 16
-        n3 = 17
-
-        [obm]
-        t_end = 0.0
-
-        [output]
-        snapshots = {snapshots}
-    """)
-    out = tmp_path / "out"
-    assert main(["run-obm", "--config", path, "--out", str(out)]) == 0
-    assert "and 1 snapshots" in capsys.readouterr().out
-    assert [f.name for f in out.glob("run_obm_*.snap")] == ["run_obm_000.snap"]
-    cfg = RunConfig.load(path)
-    g = cfg.make_grid()
-    ocfg = ObmConfig(g, cfg.gas(), cfg.ref(), default_potential(g),
-                     cfg.wall_temps("obm"), dt=1.0, t_end=0.0)
-    th, b1 = _initial_profiles(ocfg, cfg["obm"], 0, cfg.wall_temps("obm"))
-    saved_grid, fields = read_snapshot(str(out / "run_obm_000.snap"))
+    out = capsys.readouterr().out
+    assert f"0 steps to t = 0, mean theta1 = {mean:.6e}" in out
+    assert "and 1 snapshots" in out
+    assert [f.name for f in tmp_path.glob("run_obm_*.snap")] == ["run_obm_000.snap"]
+    saved_grid, fields = read_snapshot(str(tmp_path / "run_obm_000.snap"))
     assert saved_grid == g
     assert np.array_equal(fields["theta1"], th)
     assert np.array_equal(fields["b1"], np.broadcast_to(b1, g.shape))
