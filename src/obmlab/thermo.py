@@ -227,8 +227,13 @@ def _transport(theta, gas: GasParams):
 def _eos_and_transport(rho, theta, gas: GasParams):
     """(p, dp_drho, dp_dtheta, de_dtheta, rho_e, rho_s, mu, eta, kappa, zeta),
     equal to the public functions' values (rho_e: :func:`rho_e_total`, rho_s:
-    :func:`rho_s_total`), from one domain check, Z, P(Z) and P'(Z)."""
-    rho, theta, P, Z = _eos_inputs(rho, theta, gas, need_rho_pos=True)
+    :func:`rho_s_total`), from one Z, P(Z) and P'(Z).
+
+    Precondition: rho and theta are finite float arrays with rho > 0 and
+    theta > 0.  The solver passes the fields of an
+    :class:`obmlab.mhd.PrimitiveState`, which its constructor or
+    ``mhd._check_admissible`` has checked, so they are not checked again."""
+    P, Z = gas.structure(), rho * theta ** -1.5
     Pv, Pd = P.value(Z), P.deriv(Z)
     mol = _dtheta_mol(theta, Z, Pv, Pd)
     t3, t4 = (theta ** 3, theta ** 4) if gas.a else (0.0, 0.0)  # a = 0: no radiation

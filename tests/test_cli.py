@@ -295,14 +295,48 @@ def test_bad_grid_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def run_child(*argv, timeout=60, python_flags=()):
-    """obmlab in a child process, killed after ``timeout`` seconds so that
-    a run which would never end fails the test instead of hanging it."""
+def run_python(*args, timeout=60):
+    """A fresh interpreter that imports this obmlab, killed after
+    ``timeout`` seconds so that a run which would never end fails the test
+    instead of hanging it."""
     src = os.path.dirname(os.path.dirname(obmlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *python_flags, "-m", "obmlab.cli", *argv],
-                          capture_output=True, text=True, timeout=timeout,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env=dict(os.environ, PYTHONPATH=path))
+
+
+def run_child(*argv, timeout=60, python_flags=()):
+    """obmlab in a child process (:func:`run_python`)."""
+    return run_python(*python_flags, "-m", "obmlab.cli", *argv, timeout=timeout)
+
+
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import obmlab.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(loaded - set(sys.stdlib_module_names))))
+print("scipy" in sys.modules, "sympy" in sys.modules,
+      "solve_banded" in vars(sys.modules["obmlab.obm"]))
+"""
+
+
+def test_cli_import_loads_only_numpy_and_the_standard_library():
+    """A cold ``import obmlab.cli`` loads numpy, the standard library and
+    obmlab alone: scipy stays out, and sympy waits for the mms subcommand."""
+    done = run_python("-c", IMPORT_PROBE)
+    assert done.returncode == 0, done.stderr
+    third_party, flags = done.stdout.splitlines()
+    assert set(third_party.split()) <= {"numpy", "obmlab"}
+    assert flags == "False False False"
+
+
+def test_obm_solve_banded_is_scipys_for_the_tracer():
+    """benchmarks/tracing.py wraps ``obm.solve_banded``; the name resolves to
+    scipy's on demand, without a module attribute."""
+    linalg = pytest.importorskip("scipy.linalg")
+    from obmlab import obm
+    assert obm.solve_banded is linalg.solve_banded
 
 
 @pytest.mark.parametrize("eps", ["1e-60", "1e-300"])

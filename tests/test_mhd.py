@@ -357,7 +357,8 @@ def test_fft_and_eos_passes_per_run_step(monkeypatch):
     """A run_prim step, its row included, transforms at most 82 fields and
     builds each state's work once: the strain, the dissipation, J and the
     EOS pass run once for the stage state and once for the new state, and
-    the row reads rho e, rho s and the dissipation from that work."""
+    the row reads rho e, rho s and the dissipation from that work.  No
+    state's EOS domain is checked again in the EOS pass."""
     cfg = make_cfg()
     st = random_state(cfg, 0.5, 4)
     dt = 0.5 * cfl_limits(st, cfg)
@@ -375,6 +376,13 @@ def test_fft_and_eos_passes_per_run_step(monkeypatch):
         eos[0] += 1
         return original_eos(*args)
     monkeypatch.setattr(thermo, "_eos_and_transport", counted_eos)
+    domain_checks = [0]
+    original_check = thermo._check_rho_theta
+
+    def counted_check(*args):
+        domain_checks[0] += 1
+        return original_check(*args)
+    monkeypatch.setattr(thermo, "_check_rho_theta", counted_check)
     public = [0]
     for name in ("pressure", "dp_drho", "dp_dtheta", "de_dtheta", "rho_e_total",
                  "rho_s_total", "mu", "eta", "kappa", "zeta"):
@@ -391,6 +399,8 @@ def test_fft_and_eos_passes_per_run_step(monkeypatch):
     assert passes == dict.fromkeys(passes, 1 + 2 * n_steps)
     assert eos[0] == 1 + 2 * n_steps
     assert public[0] == 0
+    # the state constructor and _check_admissible check the EOS domain
+    assert domain_checks[0] == 0
 
 
 @settings(max_examples=30, deadline=None)
