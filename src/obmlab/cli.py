@@ -114,6 +114,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import mms
 from .fields import FieldError, Geometry, Grid, mean_arr, write_snapshot
 from .mhd import (PositivityError, PrimConfig, PrimitiveState, StepRow, cfl_limits,
                   run_prim, snapshot_fields)
@@ -675,16 +676,17 @@ _MMS_BAND = (1.8, 2.2)
 
 
 def cmd_mms(cfg: RunConfig, args) -> int:
-    from . import mms  # builds on sympy, which no other subcommand needs
     gas, ref = cfg.gas(), cfg.ref()
-    prim_case = mms.PrimCase(gas=gas, ref=ref)
-    obm_case = mms.ObmCase(gas=gas, ref=ref)
-    sweeps = (
-        ("prim-vertical", mms.prim_vertical(prim_case)),
-        ("prim-horizontal", mms.prim_horizontal(prim_case)),
-        ("obm-vertical", mms.obm_vertical(obm_case)),
-        ("obm-horizontal", mms.obm_horizontal(obm_case)),
-    )
+    with _setup():
+        prim_case = mms.PrimCase(gas=gas, ref=ref)
+        obm_case = mms.ObmCase(gas=gas, ref=ref)
+    with _march():
+        sweeps = (
+            ("prim-vertical", mms.prim_vertical(prim_case)),
+            ("prim-horizontal", mms.prim_horizontal(prim_case)),
+            ("obm-vertical", mms.obm_vertical(obm_case)),
+            ("obm-horizontal", mms.obm_horizontal(obm_case)),
+        )
     rows = []
     ok = True
     for name, table in sweeps:

@@ -1,10 +1,13 @@
 """Manufactured forced solutions for order verification of both solvers.
 
 Closed-form trigonometric fields are pushed through the continuous
-equations symbolically; the residual becomes an additive source fed to the
-solvers through their ``src`` hooks, so the discrete solution has to track
-the chosen formula and every discretization defect shows up as a measured
-convergence error instead of being absorbed into the data.
+equations by hand: every exact field is an envelope in t times one cosine
+or sine in x1 and one in x3, plus a constant, so each derivative the
+equations read has a closed form, and the residual becomes an additive
+source fed to the solvers through their ``src`` hooks.  The discrete
+solution has to track the chosen formula and every discretization defect
+shows up as a measured convergence error instead of being absorbed into the
+data.  ``tests/mms_oracle.py`` derives the same sources symbolically.
 
 Both cases use band-limited horizontal profiles (a single cosine mode), so
 the pseudo-spectral direction is exact up to the tiny tails generated by
@@ -30,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-import sympy as sp
 
 from . import thermo
 from .fields import FieldError, Geometry, Grid, l2_arr
@@ -47,23 +49,18 @@ __all__ = [
     "obm_horizontal",
 ]
 
-_T, _X1, _X3 = sp.symbols("t x1 x3", real=True)
+_PI = np.pi
 
 
-def _evaluate(fns: dict, tval: float, grid: Grid) -> dict:
+def _evaluate(fns, tval: float, grid: Grid) -> dict:
     """Closed-form fields or sources on the grid.
 
-    Entries are callables of (t, x1, x3) evaluated on the strip, except b1,
-    which is depth independent: a callable of (t, x1) on ``grid.hshape``.
+    ``fns(t, x1, x3)`` returns a dict of arrays that broadcast to the strip,
+    except b1, which is depth independent and lands on ``grid.hshape``.
     Velocity components u1, u2, u3 are stacked into u."""
-    c = grid.coords()
-    out = {}
-    for key, fn in fns.items():
-        if key == "b1":
-            val, shape = fn(float(tval), grid.x1), grid.hshape
-        else:
-            val, shape = fn(float(tval), c["x1"], c["x3"]), grid.shape
-        out[key] = np.broadcast_to(np.asarray(val, dtype=float), shape).copy()
+    out = fns(float(tval), grid.x1, grid.coords()["x3"])
+    for key, val in out.items():
+        out[key] = np.broadcast_to(val, grid.hshape if key == "b1" else grid.shape).copy()
     if "u1" in out:
         out["u"] = np.stack([out.pop(k) for k in ("u1", "u2", "u3")])
     return out
@@ -73,11 +70,11 @@ class PrimCase:
     """Forced compressible run with a known closed-form solution.
 
     The exact fields are single-mode trigonometric polynomials with gentle
-    time envelopes; the sources are the symbolic residuals of the
-    continuous equations under the default P of the gas's p_inf (another P
-    raises FieldError) and its transport laws.  ``exact`` and ``sources``
-    expose the fields and residuals as vectorized callables of (t, x1, x3),
-    keyed rho, u1, u2, u3, theta, a, B2.
+    time envelopes; the sources are the residuals of the continuous
+    equations under the default P of the gas's p_inf (another P raises
+    FieldError) and its transport laws.  ``exact(t, x1, x3)`` and
+    ``sources(t, x1, x3)`` return the fields and residuals at broadcast
+    coordinates, keyed rho, u1, u2, u3, theta, a, B2.
     """
 
     eps = 0.5  # Mach number of the run
@@ -90,104 +87,101 @@ class PrimCase:
         if type(P) is not thermo.DefaultPStructure or P.p_inf != self.gas.p_inf:
             raise FieldError(f"the compressible sources assume the default "
                              f"structural function P, got {P!r}")
-        self.exact, self.sources = self._build()
 
-    def _build(self):
-        t, x1, x3 = _T, _X1, _X3
-        gas, ref = self.gas, self.ref
-        eps = sp.Float(self.eps)
-        rb, tb, bb = sp.Float(ref.rho_bar), sp.Float(ref.theta_bar), sp.Float(ref.b_bar)
-        c1, s1 = sp.cos(sp.pi * x1), sp.sin(sp.pi * x1)
-        c3, s3 = sp.cos(sp.pi * x3), sp.sin(sp.pi * x3)
+    def _kinematics(self, t, x1, x3):
+        """The exact fields and the derivatives the residuals read."""
+        rb, tb, bb = self.ref.rho_bar, self.ref.theta_bar, self.ref.b_bar
+        c1, s1, c3, s3 = (np.cos(_PI * x1), np.sin(_PI * x1),
+                          np.cos(_PI * x3), np.sin(_PI * x3))
+        cc, ss, sc, cs = c1 * c3, s1 * s3, s1 * c3, c1 * s3
+        # envelopes and their rates
+        R, R_t = 0.08 * rb * np.cos(2 * t), -0.16 * rb * np.sin(2 * t)
+        T, T_t = 0.08 * tb * (1 + np.sin(2 * t) / 2), 0.08 * tb * np.cos(2 * t)
+        U = (0.08 * (1 + np.sin(3 * t) / 2), 0.06 * np.cos(2 * t),
+             0.08 * (1 + np.cos(2 * t) / 2))
+        U_t = (0.12 * np.cos(3 * t), -0.12 * np.sin(2 * t), -0.08 * np.sin(2 * t))
+        A, A_t = 0.04 * (1 + np.sin(t) / 2), 0.02 * np.cos(t)
+        K, K_t = 0.05 * (1 + np.cos(t) / 2), -0.025 * np.sin(t)
 
-        rho = rb * (1 + sp.Float(0.08) * sp.cos(2 * t) * c1 * c3)
         # sin^2 vertical profile: zero value at the walls for the Dirichlet
         # rows and zero slope so that zeta(theta) is wall-flat (see module
         # docstring)
-        theta = tb * (1 + sp.Float(0.08) * (1 + sp.sin(2 * t) / 2)
-                      * s3 ** 2 * (1 + c1 / 2))
-        u1 = sp.Float(0.08) * (1 + sp.sin(3 * t) / 2) * c1 * c3
-        u2 = sp.Float(0.06) * sp.cos(2 * t) * c1 * c3
-        u3 = sp.Float(0.08) * (1 + sp.cos(2 * t) / 2) * s1 * s3
-        a_fl = sp.Float(0.04) * (1 + sp.sin(t) / 2) * c1 * c3
-        B2 = sp.Float(0.05) * (1 + sp.cos(t) / 2) * c1 * s3
-        G = sp.Rational(1, 2) - x3
+        prof1, prof3 = 1 + c1 / 2, s3 ** 2
+        u = (U[0] * cc, U[1] * cc, U[2] * ss)
+        f = {"rho": rb + R * cc, "u1": u[0], "u2": u[1], "u3": u[2],
+             "theta": tb + T * prof1 * prof3, "a": A * cc, "B2": K * cs}
+        d_rho = (-_PI * R * sc, -_PI * R * cs)
+        d_th = (-_PI / 2 * T * s1 * prof3, 2 * _PI * T * prof1 * s3 * c3)
+        lap_th = _PI ** 2 * T * (2 * prof1 * (c3 ** 2 - prof3) - c1 * prof3 / 2)
+        # g1[j] = d1 u_j and g3[j] = d3 u_j; d2 vanishes on the 2.5D strip
+        g1 = (-_PI * U[0] * sc, -_PI * U[1] * sc, _PI * U[2] * cs)
+        g3 = (-_PI * U[0] * cs, -_PI * U[1] * cs, _PI * U[2] * sc)
+        # grad div u; every velocity component has Laplacian -2 pi^2 u_j
+        grad_div = (_PI ** 2 * (U[2] - U[0]) * cc, 0.0, -_PI ** 2 * (U[2] - U[0]) * ss)
+        B = (_PI * A * cs, f["B2"], bb - _PI * A * sc)
+        J = (-_PI * K * cc, 2 * _PI ** 2 * f["a"], -_PI * K * ss)
+        rates = {"rho": R_t * cc, "u1": U_t[0] * cc, "u2": U_t[1] * cc,
+                 "u3": U_t[2] * ss, "theta": T_t * prof1 * prof3,
+                 "a": A_t * cc, "B2": K_t * cs}
+        return f, rates, d_rho, d_th, lap_th, g1, g3, grad_div, B, J
 
-        u_vec = (u1, u2, u3)
-        B = (-sp.diff(a_fl, x3), B2, bb + sp.diff(a_fl, x1))
-        J = (-sp.diff(B[1], x3),
-             sp.diff(B[0], x3) - sp.diff(B[2], x1),
-             sp.diff(B[1], x1))
+    def exact(self, t, x1, x3) -> dict:
+        """The exact fields at (t, x1, x3)."""
+        return self._kinematics(t, x1, x3)[0]
 
-        # closed-form gas laws differentiated at symbol level, then
-        # evaluated on the exact fields
-        rr, th = sp.symbols("rr th", positive=True)
-        p_sym = rr * th + sp.Float(gas.p_inf) * rr ** sp.Rational(5, 3) \
-            + sp.Float(gas.a) / 3 * th ** 4
-        e_sym = (sp.Rational(3, 2) * (rr * th
-                                      + sp.Float(gas.p_inf) * rr ** sp.Rational(5, 3))
-                 + sp.Float(gas.a) * th ** 4) / rr
-        sub = {rr: rho, th: theta}
-        p = p_sym.subs(sub)
-        dpdt = sp.diff(p_sym, th).subs(sub)
-        dedt = sp.diff(e_sym, th).subs(sub)
-        mu = sp.Float(gas.mu_low) * (1 + theta)
-        kap = sp.Float(gas.kappa_low) * (1 + theta ** sp.Float(gas.beta))
-        zet = sp.Float(gas.zeta_low) * (1 + theta)
+    def sources(self, t, x1, x3) -> dict:
+        """Residuals of the continuous equations at the exact fields: all
+        keys from one pass, so the fields, the gas laws and the gradients
+        are evaluated once."""
+        gas, eps = self.gas, self.eps
+        f, rates, d_rho, d_th, lap_th, g1, g3, grad_div, B, J = \
+            self._kinematics(t, x1, x3)
+        rho, th = f["rho"], f["theta"]
+        u = (f["u1"], f["u2"], f["u3"])
 
-        grad = [[sp.diff(uj, x1) for uj in u_vec],
-                [sp.Integer(0)] * 3,
-                [sp.diff(uj, x3) for uj in u_vec]]
-        divu = grad[0][0] + grad[2][2]
-        stress = [[mu * (grad[i][j] + grad[j][i])
-                   - (sp.Rational(2, 3) * mu * divu if i == j else 0)
-                   for j in range(3)] for i in range(3)]
+        # the default law p = rho theta + p_inf rho^(5/3) + a theta^4 / 3,
+        # e = (3 (rho theta + p_inf rho^(5/3)) / 2 + a theta^4) / rho, and
+        # the transport laws, by the chain rule
+        dpdr = th + 5 / 3 * gas.p_inf * rho ** (2 / 3)
+        dpdt = rho + 4 / 3 * gas.a * th ** 3
+        dedt = 1.5 + 4 * gas.a * th ** 3 / rho
+        mu, zet = gas.mu_low * (1 + th), gas.zeta_low * (1 + th)
+        kap = gas.kappa_low * (1 + th ** gas.beta)
+        dkap = gas.kappa_low * gas.beta * th ** (gas.beta - 1)
 
-        def cross(v, w):
-            return (v[1] * w[2] - v[2] * w[1],
-                    v[2] * w[0] - v[0] * w[2],
-                    v[0] * w[1] - v[1] * w[0])
-
-        lorentz = cross(J, B)
-        grad_p = (sp.diff(p, x1), sp.Integer(0), sp.diff(p, x3))
-        grad_G = (sp.diff(G, x1), sp.Integer(0), sp.diff(G, x3))
-
-        src_rho = sp.diff(rho, t) + sp.diff(rho * u1, x1) + sp.diff(rho * u3, x3)
-
-        src_u = []
-        for j in range(3):
-            div_s = sp.diff(stress[0][j], x1) + sp.diff(stress[2][j], x3)
-            rhs = (div_s - grad_p[j] / eps ** 2 + rho * grad_G[j] / eps
+        divu = g1[0] + g3[2]
+        # rows 1 and 3 of the strain D = grad u + grad u^T - (2/3) div u I
+        D1 = (2 * g1[0] - 2 / 3 * divu, g1[1], g1[2] + g3[0])
+        D3 = (D1[2], g3[1], 2 * g3[2] - 2 / 3 * divu)
+        grad_p = (dpdr * d_rho[0] + dpdt * d_th[0], 0.0,
+                  dpdr * d_rho[1] + dpdt * d_th[1])
+        lorentz = (J[1] * B[2] - J[2] * B[1], J[2] * B[0] - J[0] * B[2],
+                   J[0] * B[1] - J[1] * B[0])
+        out = {"rho": rates["rho"] + d_rho[0] * u[0] + d_rho[1] * u[2] + rho * divu}
+        for j, key in enumerate(("u1", "u2", "u3")):
+            # div(mu D)_j = grad mu . D_j + mu (lap u_j + (1/3) d_j div u)
+            div_s = (gas.mu_low * (d_th[0] * D1[j] + d_th[1] * D3[j])
+                     + mu * (-2 * _PI ** 2 * u[j] + grad_div[j] / 3))
+            rhs = (div_s - grad_p[j] / eps ** 2 - (rho / eps if j == 2 else 0.0)
                    + lorentz[j] / eps ** 2) / rho
-            adv = u1 * grad[0][j] + u3 * grad[2][j]
-            src_u.append(sp.diff(u_vec[j], t) + adv - rhs)
+            out[key] = rates[key] + u[0] * g1[j] + u[2] * g3[j] - rhs
 
-        phi = sp.Rational(1, 2) * mu * sum(
-            (grad[i][j] + grad[j][i]
-             - (sp.Rational(2, 3) * divu if i == j else 0)) ** 2
-            for i in range(3) for j in range(3))
+        phi = mu / 2 * (D1[0] ** 2 + (2 / 3 * divu) ** 2 + D3[2] ** 2
+                        + 2 * (D1[1] ** 2 + D1[2] ** 2 + D3[1] ** 2))
         joule = zet * (J[0] ** 2 + J[1] ** 2 + J[2] ** 2)
-        heat = sp.diff(kap * sp.diff(theta, x1), x1) \
-            + sp.diff(kap * sp.diff(theta, x3), x3)
-        rhs_th = (-theta * dpdt * divu + eps ** 2 * phi + heat + joule) / (rho * dedt)
-        src_th = sp.diff(theta, t) + u1 * sp.diff(theta, x1) \
-            + u3 * sp.diff(theta, x3) - rhs_th
+        # div(kappa grad theta) = kappa' |grad theta|^2 + kappa lap theta
+        heat = dkap * (d_th[0] ** 2 + d_th[1] ** 2) + kap * lap_th
+        rhs_th = (-th * dpdt * divu + eps ** 2 * phi + heat + joule) / (rho * dedt)
+        out["theta"] = rates["theta"] + u[0] * d_th[0] + u[2] * d_th[1] - rhs_th
 
-        uxB = cross(u_vec, B)
-        E = tuple(zet * J[i] - uxB[i] for i in range(3))
-        src_a = sp.diff(a_fl, t) + E[1]
-        src_B2 = sp.diff(B2, t) - sp.diff(E[2], x1) + sp.diff(E[0], x3)
-
-        exact = {"rho": rho, "u1": u1, "u2": u2, "u3": u3,
-                 "theta": theta, "a": a_fl, "B2": B2}
-        sources = {"rho": src_rho, "u1": src_u[0], "u2": src_u[1],
-                   "u3": src_u[2], "theta": src_th, "a": src_a, "B2": src_B2}
-
-        def lam(expr):
-            return sp.lambdify((t, x1, x3), expr, modules="numpy")
-
-        return ({k: lam(v) for k, v in exact.items()},
-                {k: lam(v) for k, v in sources.items()})
+        # E = zeta J - u x B; S_a = d_t a + E2, S_B2 = d_t B2 - d1 E3 + d3 E1,
+        # where d1 J3 = -pi^2 B2, d3 J1 = pi^2 B2, and div B = 0 cancels the
+        # derivatives of B1 and B3 in curl(u x B)
+        out["a"] = rates["a"] + zet * J[1] - (u[2] * B[0] - u[0] * B[2])
+        out["B2"] = (rates["B2"] + gas.zeta_low * (d_th[1] * J[0] - d_th[0] * J[2])
+                     + 2 * _PI ** 2 * zet * B[1] + divu * B[1] + u[0] * J[2]
+                     - u[2] * J[0] - g1[1] * B[0] - g3[1] * B[2])
+        return out
 
     def fields(self, tval: float, grid: Grid) -> dict:
         """Exact fields on the grid at time tval (plus the constant c3)."""
@@ -231,46 +225,45 @@ class ObmCase:
     exercises the heat/induction pair: vertical conduction with Dirichlet
     walls, horizontal induction diffusion, the magnetic coupling through
     lap_h(b_bar b1), and the non-local mean drift, whose continuous
-    counterpart (the domain mean of the Laplacian) is integrated
-    symbolically.  ``exact["theta1"]`` and ``sources["theta1"]`` are
-    callables of (t, x1, x3); the b1 entries are callables of (t, x1).
+    counterpart is the domain mean of the Laplacian.  ``exact(t, x1, x3)``
+    and ``sources(t, x1, x3)`` return theta1 at broadcast coordinates and
+    b1 at x1 alone.
     """
 
     def __init__(self, gas: thermo.GasParams | None = None,
                  ref: thermo.ReferenceState | None = None):
         self.gas = thermo.GasParams() if gas is None else gas
         self.ref = thermo.ReferenceState() if ref is None else ref
-        self.exact, self.sources = self._build()
+        gas, rb, tb = self.gas, self.ref.rho_bar, self.ref.theta_bar
+        # the limit system's coefficients at the reference state
+        self._coeffs = (*thermo.alpha_cp(self.ref, gas),
+                        float(thermo.kappa(tb, gas)), float(thermo.zeta(tb, gas)),
+                        float(thermo.dp_dtheta(rb, tb, gas)),
+                        float(thermo.de_dtheta(rb, tb, gas)))
 
-    def _build(self):
-        t, x1, x3 = _T, _X1, _X3
-        gas, ref = self.gas, self.ref
+    def exact(self, t, x1, x3) -> dict:
+        """The exact fields at (t, x1, x3)."""
+        return {"theta1": 0.1 * (1 + np.sin(2 * t) / 2) * np.sin(_PI * x3)
+                * (1 + np.cos(_PI * x1) / 2),
+                "b1": 0.05 * (1 + np.cos(3 * t) / 2) * np.cos(_PI * x1)}
+
+    def sources(self, t, x1, x3) -> dict:
+        """Residuals of the limit equations at the exact fields."""
+        ref = self.ref
         rb, tb = ref.rho_bar, ref.theta_bar
-        alpha, cp = thermo.alpha_cp(ref, gas)
-        kap = float(thermo.kappa(tb, gas))
-        zet = float(thermo.zeta(tb, gas))
-        dpdt = float(thermo.dp_dtheta(rb, tb, gas))
-        dedt = float(thermo.de_dtheta(rb, tb, gas))
-
-        theta1 = sp.Float(0.1) * (1 + sp.sin(2 * t) / 2) * sp.sin(sp.pi * x3) \
-            * (1 + sp.cos(sp.pi * x1) / 2)
-        b1 = sp.Float(0.05) * (1 + sp.cos(3 * t) / 2) * sp.cos(sp.pi * x1)
-        head = sp.Float(ref.b_bar) * b1
-
-        lap_th = sp.diff(theta1, x1, 2) + sp.diff(theta1, x3, 2)
-        # non-local term: the domain mean of the Laplacian, in closed form
-        mean_lap = sp.integrate(sp.integrate(lap_th, (x1, -1, 1)),
-                                (x3, 0, 1)) / 2
-        drift = kap * mean_lap / (rb * dedt)
-        rhs = (kap * lap_th - tb * alpha * zet * sp.diff(head, x1, 2)
+        alpha, cp, kap, zet, dpdt, dedt = self._coeffs
+        f = self.exact(t, x1, x3)
+        env = 0.1 * (1 + np.sin(2 * t) / 2)
+        s3, c1 = np.sin(_PI * x3), np.cos(_PI * x1)
+        lap_th = -_PI ** 2 * env * s3 * (1 + c1)
+        # non-local term: the domain mean of lap_th, (1/2) int int over
+        # [-1, 1] x [0, 1], in closed form
+        drift = kap * (-2 * _PI * env) / (rb * dedt)
+        lap_head = -_PI ** 2 * ref.b_bar * f["b1"]
+        rhs = (kap * lap_th - tb * alpha * zet * lap_head
                + tb * alpha * dpdt * drift) / (rb * cp)
-        src_th = sp.diff(theta1, t) - rhs
-        src_b = sp.diff(b1, t) - zet * sp.diff(b1, x1, 2)
-
-        return ({"theta1": sp.lambdify((t, x1, x3), theta1, modules="numpy"),
-                 "b1": sp.lambdify((t, x1), b1, modules="numpy")},
-                {"theta1": sp.lambdify((t, x1, x3), src_th, modules="numpy"),
-                 "b1": sp.lambdify((t, x1), src_b, modules="numpy")})
+        return {"theta1": 0.1 * np.cos(2 * t) * s3 * (1 + c1 / 2) - rhs,
+                "b1": -0.075 * np.sin(3 * t) * c1 + zet * _PI ** 2 * f["b1"]}
 
     def fields(self, tval: float, grid: Grid) -> dict:
         if grid.geometry is not Geometry.STRIP2:

@@ -314,6 +314,11 @@ IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
 import obmlab.cli
+from obmlab import mms
+from obmlab.fields import Geometry, Grid
+grid = Grid(Geometry.STRIP2, n1=8, n3=9)
+for case in (mms.PrimCase(), mms.ObmCase()):
+    case.source(grid)(0.1)
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(" ".join(sorted(loaded - set(sys.stdlib_module_names))))
 print("scipy" in sys.modules, "sympy" in sys.modules,
@@ -322,8 +327,9 @@ print("scipy" in sys.modules, "sympy" in sys.modules,
 
 
 def test_cli_import_loads_only_numpy_and_the_standard_library():
-    """A cold ``import obmlab.cli`` loads numpy, the standard library and
-    obmlab alone: scipy stays out, and sympy waits for the mms subcommand."""
+    """A cold ``import obmlab.cli``, followed by building both
+    manufactured-solution cases and evaluating their sources, loads numpy,
+    the standard library and obmlab alone: neither scipy nor sympy."""
     done = run_python("-c", IMPORT_PROBE)
     assert done.returncode == 0, done.stderr
     third_party, flags = done.stdout.splitlines()
@@ -422,6 +428,21 @@ def test_mhd_blowup_exits_3(tmp_path, capsys):
     assert main(["run-mhd", "--config", path, "--out", str(tmp_path),
                  "--quiet"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_mms_blowup_exits_3(tmp_path, capsys):
+    """A reference temperature so low that the forced compressible run
+    loses positivity in its first step is a numerical failure with exit 3,
+    not a traceback."""
+    path = write_config(tmp_path, """\
+        [thermo]
+        theta_bar = 1e-9
+    """)
+    assert main(["mms", "--config", path, "--out", str(tmp_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "obmlab: numerical failure: positivity lost" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 # -- thermo-check --------------------------------------------------------------

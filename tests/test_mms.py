@@ -1,9 +1,12 @@
 """Tests for the manufactured-solution cases and refinement sweeps."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obmlab import mms, thermo
 from obmlab.fields import FieldError, Geometry, Grid, ddx1_arr, ddx3_arr
@@ -46,15 +49,15 @@ def test_prim_fields_respect_walls(prim_case):
 
 def test_prim_wall_slopes_vanish(prim_case):
     # theta and the flux-function source must have zero wall-normal slope;
-    # probe the callables just inside each wall (quadratic departure only)
+    # probe the closed forms just inside each wall (quadratic departure only)
     d = 1e-5
     for x3w in (0.0, 1.0):
         inside = x3w + d if x3w == 0.0 else x3w - d
         for tv, x1v in ((0.0, 0.3), (0.8, -0.55)):
-            th = prim_case.exact["theta"]
-            assert abs(th(tv, x1v, inside) - th(tv, x1v, x3w)) < 1e-8
-            sa = prim_case.sources["a"]
-            assert abs(sa(tv, x1v, inside) - sa(tv, x1v, x3w)) < 1e-8
+            th = prim_case.exact(tv, x1v, np.array([inside, x3w]))["theta"]
+            assert abs(th[0] - th[1]) < 1e-8
+            sa = prim_case.sources(tv, x1v, np.array([inside, x3w]))["a"]
+            assert abs(sa[0] - sa[1]) < 1e-8
 
 
 def test_prim_initial_state_divergence_free(prim_case):
@@ -116,7 +119,7 @@ def test_source_hook_evaluates_each_time_once(which, prim_case, obm_case, monkey
     evaluate = mms._evaluate
 
     def counted(fns, tval, grid):
-        if fns is case.sources:
+        if fns == case.sources:
             times.append(tval)
         return evaluate(fns, tval, grid)
     monkeypatch.setattr(mms, "_evaluate", counted)
@@ -140,19 +143,21 @@ def test_prim_continuity_source_matches_fd(prim_case):
     tv = rng.uniform(0.0, 1.0, 40)
     x1 = rng.uniform(-1.0, 1.0, 40)
     x3 = rng.uniform(0.1, 0.9, 40)
-    e = prim_case.exact
     h = 1e-5
 
+    def e(key):
+        return lambda tt, xx, zz: prim_case.exact(tt, xx, zz)[key]
+
     def flux1(tt, xx, zz):
-        return e["rho"](tt, xx, zz) * e["u1"](tt, xx, zz)
+        return e("rho")(tt, xx, zz) * e("u1")(tt, xx, zz)
 
     def flux3(tt, xx, zz):
-        return e["rho"](tt, xx, zz) * e["u3"](tt, xx, zz)
+        return e("rho")(tt, xx, zz) * e("u3")(tt, xx, zz)
 
-    fd = (e["rho"](tv + h, x1, x3) - e["rho"](tv - h, x1, x3)) / (2 * h) \
+    fd = (e("rho")(tv + h, x1, x3) - e("rho")(tv - h, x1, x3)) / (2 * h) \
         + (flux1(tv, x1 + h, x3) - flux1(tv, x1 - h, x3)) / (2 * h) \
         + (flux3(tv, x1, x3 + h) - flux3(tv, x1, x3 - h)) / (2 * h)
-    assert np.allclose(fd, prim_case.sources["rho"](tv, x1, x3), atol=1e-7)
+    assert np.allclose(fd, prim_case.sources(tv, x1, x3)["rho"], atol=1e-7)
 
 
 def test_prim_flux_source_matches_fd(prim_case):
@@ -161,24 +166,27 @@ def test_prim_flux_source_matches_fd(prim_case):
     tv = rng.uniform(0.0, 1.0, 40)
     x1 = rng.uniform(-1.0, 1.0, 40)
     x3 = rng.uniform(0.1, 0.9, 40)
-    e = prim_case.exact
     bb = prim_case.ref.b_bar
     h = 1e-4
-    a = e["a"]
+
+    def e(key):
+        return lambda tt, xx, zz: prim_case.exact(tt, xx, zz)[key]
+
+    a = e("a")
     dt_a = (a(tv + h, x1, x3) - a(tv - h, x1, x3)) / (2 * h)
     d11_a = (a(tv, x1 + h, x3) - 2 * a(tv, x1, x3) + a(tv, x1 - h, x3)) / h ** 2
     d33_a = (a(tv, x1, x3 + h) - 2 * a(tv, x1, x3) + a(tv, x1, x3 - h)) / h ** 2
     B1 = -(a(tv, x1, x3 + h) - a(tv, x1, x3 - h)) / (2 * h)
     B3 = bb + (a(tv, x1 + h, x3) - a(tv, x1 - h, x3)) / (2 * h)
     J2 = -d33_a - d11_a
-    zet = GAS.zeta_low * (1.0 + e["theta"](tv, x1, x3))
-    fd = dt_a + zet * J2 - (e["u3"](tv, x1, x3) * B1 - e["u1"](tv, x1, x3) * B3)
-    assert np.allclose(fd, prim_case.sources["a"](tv, x1, x3), atol=1e-6)
+    zet = GAS.zeta_low * (1.0 + e("theta")(tv, x1, x3))
+    fd = dt_a + zet * J2 - (e("u3")(tv, x1, x3) * B1 - e("u1")(tv, x1, x3) * B3)
+    assert np.allclose(fd, prim_case.sources(tv, x1, x3)["a"], atol=1e-6)
 
 
 def test_obm_sources_closed_form(obm_case):
     # dual route: hand product rule and hand wall-flux integral against the
-    # symbolic build, including the sign of the magnetic-head coupling
+    # closed forms, including the sign of the magnetic-head coupling
     g = Grid(Geometry.STRIP2, n1=16, n3=17)
     c = g.coords()
     rb, tb, bb = REF.rho_bar, REF.theta_bar, REF.b_bar
@@ -198,14 +206,58 @@ def test_obm_sources_closed_form(obm_case):
         drift = kap * (-0.2 * pi * env) / (rb * dedt)
         want = dth - (kap * lap - tb * alpha * zet * lap_head
                       + tb * alpha * dpdt * drift) / (rb * cp)
-        got = obm_case.sources["theta1"](tv, c["x1"], c["x3"])
+        got = obm_case.sources(tv, c["x1"], c["x3"])["theta1"]
         assert np.allclose(got, np.broadcast_to(want, g.shape), rtol=1e-12,
                            atol=1e-14)
 
         db = 0.05 * (-1.5) * np.sin(3 * tv) * np.cos(pi * g.x1)
         want_b = db + zet * 0.05 * ken * pi ** 2 * np.cos(pi * g.x1)
-        assert np.allclose(obm_case.sources["b1"](tv, g.x1), want_b,
+        assert np.allclose(obm_case.sources(tv, g.x1, 0.0)["b1"], want_b,
                            rtol=1e-12, atol=1e-14)
+
+
+# one gas and reference set each: the defaults; radiation with another p_inf
+# and beta; other transport coefficients and reference values
+ORACLE_SETS = (
+    (thermo.GasParams(), thermo.ReferenceState()),
+    (thermo.GasParams(a=0.3, p_inf=2.0, beta=2.5), thermo.ReferenceState()),
+    (thermo.GasParams(mu_low=0.02, mu_high=0.1, kappa_low=0.03, kappa_high=0.2,
+                      zeta_low=0.07, zeta_high=0.1),
+     thermo.ReferenceState(rho_bar=1.3, theta_bar=0.8, b_bar=0.9)),
+)
+
+
+@lru_cache(maxsize=None)
+def symbolic_cases(which):
+    """(closed-form case, sympy exact, sympy sources) for both cases."""
+    pytest.importorskip("sympy")
+    import mms_oracle
+    gas, ref = ORACLE_SETS[which]
+    prim = mms.PrimCase(gas=gas, ref=ref)
+    return ((prim, *mms_oracle.prim(gas, ref, prim.eps)),
+            (mms.ObmCase(gas=gas, ref=ref), *mms_oracle.obm(gas, ref)))
+
+
+@pytest.mark.parametrize("which", range(len(ORACLE_SETS)))
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(-1.0, 1.0),
+                                 st.one_of(st.sampled_from((0.0, 1.0)),
+                                           st.floats(0.0, 1.0))),
+                       min_size=1, max_size=16))
+def test_closed_forms_match_sympy_oracle(which, points):
+    """Every exact field and source of both cases agrees with the sympy
+    derivation to 1e-12 of the field's largest magnitude over the sample,
+    at random (t, x1, x3) with the wall rows x3 = 0 and 1 included."""
+    t, x1, x3 = np.array(points).T
+    for case, exact, sources in symbolic_cases(which):
+        for mine, theirs in ((case.exact(t, x1, x3), exact),
+                             (case.sources(t, x1, x3), sources)):
+            assert set(mine) == set(theirs)
+            for key, fn in theirs.items():
+                want = np.broadcast_to(fn(t, x1) if key == "b1" else fn(t, x1, x3),
+                                       t.shape)
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(mine[key] - want)) <= 1e-12 * scale, key
 
 
 # -- refinement sweeps ----------------------------------------------------------
