@@ -114,7 +114,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mms
 from .fields import FieldError, Geometry, Grid, mean_arr, write_snapshot
 from .mhd import (PositivityError, PrimConfig, PrimitiveState, StepRow, cfl_limits,
                   run_prim, snapshot_fields)
@@ -676,6 +675,7 @@ _MMS_BAND = (1.8, 2.2)
 
 
 def cmd_mms(cfg: RunConfig, args) -> int:
+    from . import mms  # the manufactured solutions; no other subcommand loads them
     gas, ref = cfg.gas(), cfg.ref()
     with _setup():
         prim_case = mms.PrimCase(gas=gas, ref=ref)
