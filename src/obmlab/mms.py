@@ -88,7 +88,7 @@ class PrimCase:
             raise FieldError(f"the compressible sources assume the default "
                              f"structural function P, got {P!r}")
 
-    def _kinematics(self, t, x1, x3):
+    def _exact_with_derivatives(self, t, x1, x3):
         """The exact fields and the derivatives the residuals read."""
         rb, tb, bb = self.ref.rho_bar, self.ref.theta_bar, self.ref.b_bar
         c1, s1, c3, s3 = (np.cos(_PI * x1), np.sin(_PI * x1),
@@ -127,7 +127,7 @@ class PrimCase:
 
     def exact(self, t, x1, x3) -> dict:
         """The exact fields at (t, x1, x3)."""
-        return self._kinematics(t, x1, x3)[0]
+        return self._exact_with_derivatives(t, x1, x3)[0]
 
     def sources(self, t, x1, x3) -> dict:
         """Residuals of the continuous equations at the exact fields: all
@@ -135,7 +135,7 @@ class PrimCase:
         are evaluated once."""
         gas, eps = self.gas, self.eps
         f, rates, d_rho, d_th, lap_th, g1, g3, grad_div, B, J = \
-            self._kinematics(t, x1, x3)
+            self._exact_with_derivatives(t, x1, x3)
         rho, th = f["rho"], f["theta"]
         u = (f["u1"], f["u2"], f["u3"])
 
@@ -256,8 +256,8 @@ class ObmCase:
         env = 0.1 * (1 + np.sin(2 * t) / 2)
         s3, c1 = np.sin(_PI * x3), np.cos(_PI * x1)
         lap_th = -_PI ** 2 * env * s3 * (1 + c1)
-        # non-local term: the domain mean of lap_th, (1/2) int int over
-        # [-1, 1] x [0, 1], in closed form
+        # non-local term: the domain mean of lap_th,
+        # (1/2) int_-1^1 int_0^1 lap_th dx3 dx1 = -2 pi env
         drift = kap * (-2 * _PI * env) / (rb * dedt)
         lap_head = -_PI ** 2 * ref.b_bar * f["b1"]
         rhs = (kap * lap_th - tb * alpha * zet * lap_head

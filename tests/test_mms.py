@@ -1,7 +1,7 @@
 """Tests for the manufactured-solution cases and refinement sweeps."""
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -15,6 +15,12 @@ from obmlab.obm import run_obm
 
 GAS = thermo.GasParams(p_inf=1.0, a=0.0)
 REF = thermo.ReferenceState(rho_bar=1.0, theta_bar=1.0, b_bar=0.5)
+
+
+def entry(closed_form, key):
+    """One entry of a closed form that returns a dict, as a callable of
+    (t, x1, x3)."""
+    return lambda t, x1, x3: closed_form(t, x1, x3)[key]
 
 
 def observed_orders(errors, spacings):
@@ -144,9 +150,7 @@ def test_prim_continuity_source_matches_fd(prim_case):
     x1 = rng.uniform(-1.0, 1.0, 40)
     x3 = rng.uniform(0.1, 0.9, 40)
     h = 1e-5
-
-    def e(key):
-        return lambda tt, xx, zz: prim_case.exact(tt, xx, zz)[key]
+    e = partial(entry, prim_case.exact)
 
     def flux1(tt, xx, zz):
         return e("rho")(tt, xx, zz) * e("u1")(tt, xx, zz)
@@ -168,10 +172,7 @@ def test_prim_flux_source_matches_fd(prim_case):
     x3 = rng.uniform(0.1, 0.9, 40)
     bb = prim_case.ref.b_bar
     h = 1e-4
-
-    def e(key):
-        return lambda tt, xx, zz: prim_case.exact(tt, xx, zz)[key]
-
+    e = partial(entry, prim_case.exact)
     a = e("a")
     dt_a = (a(tv + h, x1, x3) - a(tv - h, x1, x3)) / (2 * h)
     d11_a = (a(tv, x1 + h, x3) - 2 * a(tv, x1, x3) + a(tv, x1 - h, x3)) / h ** 2
