@@ -21,6 +21,7 @@ HERE = Path(__file__).resolve().parent
 PRIM_RECORD = HERE / "run_prim_random_32x33.json"
 OBM_RECORD = HERE / "run_obm_random_32x33.json"
 THERMO_RECORD = HERE / "thermo_check_stdout.json"
+MMS_RECORD = HERE / "mms_vertical_combined.json"
 SEED = 7
 T_END = 0.006  # 19 steps of the automatic dt at eps = 0.1
 TAMPERS = ("none", "entropy-constant", "entropy-slope")
@@ -87,6 +88,21 @@ def thermo_check_stdout() -> dict:
     return printed
 
 
+def mms_columns() -> dict:
+    """The ``combined`` errors of one short vertical MMS sweep per solver,
+    at the default gas and reference state and the benchmark's ``mms``
+    levels: n1 = 16 and n3 = 17, 33, 65 for each, to t_end = 0.02
+    (compressible) and 0.125 (limit)."""
+    from obmlab import cli, mms
+
+    cfg = cli.RunConfig.load(None)
+    gas, ref = cfg.gas(), cfg.ref()
+    prim = mms.prim_vertical(mms.PrimCase(gas=gas, ref=ref), (17, 33, 65), 16, 0.02)
+    obm = mms.obm_vertical(mms.ObmCase(gas=gas, ref=ref), (17, 33, 65), 16, 0.125)
+    return {"prim_vertical": [float(e) for e in prim.combined],
+            "obm_vertical": [float(e) for e in obm.combined]}
+
+
 def columns_record(columns: dict) -> dict:
     return {
         "numpy": np.__version__,
@@ -99,6 +115,7 @@ if __name__ == "__main__":
     records = {
         PRIM_RECORD: columns_record(prim_columns()),
         OBM_RECORD: columns_record(obm_columns()),
+        MMS_RECORD: columns_record(mms_columns()),
         THERMO_RECORD: {"numpy": np.__version__, "stdout": thermo_check_stdout()},
     }
     for path, record in records.items():

@@ -1,7 +1,8 @@
 """Golden records: the numbers of short runs, pinned in ``tests/golden``.
 
 Step counts compare exactly; each float column compares at 1e-12 of its
-largest recorded magnitude; printed reports compare as exact text.  Only
+largest recorded magnitude, except the MMS errors (below); printed reports
+compare as exact text.  Only
 ``tests/golden/regen.py`` writes the records; a change that moves them
 states its change of numerical method."""
 
@@ -30,6 +31,24 @@ def test_compressible_run_matches_its_record():
 
 def test_limit_run_matches_its_record():
     assert_columns_match(regen.OBM_RECORD, regen.obm_columns())
+
+
+def test_mms_vertical_sweeps_match_their_record():
+    """An error norm is a difference of fields of size one, so a change of
+    rounding in those fields moves it by about 1e-16 absolutely: 4e-11 of
+    the finest limit level's 1.7e-6.  Each level compares at 1e-10 of its
+    own recorded value, the agreement asked of MMS errors across changes
+    that only reorder operations."""
+    record = json.loads(regen.MMS_RECORD.read_text())
+    columns = regen.mms_columns()
+    assert list(columns) == list(record["columns"])
+    for name, want in record["columns"].items():
+        want, got = np.array(want), np.array(columns[name])
+        assert got.shape == want.shape
+        rel = np.max(np.abs(got - want) / want)
+        assert rel <= 1e-10, (
+            f"{name}: largest relative difference {rel:.3e} above 1e-10 "
+            f"(record written with numpy {record['numpy']})")
 
 
 def test_thermo_check_prints_its_record():
