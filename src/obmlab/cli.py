@@ -115,10 +115,10 @@ from pathlib import Path
 import numpy as np
 
 from .fields import FieldError, Geometry, Grid, mean_arr, write_snapshot
-from .mhd import (PositivityError, PrimConfig, PrimitiveState, StepRow, cfl_limits,
-                  run_prim, snapshot_fields)
-from .obm import (CflError, ObmConfig, ObmConfigError, ObmState,
-                  default_potential, initial_state, run_obm)
+from .mhd import (CflError, PositivityError, PrimConfig, PrimitiveState, StepRow,
+                  cfl_limits, run_prim, snapshot_fields)
+from .obm import (ObmConfig, ObmConfigError, ObmState, default_potential,
+                  initial_state, run_obm)
 from .relent import convergence_study, well_prepared_data
 from .thermo import (DefaultPStructure, GasParams, ReferenceState,
                      ThermoDomainError, thermo_check)

@@ -2,16 +2,15 @@
 
 Geometry conventions
 --------------------
-Three geometries share one code path:
+Two geometries share one code path:
 
 * ``STRIP2``: a vertical slice, periodic in x1 with period 2, walls at
   x3 = 0 and x3 = 1.  Arrays have shape (n3, n1).  Fields are read as
   x2-independent, so vector calculus keeps all three components with
-  d/dx2 = 0.
-* ``STRIP3``: the full layer, periodic in x1 and x2 (period 2 each), walls
-  at x3 = 0, 1.  Arrays have shape (n3, n2, n1).
-* ``TORUS2``: the horizontal torus (periodic square of side 2) carrying
-  the depth-independent limit fields.  Arrays have shape (n2, n1).
+  d/dx2 = 0.  Both solvers run here.
+* ``TORUS2``: the horizontal torus (periodic square of side 2), on which
+  the structure of the limit's magnetic force is checked (acceptance
+  criterion 3).  Arrays have shape (n2, n1).
 
 Horizontal derivatives are Fourier-spectral (wavenumbers pi * m for integer
 mode m, since the period is 2); the vertical direction uses second-order
@@ -25,6 +24,11 @@ mixed second derivatives commute exactly; identities such as div(curl v) = 0
 hold to rounding for this discretization.  So :func:`ddx3_arr` also acts on
 a spectrum from :func:`hfft`: a solver can sum d1 and d3 terms of several
 fluxes there, apply ``dealias_mask`` and make one :func:`hifft`.
+
+The implicit vertical solve is diagonal in horizontal modes, so its
+horizontal-mean mode is a solve on the x1-mean column alone
+(:func:`helmholtz_solve_column`), which shares the x3 sine-solve body of
+the full :func:`helmholtz_solve_arr`.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "ddx3_arr",
     "d2dx3_arr",
     "helmholtz_solve_arr",
+    "helmholtz_solve_column",
     "lap_h_arr",
     "mean_arr",
     "l2_arr",
@@ -67,8 +72,7 @@ class SnapshotFormatError(IOError):
 
 class Geometry(enum.Enum):
     STRIP2 = 0
-    STRIP3 = 1
-    TORUS2 = 2
+    TORUS2 = 2  # snapshot tag 1 is retired: readers reject it as unknown
 
 
 def _is_pow2(n: int) -> bool:
@@ -76,9 +80,9 @@ def _is_pow2(n: int) -> bool:
 
 
 class Grid:
-    """Structured grid for one of the three geometries.
+    """Structured grid for one of the two geometries.
 
-    Horizontal resolutions n1 (and n2 where present) must be powers of two;
+    Horizontal resolutions n1 (and n2 on the torus) must be powers of two;
     n3 counts vertical vertices including both walls (n3 >= 5 so the
     one-sided closures have room).
     """
@@ -88,34 +92,21 @@ class Grid:
         if not _is_pow2(n1):
             raise FieldError(f"n1 must be a power of two >= 4, got {n1}")
         self.n1 = int(n1)
-        if geometry in (Geometry.STRIP3, Geometry.TORUS2):
-            if not _is_pow2(n2):
-                raise FieldError(f"n2 must be a power of two >= 4, got {n2}")
-            self.n2 = int(n2)
-        else:
-            self.n2 = 1
-        if geometry in (Geometry.STRIP2, Geometry.STRIP3):
+        self.has_walls = geometry is Geometry.STRIP2
+        self.has_x2 = not self.has_walls
+        if self.has_walls:
             if n3 < 5:
                 raise FieldError(f"n3 must be >= 5 for wall closures, got {n3}")
-            self.n3 = int(n3)
-        else:
-            self.n3 = 1
-
-        if geometry is Geometry.STRIP2:
+            self.n2, self.n3 = 1, int(n3)
             self.shape = (self.n3, self.n1)
             self.hshape = (self.n1,)
             self.volume = 2.0
-        elif geometry is Geometry.STRIP3:
-            self.shape = (self.n3, self.n2, self.n1)
-            self.hshape = (self.n2, self.n1)
-            self.volume = 4.0
         else:
-            self.shape = (self.n2, self.n1)
-            self.hshape = (self.n2, self.n1)
+            if not _is_pow2(n2):
+                raise FieldError(f"n2 must be a power of two >= 4, got {n2}")
+            self.n2, self.n3 = int(n2), 1
+            self.shape = self.hshape = (self.n2, self.n1)
             self.volume = 4.0
-
-        self.has_walls = geometry is not Geometry.TORUS2
-        self.has_x2 = geometry in (Geometry.STRIP3, Geometry.TORUS2)
 
         self.dx1 = 2.0 / self.n1
         self.dx2 = 2.0 / self.n2 if self.has_x2 else None
@@ -170,14 +161,8 @@ class Grid:
 
     def coords(self) -> dict:
         """Coordinate arrays broadcastable to ``shape`` (keys x1, x2, x3)."""
-        if self.geometry is Geometry.STRIP2:
+        if self.has_walls:
             return {"x1": self.x1[None, :], "x3": self.x3[:, None]}
-        if self.geometry is Geometry.STRIP3:
-            return {
-                "x1": self.x1[None, None, :],
-                "x2": self.x2[None, :, None],
-                "x3": self.x3[:, None, None],
-            }
         return {"x1": self.x1[None, :], "x2": self.x2[:, None]}
 
 
@@ -248,6 +233,36 @@ def d2dx3_arr(data: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
+def _lifted(rhs: np.ndarray, bottom, top, c: float, grid: Grid) -> np.ndarray:
+    """The interior rows of rhs with the Dirichlet wall values lifted onto
+    the first and last of them."""
+    h2 = grid.dx3 ** 2
+    inner = rhs[1:-1].copy()
+    inner[0] += (c / h2) * bottom
+    inner[-1] += (c / h2) * top
+    return inner
+
+
+def _sine_solve(inner: np.ndarray, c: float, ksq, grid: Grid) -> np.ndarray:
+    """Solve (1 + c ksq - c d2/dx3^2) x = inner on the interior rows, with
+    homogeneous Dirichlet walls, for columns along axis 0 whose horizontal
+    wavenumbers squared are ``ksq`` (broadcast over the trailing axes).
+
+    The operator is diagonal in the sine modes sin(pi j i3 / (n3 - 1)) of
+    the Dirichlet second difference, which one FFT of the odd extension in
+    x3 reaches (Hockney's fast direct solver, J. ACM 1965).  Returns the
+    complex interior rows."""
+    n = grid.n3 - 1
+    ext = np.zeros((2 * n,) + inner.shape[1:], dtype=complex)
+    ext[1:n] = inner
+    ext[n + 1:] = -inner[::-1]
+    np.fft.fft(ext, axis=0, out=ext)
+    j = np.arange(2 * n).reshape((-1,) + (1,) * np.ndim(ksq))
+    ext /= 1.0 + c * ksq + (2.0 * c / grid.dx3 ** 2) * (1.0 - np.cos(np.pi * j / n))
+    np.fft.ifft(ext, axis=0, out=ext)
+    return ext[1:n]
+
+
 def helmholtz_solve_arr(rhs: np.ndarray, bottom: np.ndarray, top: np.ndarray,
                         c: float, grid: Grid) -> np.ndarray:
     """Solve (I - c (lap_h + d2/dx3^2)) x = rhs on a strip, with the
@@ -256,25 +271,25 @@ def helmholtz_solve_arr(rhs: np.ndarray, bottom: np.ndarray, top: np.ndarray,
     not read).
 
     The wall values are lifted onto the first and last interior rows; the
-    interior operator is then diagonal in horizontal Fourier modes times
-    the sine modes sin(pi j i3 / (n3 - 1)) of the Dirichlet second
-    difference, which one FFT of the odd extension in x3 reaches (Hockney's
-    fast direct solver, J. ACM 1965)."""
-    n = grid.n3 - 1
-    h2 = grid.dx3 ** 2
-    inner = rhs[1:-1].copy()
-    inner[0] += (c / h2) * bottom
-    inner[-1] += (c / h2) * top
-    spec = hfft(inner, grid)
-    ext = np.zeros((2 * n,) + spec.shape[1:], dtype=complex)
-    ext[1:n] = spec
-    ext[n + 1:] = -spec[::-1]
-    np.fft.fft(ext, axis=0, out=ext)
-    j = np.arange(2 * n).reshape((-1,) + (1,) * grid.ksq.ndim)
-    ext /= 1.0 + c * grid.ksq + (2.0 * c / h2) * (1.0 - np.cos(np.pi * j / n))
-    np.fft.ifft(ext, axis=0, out=ext)
+    interior operator is then diagonal in horizontal Fourier modes, and
+    each mode is one sine solve in x3."""
+    spec = hfft(_lifted(rhs, bottom, top, c, grid), grid)
     out = np.empty(grid.shape)
-    out[1:-1] = hifft(ext[1:n], grid)
+    out[1:-1] = hifft(_sine_solve(spec, c, grid.ksq, grid), grid)
+    out[0] = bottom
+    out[-1] = top
+    return out
+
+
+def helmholtz_solve_column(rhs: np.ndarray, bottom: float, top: float, c: float,
+                           grid: Grid) -> np.ndarray:
+    """The horizontal-mean mode of :func:`helmholtz_solve_arr`: solve
+    (I - c d2/dx3^2) x = rhs for one column of n3 values with x = bottom
+    at x3 = 0 and x = top at x3 = 1.  Given the x1-mean column of a strip
+    right side and the x1 means of its walls, it returns the x1-mean
+    column of that strip's solution, without a horizontal transform."""
+    out = np.empty(grid.n3)
+    out[1:-1] = _sine_solve(_lifted(rhs, bottom, top, c, grid), c, 0.0, grid).real
     out[0] = bottom
     out[-1] = top
     return out
@@ -409,8 +424,7 @@ def read_snapshot(path):
             geometry = Geometry(geom)
         except ValueError as exc:
             raise SnapshotFormatError(f"unknown geometry tag {geom}") from exc
-        count = {Geometry.STRIP2: n3 * n1, Geometry.STRIP3: n3 * n2 * n1,
-                 Geometry.TORUS2: n2 * n1}[geometry]
+        count = n3 * n1 if geometry is Geometry.STRIP2 else n2 * n1
         size = os.fstat(fh.fileno()).st_size - len(head)
         if size % (8 + 8 * count):
             raise SnapshotFormatError(

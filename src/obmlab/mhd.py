@@ -77,9 +77,10 @@ from .fields import (
     mean_arr,
     write_snapshot,
 )
-from .obm import CflError, _check_potential_and_walls, _landing_step
+from .obm import _check_potential_and_walls, _landing_step
 
 __all__ = [
+    "CflError",
     "PositivityError",
     "PrimConfig",
     "PrimitiveState",
@@ -95,6 +96,10 @@ __all__ = [
     "a_from_b3_profile",
     "snapshot_fields",
 ]
+
+
+class CflError(RuntimeError):
+    """Raised when a step's dt exceeds the stability bound."""
 
 
 class PositivityError(RuntimeError):

@@ -16,6 +16,7 @@ from obmlab.fields import (
     read_snapshot,
 )
 from obmlab.mhd import (
+    CflError,
     PositivityError,
     PrimConfig,
     PrimitiveState,
@@ -37,7 +38,6 @@ from obmlab.mhd import (
     step_prim,
     total_energy,
 )
-from obmlab.obm import CflError
 
 import tendencies_oracle as oracle
 

@@ -5,27 +5,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from obmlab import thermo
+from obmlab import obm, thermo
 from obmlab.fields import (
     FieldError,
     Geometry,
     Grid,
     d2dx3_arr,
-    ddx1_arr,
-    ddx2_arr,
     lap_h_arr,
-    leray_arr,
     mean_arr,
+    wall_flux_arr,
 )
 from obmlab.obm import (
-    CflError,
     ObmConfig,
     ObmConfigError,
     ObmState,
     _heat_terms,
-    _induction_transport,
     _landing_step,
-    _momentum_nonstiff,
     boussinesq_rho,
     compute_chi,
     default_potential,
@@ -52,40 +47,24 @@ def strip2(n1=32, n3=33):
     return Grid(Geometry.STRIP2, n1, n3=n3)
 
 
-def strip3(n1=16, n2=16, n3=17):
-    return Grid(Geometry.STRIP3, n1, n2, n3)
-
-
-def random_state(grid, rng, cfg, u_scale=0.1):
+def random_state(grid, rng, cfg):
     th = rng.standard_normal(grid.shape)
     b1 = rng.standard_normal(grid.hshape)
-    if grid.geometry is Geometry.STRIP2:
-        U = np.zeros((2,) + grid.hshape)
-    else:
-        U = u_scale * leray_arr(rng.standard_normal((2,) + grid.hshape), grid)
-    return ObmState.create(grid, th, b1, U, gas=cfg.gas, ref=cfg.ref)
+    return ObmState.create(grid, th, b1, gas=cfg.gas, ref=cfg.ref)
 
 
-def induction_rhs(b1, U, cfg):
-    """Induction right side as step_obm splits it: the explicit transport
-    plus the implicit zeta lap_h b1."""
-    return _induction_transport(b1, U, cfg.grid) + cfg.zeta * lap_h_arr(b1, cfg.grid)
+def induction_rhs(b1, cfg):
+    """Induction right side: with the flow pinned to zero nothing transports
+    b1, and step_obm solves for the whole of zeta lap_h b1."""
+    return cfg.zeta * lap_h_arr(b1, cfg.grid)
 
 
 def heat_rhs(st, cfg):
     """Full heat right side and mean drift: the explicit terms plus the
     stiff kappa lap theta1 / (rho_bar c_p) that step_obm solves for."""
-    nonstiff, drift = _heat_terms(st, cfg)
+    nonstiff, drift = _heat_terms(wall_flux_arr(st.theta1, cfg.grid), st.b1, cfg)
     lap = lap_h_arr(st.theta1, cfg.grid) + d2dx3_arr(st.theta1, cfg.grid)
     return nonstiff + cfg.kappa * lap / (cfg.ref.rho_bar * cfg.cp), drift
-
-
-def momentum_rhs(st, cfg):
-    """Projected acceleration of U: the explicit part plus the projected
-    viscous term, as step_obm splits it."""
-    g = cfg.grid
-    viscous = leray_arr((cfg.mu / cfg.ref.rho_bar) * lap_h_arr(st.U, g), g)
-    return _momentum_nonstiff(st, cfg) + viscous
 
 
 # -- configuration and state validation --------------------------------------
@@ -111,8 +90,9 @@ def test_state_validation():
     g = strip2(16, 9)
     cfg = make_cfg(g)
     with pytest.raises(FieldError):
-        ObmState(g, np.zeros(g.shape), np.zeros(g.hshape),
-                 np.full((2,) + g.hshape, 0.1), 0.0, 0.0)  # U on a slice
+        ObmState(g, np.zeros(g.shape), np.zeros(g.shape), 0.0, 0.0)  # b1 on the strip
+    assert np.array_equal(ObmState.create(g, np.zeros(g.shape), gas=GAS, ref=REF).U,
+                          np.zeros((2,) + g.hshape))  # the pinned flow
     bad = np.zeros(g.shape)
     bad[2, 2] = np.inf
     with pytest.raises(FieldError):
@@ -162,27 +142,26 @@ def test_induction_diffusion_eigenmode():
     z = float(thermo.zeta(REF.theta_bar, GAS))
     for k in (1, 3, 8):
         b1 = np.sin(np.pi * k * g.x1)
-        rhs = induction_rhs(b1, np.zeros((2,) + g.hshape), cfg)
+        rhs = induction_rhs(b1, cfg)
         lam = z * (np.pi * k) ** 2
         assert np.max(np.abs(rhs + lam * b1)) < 1e-10 * lam
 
 
 def test_induction_constant_field_inert():
-    rng = np.random.default_rng(6)
-    g = strip3()
+    g = strip2(16, 17)
     cfg = make_cfg(g)
-    U = leray_arr(rng.standard_normal((2,) + g.hshape), g)
-    rhs = induction_rhs(np.full(g.hshape, 0.8), U, cfg)
+    rhs = induction_rhs(np.full(g.hshape, 0.8), cfg)
     assert np.max(np.abs(rhs)) < 1e-12
+    st = ObmState.create(g, np.zeros(g.shape), np.full(g.hshape, 0.8), gas=GAS, ref=REF)
+    assert np.max(np.abs(step_obm(st, cfg).b1 - 0.8)) < 1e-15
 
 
 def test_induction_mean_free():
     rng = np.random.default_rng(7)
-    g = strip3()
+    g = strip2(16, 17)
     cfg = make_cfg(g)
     for _ in range(5):
-        rhs = induction_rhs(rng.standard_normal(g.hshape),
-                            rng.standard_normal((2,) + g.hshape), cfg)
+        rhs = induction_rhs(rng.standard_normal(g.hshape), cfg)
         assert abs(rhs.mean()) < 1e-13
 
 
@@ -213,58 +192,23 @@ def test_heat_drift_analytic_sine():
     assert abs(drift - want) < 1e-3 * abs(want)
 
 
-@pytest.mark.parametrize("make", [strip2, strip3])
-def test_heat_mean_consistency_random(make):
+@pytest.mark.parametrize("n1, n3, x1_potential", [(32, 33, False), (16, 17, True)],
+                         ids=["strip2", "strip2-x1-potential"])
+def test_heat_mean_consistency_random(n1, n3, x1_potential):
     """The discrete mean of the full heat right side must reproduce the
     closed mean ODE; this re-runs the integration argument discretely."""
     rng = np.random.default_rng(8)
-    g = make()
+    g = strip2(n1, n3)
     c = g.coords()
     G = 0.5 - c["x3"]
-    if g.has_x2:
-        G = G + 0.2 * np.cos(np.pi * c["x1"]) * np.sin(np.pi * c["x2"])
+    if x1_potential:
+        G = G + 0.2 * np.cos(np.pi * c["x1"]) * np.sin(np.pi * c["x3"])
     cfg = make_cfg(g, G=np.broadcast_to(G, g.shape).copy())
     for _ in range(3):
         st = random_state(g, rng, cfg)
         out, drift = heat_rhs(st, cfg)
         scale = max(1.0, np.max(np.abs(out)))
         assert abs(mean_arr(out, g) - drift) < 1e-8 * scale
-
-
-# -- momentum ------------------------------------------------------------------
-
-
-def test_momentum_rest_state_vertical_gravity():
-    g = strip3()
-    cfg = make_cfg(g)
-    st = initial_state(cfg, theta_amp=0.2, b_amp=0.0)
-    out = momentum_rhs(st, cfg)
-    assert np.max(np.abs(out)) < 1e-12
-
-
-def test_momentum_divergence_free():
-    rng = np.random.default_rng(9)
-    g = strip3()
-    c = g.coords()
-    G = 0.5 - c["x3"] + 0.25 * np.cos(np.pi * c["x1"]) * np.cos(np.pi * c["x2"])
-    cfg = make_cfg(g, G=np.broadcast_to(G, g.shape).copy())
-    for _ in range(3):
-        st = random_state(g, rng, cfg, u_scale=0.3)
-        out = momentum_rhs(st, cfg)
-        d = ddx1_arr(out[0], g) + ddx2_arr(out[1], g)
-        assert np.max(np.abs(d)) < 1e-12 * max(1.0, np.max(np.abs(out)))
-
-
-def test_momentum_pure_lorentz_inert():
-    """The horizontal Lorentz force is a pure gradient and is absorbed by
-    the projection; with U = 0 and flat G the acceleration vanishes."""
-    rng = np.random.default_rng(10)
-    g = strip3()
-    cfg = make_cfg(g, G=np.zeros(g.shape))
-    b1 = rng.standard_normal(g.hshape)
-    st = ObmState.create(g, np.zeros(g.shape), b1, gas=GAS, ref=REF)
-    out = momentum_rhs(st, cfg)
-    assert np.max(np.abs(out)) < 1e-10
 
 
 # -- stepping ------------------------------------------------------------------
@@ -317,9 +261,9 @@ def test_dirichlet_walls_exact():
 
 def test_mean_b1_conserved():
     rng = np.random.default_rng(11)
-    g = strip3(16, 16, 9)
+    g = strip2(16, 9)
     cfg = make_cfg(g, dt=1e-3)
-    st = random_state(g, rng, cfg, u_scale=0.5)
+    st = random_state(g, rng, cfg)
     st.b1 += 0.6
     m0 = st.b1.mean()
     for _ in range(300):
@@ -327,33 +271,25 @@ def test_mean_b1_conserved():
     assert abs(st.b1.mean() - m0) < 1e-12
 
 
-def test_velocity_divergence_free_after_steps():
-    rng = np.random.default_rng(12)
-    g = strip3(16, 16, 9)
-    cfg = make_cfg(g, dt=1e-3)
-    st = random_state(g, rng, cfg, u_scale=0.3)
-    for _ in range(20):
-        st = step_obm(st, cfg)
-        d = ddx1_arr(st.U[0], g) + ddx2_arr(st.U[1], g)
-        assert np.max(np.abs(d)) < 1e-12
+def test_step_makes_one_strip_solve(monkeypatch):
+    """The predictor solves only the x1-mean column; the corrector's solve
+    is the step's one solve over the whole strip."""
+    calls = {"strip": 0, "column": 0}
 
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-def test_cfl_rejection():
-    g = strip3(16, 16, 9)
-    cfg = make_cfg(g, dt=0.1)
-    U = np.zeros((2,) + g.hshape)
-    U[0] = 2.0  # Courant = 2.0 * 0.1 / 0.125 = 1.6
-    st = ObmState.create(g, np.zeros(g.shape), U=U, gas=GAS, ref=REF, t=0.25)
-    with pytest.raises(CflError, match=r"Courant=1\.6 > 0\.9 in the step from t = 0\.25$"):
-        step_obm(st, cfg)
-
-
-def test_strip2_velocity_pinned():
-    g = strip2(16, 9)
-    U = np.zeros((2,) + g.hshape)
-    U[0, 3] = 0.5
-    with pytest.raises(FieldError):
-        ObmState(g, np.zeros(g.shape), np.zeros(g.hshape), U, 0.0, 0.0)
+    monkeypatch.setattr(obm, "helmholtz_solve_arr",
+                        counted("strip", obm.helmholtz_solve_arr))
+    monkeypatch.setattr(obm, "helmholtz_solve_column",
+                        counted("column", obm.helmholtz_solve_column))
+    g = strip2(16, 17)
+    cfg = make_cfg(g, dt=1e-3, t_end=0.005, theta_B=(0.1, -0.2))
+    run_obm(initial_state(cfg), cfg)
+    assert calls == {"strip": 5, "column": 5}
 
 
 def test_second_order_in_dt():
