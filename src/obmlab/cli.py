@@ -106,6 +106,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import re
 import sys
 from contextlib import contextmanager
@@ -674,12 +675,25 @@ def cmd_converge(cfg: RunConfig, args) -> int:
 _MMS_BAND = (1.8, 2.2)
 
 
+def _finest_level(sweep) -> tuple:
+    """(grid, t_end) of the finest level of an MMS sweep function at its
+    default levels: the largest n of the refined axis, the other fixed."""
+    level = {k: p.default for k, p in inspect.signature(sweep).parameters.items()}
+    n1 = max(level["n1_list"]) if "n1_list" in level else level["n1"]
+    n3 = max(level["n3_list"]) if "n3_list" in level else level["n3"]
+    return Grid(Geometry.STRIP2, n1, n3=n3), level["t_end"]
+
+
 def cmd_mms(cfg: RunConfig, args) -> int:
     from . import mms  # the manufactured solutions; no other subcommand loads them
     gas, ref = cfg.gas(), cfg.ref()
     with _setup():
         prim_case = mms.PrimCase(gas=gas, ref=ref)
         obm_case = mms.ObmCase(gas=gas, ref=ref)
+        for sweep in (mms.prim_vertical, mms.prim_horizontal):
+            grid, t_end = _finest_level(sweep)
+            _check_automatic_steps("thermo", prim_case.state(0.0, grid),
+                                   prim_case.config(grid), t_end)
     with _march():
         sweeps = (
             ("prim-vertical", mms.prim_vertical(prim_case)),

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -441,6 +442,23 @@ def test_mms_blowup_exits_3(tmp_path, capsys):
     assert main(["mms", "--config", path, "--out", str(tmp_path), "--quiet"]) == 3
     err = capsys.readouterr().err
     assert "obmlab: numerical failure: positivity lost" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_mms_too_many_automatic_steps_exits_2(tmp_path, capsys):
+    """A field so strong that the Alfven bound asks more than 2**20 steps of
+    a compressible sweep's finest level is a config error found before any
+    sweep runs: exit 2 within seconds, no CSV and no traceback."""
+    path = write_config(tmp_path, """\
+        [thermo]
+        b_bar = 1e5
+    """)
+    start = time.perf_counter()
+    assert main(["mms", "--config", path, "--out", str(tmp_path), "--quiet"]) == 2
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert "obmlab: config error: [thermo] eps = 0.5 needs more than 1048576 steps" in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
 
