@@ -25,10 +25,13 @@ hold to rounding for this discretization.  So :func:`ddx3_arr` also acts on
 a spectrum from :func:`hfft`: a solver can sum d1 and d3 terms of several
 fluxes there, apply ``dealias_mask`` and make one :func:`hifft`.
 
-The implicit vertical solve is diagonal in horizontal modes, so its
-horizontal-mean mode is a solve on the x1-mean column alone
-(:func:`helmholtz_solve_column`), which shares the x3 sine-solve body of
-the full :func:`helmholtz_solve_arr`.
+On a strip with Dirichlet walls, the Laplacian of the interior rows is
+diagonal in x1 Fourier modes times x3 sine modes.  :func:`sine_modes` and
+:func:`from_sine_modes` are the one transform pair into that basis, and
+the only code that builds the odd extension in x3; the limit solver's
+implicit heat step acts there mode by mode.  The horizontal-mean mode of
+that step is a solve on the x1-mean column alone
+(:func:`helmholtz_solve_column`), through the same x3 transform.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ __all__ = [
     "ddx2_arr",
     "ddx3_arr",
     "d2dx3_arr",
-    "helmholtz_solve_arr",
     "helmholtz_solve_column",
+    "sine_modes",
+    "from_sine_modes",
     "lap_h_arr",
     "mean_arr",
     "l2_arr",
@@ -116,13 +120,17 @@ class Grid:
         self.x2 = -1.0 + self.dx2 * np.arange(self.n2) if self.has_x2 else None
         self.x3 = np.linspace(0.0, 1.0, self.n3) if self.has_walls else None
 
-        # trapezoidal quadrature weights over (0, 1), sum exactly 1
+        # trapezoidal quadrature weights over (0, 1), sum exactly 1, and the
+        # eigenvalues of -d2/dx3^2 with homogeneous Dirichlet walls on the
+        # interior sine modes j = 1 .. n3 - 2 (:func:`sine_modes`)
         if self.has_walls:
             w = np.full(self.n3, self.dx3)
             w[0] = w[-1] = 0.5 * self.dx3
             self.w3 = w
+            j = np.arange(1, self.n3 - 1)
+            self.lam3 = (2.0 / self.dx3 ** 2) * (1.0 - np.cos(np.pi * j / (self.n3 - 1)))
         else:
-            self.w3 = None
+            self.w3 = self.lam3 = None
 
         # spectral machinery: wavenumbers pi*m on a period-2 direction
         n1r = self.n1 // 2 + 1
@@ -233,49 +241,36 @@ def d2dx3_arr(data: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def _lifted(rhs: np.ndarray, bottom, top, c: float, grid: Grid) -> np.ndarray:
-    """The interior rows of rhs with the Dirichlet wall values lifted onto
-    the first and last of them."""
-    h2 = grid.dx3 ** 2
-    inner = rhs[1:-1].copy()
-    inner[0] += (c / h2) * bottom
-    inner[-1] += (c / h2) * top
-    return inner
+def _odd_fft(rows: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """FFT (or with ``inverse`` the inverse FFT) along axis 0 of the odd
+    extension (0, rows, 0, -rows reversed) of the n - 1 interior rows of a
+    strip, kept at the sine modes j = 1 .. n - 1.
+
+    The forward transform is -2i sum_i rows[i - 1] sin(pi j i / n); the
+    inverse undoes it.  The sine modes diagonalize the Dirichlet second
+    difference (Hockney's fast direct solver, J. ACM 1965)."""
+    n = rows.shape[0] + 1
+    ext = np.empty((2 * n,) + rows.shape[1:], dtype=complex)
+    ext[0] = ext[n] = 0.0
+    ext[1:n] = rows
+    np.negative(rows[::-1], out=ext[n + 1:])
+    transform = np.fft.ifft if inverse else np.fft.fft
+    return transform(ext, axis=0, out=ext)[1:n]
 
 
-def _sine_solve(inner: np.ndarray, c: float, ksq, grid: Grid) -> np.ndarray:
-    """Solve (1 + c ksq - c d2/dx3^2) x = inner on the interior rows, with
-    homogeneous Dirichlet walls, for columns along axis 0 whose horizontal
-    wavenumbers squared are ``ksq`` (broadcast over the trailing axes).
-
-    The operator is diagonal in the sine modes sin(pi j i3 / (n3 - 1)) of
-    the Dirichlet second difference, which one FFT of the odd extension in
-    x3 reaches (Hockney's fast direct solver, J. ACM 1965).  Returns the
-    complex interior rows."""
-    n = grid.n3 - 1
-    ext = np.zeros((2 * n,) + inner.shape[1:], dtype=complex)
-    ext[1:n] = inner
-    ext[n + 1:] = -inner[::-1]
-    np.fft.fft(ext, axis=0, out=ext)
-    j = np.arange(2 * n).reshape((-1,) + (1,) * np.ndim(ksq))
-    ext /= 1.0 + c * ksq + (2.0 * c / grid.dx3 ** 2) * (1.0 - np.cos(np.pi * j / n))
-    np.fft.ifft(ext, axis=0, out=ext)
-    return ext[1:n]
+def sine_modes(data: np.ndarray, grid: Grid) -> np.ndarray:
+    """Fourier-sine spectrum of the interior rows of a strip array (its wall
+    rows are not read): x1 Fourier modes times x3 sine modes, shape
+    (n3 - 2, n1 // 2 + 1).  The Laplacian with homogeneous Dirichlet walls
+    is diagonal here, with eigenvalues -(ksq + lam3)."""
+    return _odd_fft(np.fft.rfft(data[1:-1], axis=-1))
 
 
-def helmholtz_solve_arr(rhs: np.ndarray, bottom: np.ndarray, top: np.ndarray,
-                        c: float, grid: Grid) -> np.ndarray:
-    """Solve (I - c (lap_h + d2/dx3^2)) x = rhs on a strip, with the
-    centered second difference on interior rows and the Dirichlet values
-    x = bottom at x3 = 0 and x = top at x3 = 1 (the wall rows of rhs are
-    not read).
-
-    The wall values are lifted onto the first and last interior rows; the
-    interior operator is then diagonal in horizontal Fourier modes, and
-    each mode is one sine solve in x3."""
-    spec = hfft(_lifted(rhs, bottom, top, c, grid), grid)
+def from_sine_modes(modes: np.ndarray, bottom, top, grid: Grid) -> np.ndarray:
+    """Inverse of :func:`sine_modes`: the strip array whose interior rows have
+    the spectrum ``modes`` and whose wall rows are ``bottom`` and ``top``."""
     out = np.empty(grid.shape)
-    out[1:-1] = hifft(_sine_solve(spec, c, grid.ksq, grid), grid)
+    np.fft.irfft(_odd_fft(modes, inverse=True), n=grid.n1, axis=-1, out=out[1:-1])
     out[0] = bottom
     out[-1] = top
     return out
@@ -283,13 +278,20 @@ def helmholtz_solve_arr(rhs: np.ndarray, bottom: np.ndarray, top: np.ndarray,
 
 def helmholtz_solve_column(rhs: np.ndarray, bottom: float, top: float, c: float,
                            grid: Grid) -> np.ndarray:
-    """The horizontal-mean mode of :func:`helmholtz_solve_arr`: solve
-    (I - c d2/dx3^2) x = rhs for one column of n3 values with x = bottom
-    at x3 = 0 and x = top at x3 = 1.  Given the x1-mean column of a strip
-    right side and the x1 means of its walls, it returns the x1-mean
-    column of that strip's solution, without a horizontal transform."""
+    """Solve (I - c d2/dx3^2) x = rhs for one column of n3 values with the
+    centered second difference on interior rows and x = bottom at x3 = 0,
+    x = top at x3 = 1 (the wall entries of rhs are not read).  This is the
+    horizontal-mean mode of the strip solve in :func:`sine_modes`: given the
+    x1-mean column of a strip right side and the x1 means of its walls, it
+    returns the x1-mean column of that strip's solution."""
+    h2 = grid.dx3 ** 2
+    inner = rhs[1:-1].copy()
+    inner[0] += (c / h2) * bottom
+    inner[-1] += (c / h2) * top
+    modes = _odd_fft(inner)
+    modes /= 1.0 + c * grid.lam3
     out = np.empty(grid.n3)
-    out[1:-1] = _sine_solve(_lifted(rhs, bottom, top, c, grid), c, 0.0, grid).real
+    out[1:-1] = _odd_fft(modes, inverse=True).real
     out[0] = bottom
     out[-1] = top
     return out

@@ -568,6 +568,8 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
     projected on entry as in :func:`step_prim`.  On positivity loss the last
     valid state is dumped to ``fail_snapshot`` when given and the error
     re-raised."""
+    if not np.isfinite(t_end):
+        raise FieldError(f"t_end must be finite, got {t_end}")
     g = state.grid
     rows = []
     psi = psi_extension(cfg, state.eps)

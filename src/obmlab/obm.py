@@ -21,25 +21,32 @@ integrated.
 
 Time integration is IMEX: diffusion is implicit (Crank-Nicolson, with a
 backward-Euler predictor), the couplings are explicit through a Heun
-predictor-corrector.  The implicit heat solve is diagonal in horizontal
-Fourier modes times vertical sine modes once the Dirichlet wall
-temperature is lifted onto the interior, so one transform pair solves it
-for every mode (:func:`obmlab.fields.helmholtz_solve_arr`); the horizontal
-diffusion of b1 is diagonal in Fourier space.
+predictor-corrector.  With the flow pinned, the heat equation is linear
+with constant coefficients, and its Crank-Nicolson operator is diagonal in
+horizontal Fourier modes times vertical sine modes once the Dirichlet wall
+temperatures are lifted onto the first and last interior rows (Hockney,
+J. ACM 1965).  So a state carries the spectrum of its theta1,
+:attr:`ObmState.modes` (transformed once when a run starts from plain
+data), and the corrector updates it mode by mode
+(:func:`_crank_nicolson`): the walls and the x3-independent forcing enter
+through x1 transforms of single rows, and the step's one transform over
+the whole strip is the inverse that gives the new theta1, which the
+continuity residual and the driver's row read.  The horizontal diffusion
+of b1 is diagonal in Fourier space.
 
 The explicit heat forcing is x3-independent: the adiabatic response to the
 decaying magnetic head plus the non-local mean drift.  theta1 enters it
 only through that drift, that is through its wall flux, and the wall flux
 is a function of theta1's x1-mean column (:func:`obmlab.fields.wall_flux_arr`).
-So the corrector reads the predictor temperature through that column alone.
-The predictor solves only the horizontal-mean mode
-(:func:`obmlab.fields.helmholtz_solve_column`), and the step's one full
-solve is the corrector's.
+So the corrector reads the predictor temperature through that column alone,
+and the predictor solves only the horizontal-mean mode
+(:func:`obmlab.fields.helmholtz_solve_column`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -47,13 +54,14 @@ from . import thermo
 from .fields import (
     FieldError,
     Grid,
-    d2dx3_arr,
-    helmholtz_solve_arr,
+    _odd_fft,
+    from_sine_modes,
     helmholtz_solve_column,
     hfft,
     hifft,
     lap_h_arr,
     mean_arr,
+    sine_modes,
     wall_flux_arr,
 )
 
@@ -139,8 +147,8 @@ class ObmConfig:
             raise ObmConfigError(f"potential G must be mean-free, mean = {gm:.3e}")
         if not self.dt > 0:
             raise ObmConfigError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ObmConfigError(f"t_end must be nonnegative, got {self.t_end}")
+        if not (np.isfinite(self.t_end) and self.t_end >= 0):
+            raise ObmConfigError(f"t_end must be finite and nonnegative, got {self.t_end}")
         gas, rb, tb = self.gas, self.ref.rho_bar, self.ref.theta_bar
         self.alpha, self.cp = thermo.alpha_cp(self.ref, gas)
         self.dpdt = float(thermo.dp_dtheta(rb, tb, gas))
@@ -148,6 +156,25 @@ class ObmConfig:
         self.dedt = float(thermo.de_dtheta(rb, tb, gas))
         self.kappa = float(thermo.kappa(tb, gas))
         self.zeta = float(thermo.zeta(tb, gas))
+
+    @cached_property
+    def heat_step(self) -> tuple:
+        """Mode-wise factors (R, P, S) of the Crank-Nicolson heat step of
+        size dt (:func:`_crank_nicolson`), built on the first step that reads
+        them: with a = c (ksq + lam3) and c = dt kappa / (2 rho_bar c_p),
+        R = (1 - a)/(1 + a) and P = 1/(1 + a); the columns of S are the sine
+        transforms of (c/h^2) e_1, (c/h^2) e_(n3-2) and the ones, which lift
+        the walls onto the first and last interior rows and spread an
+        x3-independent forcing."""
+        g = self.grid
+        c = 0.5 * self.dt * self.kappa / (self.ref.rho_bar * self.cp)
+        a = c * (g.ksq[None, :] + g.lam3[:, None])
+        units = np.zeros((g.n3 - 2, 3))
+        units[0, 0] = units[-1, 1] = c / g.dx3 ** 2
+        units[:, 2] = 1.0
+        # R and P complex, so that their products with the modes need no cast
+        return (((1.0 - a) / (1.0 + a)).astype(complex),
+                (1.0 / (1.0 + a)).astype(complex), _odd_fft(units))
 
 
 def compute_chi(theta1: np.ndarray, grid: Grid, gas: thermo.GasParams,
@@ -176,6 +203,16 @@ class ObmState:
         for arr, what in ((self.theta1, "theta1"), (self.b1, "b1")):
             if not np.all(np.isfinite(arr)):
                 raise FieldError(f"non-finite values in {what}")
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        """Fourier-sine spectrum of theta1's interior rows
+        (:func:`obmlab.fields.sine_modes`), which :func:`step_obm` advances.
+        Built on first use, or handed over by the step that made the state,
+        and read-only, as theta1 does not change after construction."""
+        modes = sine_modes(self.theta1, self.grid)
+        modes.flags.writeable = False
+        return modes
 
     @property
     def U(self) -> np.ndarray:
@@ -260,8 +297,32 @@ def _diag_implicit(data: np.ndarray, nu: float, dt: float, grid: Grid) -> np.nda
 # -- time stepping --------------------------------------------------------------
 
 
+def _crank_nicolson(state: ObmState, forcing: np.ndarray, source, cfg: ObmConfig):
+    """Modes of the Crank-Nicolson heat step (I - c L) theta_new =
+    (I + c L) theta1 + forcing + source, with L the spectral horizontal plus
+    centered vertical Laplacian on the interior rows, the state's wall rows
+    on the right and the config's walls on the left; ``forcing`` is hshape,
+    ``source`` strip-shaped or None.  Mode by mode (:attr:`ObmConfig.heat_step`):
+
+        Theta_new = R Theta + P (S [h_b; h_t; F] + source modes)
+
+    with h_b, h_t, F the x1 spectra of theta1[0] + bottom, theta1[-1] + top
+    and the forcing."""
+    R, P, S = cfg.heat_step
+    wb, wt = cfg.theta_B
+    rows = np.stack([state.theta1[0] + wb, state.theta1[-1] + wt, forcing])
+    rhs = S @ hfft(rows, state.grid)
+    if source is not None:
+        rhs += sine_modes(source, state.grid)
+    rhs *= P
+    modes = R * state.modes
+    modes += rhs
+    return modes
+
+
 def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
-    """Advance one step of size cfg.dt.
+    """Advance one step of size cfg.dt, from the state's theta1 and its
+    :attr:`ObmState.modes`; the new state carries its own.
 
     ``src(t)`` may return a dict with optional keys theta1 and b1 holding
     additive source fields (used by manufactured-solution tests).  Raises
@@ -273,31 +334,32 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
     wb, wt = cfg.theta_B
 
     def explicit(flux: float, b1: np.ndarray, t: float) -> tuple:
-        """Explicit tendencies of (theta1, b1), plus any sources at t."""
-        extra = {} if src is None else src(t)
+        """Explicit tendencies: theta1's x3-independent forcing (hshape),
+        theta1's source at t (strip shape, None without ``src``) and b1's."""
         Nth = _heat_terms(flux, b1, cfg)[0]
-        if "theta1" in extra:
-            Nth = Nth + extra["theta1"]
-        return Nth, extra.get("b1", np.zeros(g.hshape))
+        if src is None:
+            return Nth, None, np.zeros(g.hshape)
+        extra = src(t)
+        return (Nth, np.broadcast_to(extra.get("theta1", 0.0), g.shape),
+                extra.get("b1", np.zeros(g.hshape)))
 
-    Nth_n, Nb_n = explicit(wall_flux_arr(state.theta1, g), state.b1, state.t)
+    Nth_n, Sth_n, Nb_n = explicit(wall_flux_arr(state.theta1, g), state.b1, state.t)
 
     # predictor: backward Euler diffusion, forward Euler couplings.  The
     # corrector reads the predicted temperature only through its wall flux,
     # so only its x1-mean column is solved for (module docstring)
-    column = (state.theta1 + dt * Nth_n).mean(axis=-1)
+    column = state.theta1.mean(axis=-1) + dt * Nth_n.mean()
+    if Sth_n is not None:
+        column += dt * Sth_n.mean(axis=-1)
     col_star = helmholtz_solve_column(column, wb.mean(), wt.mean(), dt * cth, g)
     b_star = _diag_implicit(state.b1 + dt * Nb_n, nu_b, dt, g)
 
-    # corrector: Crank-Nicolson diffusion, Heun couplings
-    Nth_s, Nb_s = explicit(wall_flux_arr(col_star, g), b_star, state.t + dt)
-
-    # the solve does not read the wall rows of this explicit half; the
-    # Dirichlet values take their place
-    lap_th = lap_h_arr(state.theta1, g) + d2dx3_arr(state.theta1, g)
-    rhs_th = state.theta1 + 0.5 * dt * cth * lap_th \
-        + 0.5 * dt * (Nth_n + Nth_s)
-    th_new = helmholtz_solve_arr(rhs_th, wb, wt, 0.5 * dt * cth, g)
+    # corrector: Crank-Nicolson diffusion, Heun couplings, in the modes the
+    # state carries; one inverse transform gives the new temperature
+    Nth_s, Sth_s, Nb_s = explicit(wall_flux_arr(col_star, g), b_star, state.t + dt)
+    modes = _crank_nicolson(state, 0.5 * dt * (Nth_n + Nth_s),
+                            None if src is None else 0.5 * dt * (Sth_n + Sth_s), cfg)
+    th_new = from_sine_modes(modes, wb, wt, g)
 
     spec_b = hfft(state.b1, g)
     spec_b = (spec_b * (1.0 - 0.5 * dt * nu_b * g.ksq)
@@ -305,6 +367,8 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
     b_new = hifft(spec_b, g)
 
     new = ObmState(g, th_new, b_new, cfg.dpdt * mean_arr(th_new, g), state.t + dt)
+    modes.flags.writeable = False
+    new.__dict__["modes"] = modes  # the cached property, handed over
 
     # continuity diagnostic: the transported density equation is not solved
     # (nothing is advected), so its residual on the derived rho1 is the rate

@@ -21,13 +21,14 @@ from obmlab.fields import (
     ddx2_arr,
     ddx3_arr,
     dealias_arr,
-    helmholtz_solve_arr,
+    from_sine_modes,
     helmholtz_solve_column,
     l2_arr,
     lap_h_arr,
     leray_arr,
     mean_arr,
     read_snapshot,
+    sine_modes,
     wall_flux_arr,
     write_snapshot,
 )
@@ -191,39 +192,28 @@ def test_vertical_exact_on_quadratic():
 # -- implicit vertical solve -------------------------------------------------
 
 
-def helmholtz_dense(rhs, bottom, top, c, g):
-    """Reference for helmholtz_solve_arr: per horizontal mode, the explicitly
-    assembled tridiagonal matrix with identity wall rows, by np.linalg.solve."""
-    axes = (-2, -1) if g.has_x2 else (-1,)
-    spec = np.fft.rfftn(rhs, axes=axes).reshape(g.n3, -1).T.copy()
-    spec[:, 0] = np.fft.rfftn(bottom, axes=axes).reshape(-1)
-    spec[:, -1] = np.fft.rfftn(top, axes=axes).reshape(-1)
-    off = -c / g.dx3 ** 2
-    A = np.zeros((spec.shape[0], g.n3, g.n3))
-    i = np.arange(1, g.n3 - 1)
-    A[:, i, i] = 1.0 + g.ksq.reshape(-1, 1) * c - 2.0 * off
-    A[:, i, i - 1] = off
-    A[:, i, i + 1] = off
-    A[:, 0, 0] = A[:, -1, -1] = 1.0
-    x = np.linalg.solve(A, spec[..., None])[..., 0]
-    x = x.T.reshape((g.n3,) + g.ksq.shape)
-    s = tuple(g.shape[a] for a in axes)
-    return np.fft.irfftn(x, s=s, axes=axes)
-
-
 @settings(max_examples=60, deadline=None)
-@given(n1=st.sampled_from([4, 8, 16]), n3=st.integers(5, 65),
-       log_c=st.floats(-6.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
-def test_helmholtz_solve_matches_dense_property(n1, n3, log_c, seed):
+@given(n1=st.sampled_from([4, 8, 16, 64]), n3=st.integers(5, 65),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sine_modes_invert_ignore_walls_and_diagonalize_property(n1, n3, seed):
+    """from_sine_modes inverts sine_modes on the interior rows and sets the
+    walls; the wall rows are never read; and with zero walls the spectral
+    plus second-difference Laplacian is -(ksq + lam3) mode by mode."""
     g = strip2(n1, n3)
-    c = 10.0 ** log_c
     rng = np.random.default_rng(seed)
-    rhs = rng.standard_normal(g.shape)
+    x = rng.standard_normal(g.shape)
     bottom, top = rng.standard_normal(g.hshape), rng.standard_normal(g.hshape)
-    got = helmholtz_solve_arr(rhs, bottom, top, c, g)
-    want = helmholtz_dense(rhs, bottom, top, c, g)
-    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-    assert np.array_equal(got[0], bottom) and np.array_equal(got[-1], top)
+    modes = sine_modes(x, g)
+    assert modes.shape == (n3 - 2, n1 // 2 + 1)
+    back = from_sine_modes(modes, bottom, top, g)
+    assert np.max(np.abs(back[1:-1] - x[1:-1])) <= 1e-13 * np.max(np.abs(x))
+    assert np.array_equal(back[0], bottom) and np.array_equal(back[-1], top)
+    x[0], x[-1] = bottom, top
+    assert np.array_equal(sine_modes(x, g), modes)
+    x[0] = x[-1] = 0.0
+    lap = sine_modes(lap_h_arr(x, g) + d2dx3_arr(x, g), g)
+    want = -(g.ksq[None, :] + g.lam3[:, None]) * modes
+    assert np.max(np.abs(lap - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,28 +221,21 @@ def test_helmholtz_solve_matches_dense_property(n1, n3, log_c, seed):
        log_c=st.floats(-6.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_helmholtz_column_is_the_mean_of_the_strip_solve_property(n1, n3, log_c, seed):
     """The column solve of the x1 means of a right side and of non-uniform
-    walls is the x1 mean of the strip solve, to 1e-13 of its size."""
+    walls is the x1 mean of the strip solve in the Fourier-sine modes, to
+    1e-13 of its size."""
     g = strip2(n1, n3)
     c = 10.0 ** log_c
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal(g.shape)
     bottom, top = rng.standard_normal(g.hshape), rng.standard_normal(g.hshape)
-    want = helmholtz_solve_arr(rhs, bottom, top, c, g).mean(axis=-1)
+    lifted = rhs.copy()
+    lifted[1] += (c / g.dx3 ** 2) * bottom
+    lifted[-2] += (c / g.dx3 ** 2) * top
+    modes = sine_modes(lifted, g) / (1.0 + c * (g.ksq[None, :] + g.lam3[:, None]))
+    want = from_sine_modes(modes, bottom, top, g).mean(axis=-1)
     got = helmholtz_solve_column(rhs.mean(axis=-1), bottom.mean(), top.mean(), c, g)
     assert got.shape == (n3,)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_helmholtz_solve_ignores_rhs_wall_rows():
-    g = strip2(16, 17)
-    rng = np.random.default_rng(5)
-    rhs = rng.standard_normal(g.shape)
-    walls = rng.standard_normal(g.hshape), rng.standard_normal(g.hshape)
-    other = rhs.copy()
-    other[0] += 1.0
-    other[-1] -= 1.0
-    assert np.array_equal(helmholtz_solve_arr(rhs, *walls, 0.1, g),
-                          helmholtz_solve_arr(other, *walls, 0.1, g))
 
 
 # -- vector calculus identities --------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from obmlab import mhd, thermo
+from obmlab import mhd, obm, thermo
 from obmlab.fields import (
     FieldError,
     Geometry,
@@ -688,6 +688,22 @@ def test_non_finite_c3_or_t_is_rejected(c3, t):
         PrimitiveState(g, np.ones(g.shape), np.zeros((3,) + g.shape),
                        np.ones(g.shape), np.zeros(g.shape), c3, np.zeros(g.shape),
                        0.5, t)
+
+
+@given(t_end=hst.sampled_from([np.nan, np.inf, -np.inf]),
+       limit=hst.booleans())
+def test_non_finite_t_end_is_rejected_by_both_drivers(t_end, limit):
+    """Both drivers refuse a non-finite t_end up front, before the landing
+    rule would turn it into a step count."""
+    cfg = make_cfg()
+    g = cfg.grid
+    if limit:
+        with pytest.raises(obm.ObmConfigError, match="t_end must be finite"):
+            obm.ObmConfig(g, GAS, REF, obm.default_potential(g), (0.0, 0.0),
+                          dt=1e-3, t_end=t_end)
+    else:
+        with pytest.raises(FieldError, match="t_end must be finite"):
+            run_prim(uniform_state(cfg), cfg, t_end=t_end)
 
 
 # -- energies ---------------------------------------------------------------

@@ -1,18 +1,22 @@
 """Tests for the limit-system solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obmlab import obm, thermo
+from obmlab import fields, obm, thermo
 from obmlab.fields import (
     FieldError,
     Geometry,
     Grid,
     d2dx3_arr,
+    from_sine_modes,
     lap_h_arr,
     mean_arr,
+    sine_modes,
     wall_flux_arr,
 )
 from obmlab.obm import (
@@ -271,25 +275,115 @@ def test_mean_b1_conserved():
     assert abs(st.b1.mean() - m0) < 1e-12
 
 
-def test_step_makes_one_strip_solve(monkeypatch):
-    """The predictor solves only the x1-mean column; the corrector's solve
-    is the step's one solve over the whole strip."""
-    calls = {"strip": 0, "column": 0}
+class _NumpyWithFFT:
+    """numpy seen through a replaced ``fft`` namespace."""
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def __init__(self, **fft):
+        self.fft = type("fft", (), {k: staticmethod(v) for k, v in fft.items()})
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_step_makes_two_strip_ffts(monkeypatch):
+    """Strip-sized FFT calls, those on at least the strip's interior rows by
+    its x1 modes: the forward transform of theta1 when the first step reads
+    its modes, then one inverse transform per step.  The predictor's column
+    solve and the x1 transforms of the walls, the forcing and b1 are smaller.
+    (The real-space Crank-Nicolson step made six per step.)"""
+    g = strip2(16, 17)
+    calls = []
+
+    def counted(fn):
+        def wrapper(a, *args, **kwargs):
+            if np.ndim(a) == 2 and a.shape[0] >= g.n3 - 2 \
+                    and a.shape[1] >= g.n1 // 2 + 1:
+                calls.append(fn.__name__)
+            return fn(a, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(obm, "helmholtz_solve_arr",
-                        counted("strip", obm.helmholtz_solve_arr))
-    monkeypatch.setattr(obm, "helmholtz_solve_column",
-                        counted("column", obm.helmholtz_solve_column))
-    g = strip2(16, 17)
+    monkeypatch.setattr(fields, "np", _NumpyWithFFT(**{
+        name: counted(getattr(np.fft, name))
+        for name in ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn")}))
     cfg = make_cfg(g, dt=1e-3, t_end=0.005, theta_B=(0.1, -0.2))
     run_obm(initial_state(cfg), cfg)
-    assert calls == {"strip": 5, "column": 5}
+    assert calls == ["rfft", "fft"] + ["ifft", "irfft"] * 5
+
+
+def helmholtz_dense(rhs, bottom, top, c, g):
+    """Solve (I - c (lap_h + d2/dx3^2)) x = rhs with x = bottom, top on the
+    walls: per horizontal mode, the explicitly assembled tridiagonal matrix
+    with identity wall rows, by np.linalg.solve."""
+    spec = np.fft.rfft(rhs, axis=-1).T.copy()
+    spec[:, 0] = np.fft.rfft(bottom)
+    spec[:, -1] = np.fft.rfft(top)
+    off = -c / g.dx3 ** 2
+    A = np.zeros((spec.shape[0], g.n3, g.n3))
+    i = np.arange(1, g.n3 - 1)
+    A[:, i, i] = 1.0 + g.ksq.reshape(-1, 1) * c - 2.0 * off
+    A[:, i, i - 1] = off
+    A[:, i, i + 1] = off
+    A[:, 0, 0] = A[:, -1, -1] = 1.0
+    x = np.linalg.solve(A, spec[..., None])[..., 0]
+    return np.fft.irfft(x.T, n=g.n1, axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=st.sampled_from([4, 8, 16]), n3=st.integers(5, 65),
+       log_c=st.floats(-6.0, 2.0), with_source=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_crank_nicolson_matches_dense_property(n1, n3, log_c, with_source, seed):
+    """One heat step in the Fourier-sine modes against the dense solve of
+    (I - c L) x = (I + c L) theta1 + forcing + source, with non-uniform
+    walls, wall rows of theta1 that are not those walls, an x3-independent
+    forcing and, when drawn, a strip-shaped source."""
+    g = strip2(n1, n3)
+    rng = np.random.default_rng(seed)
+    walls = rng.standard_normal(g.hshape), rng.standard_normal(g.hshape)
+    base = make_cfg(g)
+    cth = base.kappa / (REF.rho_bar * base.cp)
+    cfg = make_cfg(g, dt=2.0 * 10.0 ** log_c / cth, theta_B=walls)
+    c = 0.5 * cfg.dt * cth
+    st0 = random_state(g, rng, cfg)
+    forcing = rng.standard_normal(g.hshape)
+    source = rng.standard_normal(g.shape) if with_source else None
+    got = from_sine_modes(obm._crank_nicolson(st0, forcing, source, cfg), *walls, g)
+    lap = lap_h_arr(st0.theta1, g) + d2dx3_arr(st0.theta1, g)
+    rhs = st0.theta1 + c * lap + forcing + (0.0 if source is None else source)
+    want = helmholtz_dense(rhs, *walls, c, g)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n1=st.sampled_from([4, 8, 16]), n3=st.integers(5, 33),
+       n_steps=st.integers(1, 8), log_dt=st.floats(-5.0, -1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_carried_modes_property(n1, n3, n_steps, log_dt, seed):
+    """The modes a step hands over are the spectrum of the theta1 it made;
+    a state rebuilt from that theta1 steps to the same next state; and
+    dataclasses.replace builds its modes anew from its own theta1."""
+    g = strip2(n1, n3)
+    rng = np.random.default_rng(seed)
+    walls = rng.standard_normal(g.hshape), rng.standard_normal(g.hshape)
+    cfg = make_cfg(g, dt=10.0 ** log_dt, theta_B=walls)
+    state = random_state(g, rng, cfg)
+    for _ in range(n_steps):
+        state = step_obm(state, cfg)
+    assert "modes" in vars(state)  # handed over by the step
+    want = sine_modes(state.theta1, g)
+    assert np.max(np.abs(state.modes - want)) <= 1e-13 * np.max(np.abs(want))
+
+    rebuilt = ObmState(g, state.theta1, state.b1, state.chi, state.t)
+    carried, fresh = step_obm(state, cfg), step_obm(rebuilt, cfg)
+    scale = np.max(np.abs(carried.theta1))
+    assert np.max(np.abs(carried.theta1 - fresh.theta1)) <= 1e-13 * scale
+    assert np.array_equal(carried.b1, fresh.b1)
+
+    other = rng.standard_normal(g.shape)
+    for moved, theta1 in ((replace(state, theta1=other), other),
+                          (replace(state, t=state.t + 1.0), state.theta1)):
+        assert "modes" not in vars(moved)
+        assert np.array_equal(moved.modes, sine_modes(theta1, g))
 
 
 def test_second_order_in_dt():
