@@ -1,6 +1,7 @@
 """Tests for the limit-system solver."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ class _NumpyWithFFT:
     """numpy seen through a replaced ``fft`` namespace."""
 
     def __init__(self, **fft):
-        self.fft = type("fft", (), {k: staticmethod(v) for k, v in fft.items()})
+        self.fft = SimpleNamespace(**fft)
 
     def __getattr__(self, name):
         return getattr(np, name)
