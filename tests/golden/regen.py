@@ -3,9 +3,11 @@
 Run from the repository root, and only when a change of numerical method
 is meant to move the recorded numbers:
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [record ...]
 
-The test never writes a record."""
+Without arguments every record is rewritten; name record files (e.g.
+``convergence_study_32x33.json``) to write only those.  The test never
+writes a record."""
 
 import argparse
 import contextlib
@@ -22,6 +24,7 @@ PRIM_RECORD = HERE / "run_prim_random_32x33.json"
 OBM_RECORD = HERE / "run_obm_random_32x33.json"
 THERMO_RECORD = HERE / "thermo_check_stdout.json"
 MMS_RECORD = HERE / "mms_vertical_combined.json"
+STUDY_RECORD = HERE / "convergence_study_32x33.json"
 SEED = 7
 T_END = 0.006  # 19 steps of the automatic dt at eps = 0.1
 TAMPERS = ("none", "entropy-constant", "entropy-slope")
@@ -103,6 +106,34 @@ def mms_columns() -> dict:
             "obm_vertical": [float(e) for e in obm.combined]}
 
 
+def study_entries() -> list:
+    """The criterion-7 study (its gas, reference state and profiles) at two
+    Mach numbers, 0.2 and 0.1, on a 32x33 grid: dt = 1e-3 to t_end = 0.05
+    with n_snap = 5.  Returns, per entry, eps, the E_total samples at the
+    six synchronizations, the four deviations and the five monitors."""
+    from obmlab import thermo
+    from obmlab.fields import Geometry, Grid
+    from obmlab.obm import ObmConfig, default_potential
+    from obmlab.relent import convergence_study
+
+    g = Grid(Geometry.STRIP2, 32, n3=33)
+    gas = thermo.GasParams(p_inf=1.0, a=0.0)
+    ref = thermo.ReferenceState(rho_bar=1.0, theta_bar=1.0, b_bar=0.5)
+    cfg = ObmConfig(g, gas, ref, default_potential(g), (0.0, 0.0),
+                    dt=1e-3, t_end=0.05)
+    c = g.coords()
+    theta1 = 0.1 * np.sin(np.pi * c["x3"]) * (1.0 + 0.5 * np.cos(np.pi * c["x1"]))
+    theta1 = np.broadcast_to(theta1, g.shape).copy()
+    b1 = 0.25 * np.cos(np.pi * g.x1)
+    report = convergence_study(theta1, b1, cfg, (0.2, 0.1), n_snap=5)
+    return [{"eps": e.eps,
+             "failed": e.failed,
+             "E_total": [float(v) for v in e.report.E_total],
+             "deviations": {k: float(v) for k, v in e.deviations.items()},
+             "monitors": {k: float(v) for k, v in e.monitors.items()}}
+            for e in report.entries]
+
+
 def columns_record(columns: dict) -> dict:
     return {
         "numpy": np.__version__,
@@ -111,13 +142,24 @@ def columns_record(columns: dict) -> dict:
     }
 
 
+BUILDERS = {
+    PRIM_RECORD: lambda: columns_record(prim_columns()),
+    OBM_RECORD: lambda: columns_record(obm_columns()),
+    MMS_RECORD: lambda: columns_record(mms_columns()),
+    STUDY_RECORD: lambda: {"numpy": np.__version__, "entries": study_entries()},
+    THERMO_RECORD: lambda: {"numpy": np.__version__, "stdout": thermo_check_stdout()},
+}
+
+
 if __name__ == "__main__":
-    records = {
-        PRIM_RECORD: columns_record(prim_columns()),
-        OBM_RECORD: columns_record(obm_columns()),
-        MMS_RECORD: columns_record(mms_columns()),
-        THERMO_RECORD: {"numpy": np.__version__, "stdout": thermo_check_stdout()},
-    }
-    for path, record in records.items():
-        path.write_text(json.dumps(record, indent=1) + "\n")
-        sys.stdout.write(f"wrote {path}\n")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("records", nargs="*", metavar="record",
+                        help="file names of the records to write (default: all)")
+    chosen = parser.parse_args().records
+    unknown = set(chosen) - {path.name for path in BUILDERS}
+    if unknown:
+        parser.error(f"no such record: {', '.join(sorted(unknown))}")
+    for path, build in BUILDERS.items():
+        if not chosen or path.name in chosen:
+            path.write_text(json.dumps(build(), indent=1) + "\n")
+            sys.stdout.write(f"wrote {path}\n")

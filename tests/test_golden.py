@@ -1,8 +1,8 @@
 """Golden records: the numbers of short runs, pinned in ``tests/golden``.
 
 Step counts compare exactly; each float column compares at 1e-12 of its
-largest recorded magnitude, except the MMS errors (below); printed reports
-compare as exact text.  Only
+largest recorded magnitude, except the MMS errors and the study (below);
+printed reports compare as exact text.  Only
 ``tests/golden/regen.py`` writes the records; a change that moves them
 states its change of numerical method."""
 
@@ -49,6 +49,39 @@ def test_mms_vertical_sweeps_match_their_record():
         assert rel <= 1e-10, (
             f"{name}: largest relative difference {rel:.3e} above 1e-10 "
             f"(record written with numpy {record['numpy']})")
+
+
+def test_convergence_study_matches_its_record():
+    """Each entry's relative energy is a Bregman difference scaled by
+    eps^-2, which amplifies rounding: a change that only moved where a
+    state is projected onto its kept modes moved E by 6.3e-10 of the
+    entry's largest value.  The samples compare at 1e-8 of that value.
+    The deviations are L2 norms of fields of size one and moved by 6.6e-13
+    relative; they compare at 1e-10 relative.  The monitors sit at rounding
+    level (compat_residual about 8e-15, rel_energy0 about 1e-31, divB_max
+    about 1e-14), so they compare at 1e-12 max(1, |v|) and are not pinned
+    bit for bit."""
+    record = json.loads(regen.STUDY_RECORD.read_text())
+    entries = regen.study_entries()
+    note = f"(record written with numpy {record['numpy']})"
+    assert [e["eps"] for e in entries] == [e["eps"] for e in record["entries"]]
+    for got, want in zip(entries, record["entries"]):
+        eps = want["eps"]
+        assert got["failed"] == want["failed"]
+        E_want, E_got = np.array(want["E_total"]), np.array(got["E_total"])
+        assert E_got.shape == E_want.shape
+        diff = np.max(np.abs(E_got - E_want))
+        tol = 1e-8 * np.max(np.abs(E_want))
+        assert diff <= tol, f"eps = {eps} E_total: {diff:.3e} above {tol:.3e} {note}"
+        for group in ("deviations", "monitors"):
+            assert list(got[group]) == list(want[group])
+        for name, v in want["deviations"].items():
+            rel = abs(got["deviations"][name] - v) / abs(v)
+            assert rel <= 1e-10, f"eps = {eps} dev_{name}: relative {rel:.3e} {note}"
+        for name, v in want["monitors"].items():
+            diff = abs(got["monitors"][name] - v)
+            assert diff <= 1e-12 * max(1.0, abs(v)), (
+                f"eps = {eps} {name}: difference {diff:.3e} {note}")
 
 
 def test_thermo_check_prints_its_record():
