@@ -591,13 +591,16 @@ def cmd_run_mhd(cfg: RunConfig, args) -> int:
     snaps = _SnapshotSchedule(outdir, f"{prefix}_mhd", cfg["output"]["snapshots"],
                               m["t_end"], snapshot_fields)
     snaps.note(prim0)
-    fail_path = outdir / f"{prefix}_mhd_fail.snap"
     with _march():
-        state, rows = run_prim(prim0, pcfg, m["t_end"],
-                               dt=(m["dt"] if m["dt"] > 0 else None),
-                               on_step=snaps.note,
-                               entropy_fault=args.inject_entropy_fault,
-                               fail_snapshot=str(fail_path))
+        try:
+            state, rows = run_prim(prim0, pcfg, m["t_end"],
+                                   dt=(m["dt"] if m["dt"] > 0 else None),
+                                   on_step=snaps.note,
+                                   entropy_fault=args.inject_entropy_fault)
+        except PositivityError as exc:
+            write_snapshot(outdir / f"{prefix}_mhd_fail.snap", grid,
+                           snapshot_fields(exc.last_valid))
+            raise
     csv_path = outdir / f"{prefix}_mhd.csv"
     _write_csv(csv_path, _MHD_HEADER, (row[:len(_MHD_HEADER)] for row in rows))
     _say(args, f"run-mhd: eps = {m['eps']:g}, {len(rows)} steps to "

@@ -41,11 +41,11 @@ The right side is pseudo-spectral: each nonlinear flux is transformed once,
 the 2/3-rule mask, d1 and the x3 stencil (along the other axis, so they
 commute) act on the spectrum, and each tendency component is one inverse
 transform.  A state's EOS, transport and derivatives are built once
-(:func:`_state_work`).  a and B2 carry no x1 mode above n1 // 3, an invariant
-the drivers establish on entry (:func:`_band_limited`) and the linear stages
-keep, so the Lorentz force reads B and J as they are.  A step transforms 78
-fields: two states' work (12 each), two right sides (26 each) and the stage
-state's B (2).
+(:func:`_state_work`).  a and B2 carry no x1 mode above n1 // 3: the
+:class:`PrimitiveState` constructor projects them and the linear stages keep
+them there, so the Lorentz force reads B and J as they are.  A step
+transforms 78 fields: two states' work (12 each), two right sides (26 each)
+and the stage state's B (2).
 
 Mass bookkeeping: the trapezoid rule does not telescope against the
 one-sided first-derivative closures, so -div(rho u) carries an O(h^2)
@@ -57,7 +57,7 @@ exact to rounding without touching the local truncation order.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
 
@@ -75,7 +75,6 @@ from .fields import (
     hfft,
     hifft,
     mean_arr,
-    write_snapshot,
 )
 from .obm import _check_potential_and_walls, _landing_step
 
@@ -136,7 +135,9 @@ class PrimConfig:
 
 @dataclass
 class PrimitiveState:
-    """Primitive unknowns; the magnetic field lives in (a, c3, B2)."""
+    """Primitive unknowns; the magnetic field lives in (a, c3, B2).  After its
+    checks, construction projects a and B2 onto the x1 modes up to n1 // 3
+    row by row, which keeps the wall relation of a and the mean c3 of B3."""
 
     grid: Grid
     rho: np.ndarray
@@ -171,6 +172,8 @@ class PrimitiveState:
             raise FieldError(f"eps must be positive, got {self.eps}")
         if not (np.isfinite(self.c3) and np.isfinite(self.t)):
             raise FieldError(f"c3 and t must be finite, got {self.c3} and {self.t}")
+        self.a = dealias_arr(self.a, g)
+        self.B2 = dealias_arr(self.B2, g)
 
     @cached_property
     def B(self) -> np.ndarray:
@@ -270,21 +273,13 @@ def _state_work(state: PrimitiveState, cfg: PrimConfig) -> _StateWork:
                       d1th=ddx1_arr(state.theta, g), d3th=ddx3_arr(state.theta, g))
 
 
-def _band_limited(state: PrimitiveState) -> PrimitiveState:
-    """The state with a and B2 projected onto the x1 modes up to n1 // 3 row
-    by row, which keeps the wall relation of a and the mean c3 of B3."""
-    g = state.grid
-    return replace(state, a=dealias_arr(state.a, g), B2=dealias_arr(state.B2, g))
-
-
 def _tendencies(state: PrimitiveState, cfg: PrimConfig, w: _StateWork):
     """Time derivatives of (rho, u, theta, a, B2) from the state's work, with
-    26 transformed fields, for a state whose a and B2 are band-limited (see
-    :func:`_band_limited`), so that B and J are.  Truncated on the spectrum:
-    the mass fluxes, the stress rows with -d1 p / eps^2 folded into the
-    first, each distinct entry transformed once (S31 = S13), the d1 heat flux
-    and the electric field: their modes above n1 // 3 are dropped, and the
-    inverse transform pads them with zeros.  Left physical: d3 p and
+    26 transformed fields.  Truncated on the spectrum: the mass fluxes, the
+    stress rows with -d1 p / eps^2 folded into the first, each distinct entry
+    transformed once (S31 = S13), the d1 heat flux and the electric field:
+    their modes above n1 // 3 are dropped, and the inverse transform pads
+    them with zeros.  Left physical: d3 p and
     d3(kappa d3 theta), untruncated, and the advection, Lorentz, Joule and
     dissipation products, which the final truncation of u_t and theta_t
     covers, since dz(dz(a) + b) = dz(a + b).  Returns new arrays."""
@@ -363,10 +358,8 @@ def _entropy_terms(state: PrimitiveState, w: _StateWork, fault: bool):
 def cfl_limits(state: PrimitiveState, cfg: PrimConfig) -> float:
     """Largest admissible dt: 0.4 min(h eps / c_max, h^2 / nu_max), where
     c_max bounds the fast magnetosonic speed through the closed-form
-    equation of state and nu_max the diffusivities, for the state as the
-    drivers step it (a and B2 projected, :func:`_band_limited`): it reads
-    the EOS pass and B alone."""
-    state = _band_limited(state)
+    equation of state and nu_max the diffusivities: it reads the EOS pass
+    and B alone."""
     eos = thermo._eos_and_transport(state.rho, state.theta, cfg.gas)
     return _cfl_limit(state, _StateWork(*eos))
 
@@ -415,12 +408,10 @@ def step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float,
     after each stage.
 
     ``src(t)`` may return a dict with optional keys rho, u, theta, a, B2
-    holding additive source fields (manufactured-solution hook).  a, B2 and
-    their sources are first projected onto the x1 modes up to n1 // 3
-    (:func:`_band_limited`).  Raises CflError if dt exceeds the
-    advective/diffusive bound and PositivityError (carrying the projected
-    pre-step state) if rho or theta would leave the admissible cone."""
-    state = _band_limited(state)
+    holding additive source fields (manufactured-solution hook), a and B2
+    projected as the state's own.  Raises CflError if dt exceeds the
+    advective/diffusive bound and PositivityError (carrying the pre-step
+    state) if rho or theta would leave the admissible cone."""
     work = _state_work(state, cfg)
     return _step_prim(state, cfg, dt, _cfl_limit(state, work), src, work)
 
@@ -429,11 +420,11 @@ def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
                src, work: _StateWork) -> PrimitiveState:
     """Body of :func:`step_prim`, given the state's stability bound
     ``limit`` and work, so that a driver which has already built them for
-    choosing dt does not build them again.  The state's a and B2 must be
-    band-limited; their sources are projected here.  The work is dropped
-    after the first stage, and freed then if the caller kept no reference.
-    Each stage is summed in its tendencies' storage and assembled without the
-    constructor's checks, which :func:`_check_admissible` has made."""
+    choosing dt does not build them again.  The work is dropped after the
+    first stage, and freed then if the caller kept no reference.  Each stage
+    is summed in its tendencies' storage and assembled without the
+    constructor, whose checks :func:`_check_admissible` has made and whose
+    projection the linear stages keep."""
     if dt > limit * (1.0 + 1e-12):
         raise CflError(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e} "
                        f"in the step from t = {state.t!r}")
@@ -553,8 +544,7 @@ class StepRow(NamedTuple):
 
 
 def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
-             dt: float = None, src=None, on_step=None, entropy_fault: bool = False,
-             fail_snapshot: str = None):
+             dt: float = None, src=None, on_step=None, entropy_fault: bool = False):
     """March to t_end; returns (final state, one :class:`StepRow` per step).
 
     Each row is the step's one diagnostics pass: t, mass, momentum1,
@@ -564,16 +554,16 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
     flipped when ``entropy_fault`` is set (the command-line fault hook).
     Each step is at most dt, or with dt = None cfg.safety times the current
     CFL bound, shrunk by the common landing rule so the run ends exactly on
-    t_end; ``on_step`` then gets the new state.  a, B2 and their sources are
-    projected on entry as in :func:`step_prim`.  On positivity loss the last
-    valid state is dumped to ``fail_snapshot`` when given and the error
-    re-raised."""
+    t_end; ``on_step`` then gets the new state.  The a and B2 sources are
+    projected as in :func:`step_prim`.  A lost positivity raises
+    :class:`PositivityError`, which carries the last valid state."""
     if not np.isfinite(t_end):
         raise FieldError(f"t_end must be finite, got {t_end}")
+    if not (dt is None or dt > 0):
+        raise FieldError(f"dt must be positive, got {dt}")
     g = state.grid
     rows = []
     psi = psi_extension(cfg, state.eps)
-    state = _band_limited(state)
     # the state's work, read by the row and the bound; a one-item list so that
     # the step gets the only reference and frees it after its first stage
     work = [_state_work(state, cfg)]
@@ -583,12 +573,7 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
         n_left, step = _landing_step(state.t, t_end, bound)
         if n_left == 0:
             break
-        try:
-            state = _step_prim(state, cfg, step, limit, src, work.pop())
-        except PositivityError as exc:
-            if fail_snapshot and exc.last_valid is not None:
-                write_snapshot(fail_snapshot, g, snapshot_fields(exc.last_valid))
-            raise
+        state = _step_prim(state, cfg, step, limit, src, work.pop())
         work.append(_state_work(state, cfg))
         B = state.B
         divB = ddx1_arr(B[0], g) + ddx3_arr(B[2], g)

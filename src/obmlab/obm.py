@@ -17,7 +17,8 @@ pair.  :attr:`ObmState.U` reads as that zero flow.
 The density deviation rho1 is not an unknown: it is recovered pointwise
 from the Boussinesq relation (:func:`boussinesq_rho`), and the transported
 continuity equation is tracked as a consistency residual instead of being
-integrated.
+integrated: :func:`run_obm` computes it for each row from the states before
+and after the step, so a state is a plain value.
 
 Time integration is IMEX: diffusion is implicit (Crank-Nicolson, with a
 backward-Euler predictor), the couplings are explicit through a Heun
@@ -31,7 +32,7 @@ data), and the corrector updates it mode by mode
 (:func:`_crank_nicolson`): the walls and the x3-independent forcing enter
 through x1 transforms of single rows, and the step's one transform over
 the whole strip is the inverse that gives the new theta1, which the
-continuity residual and the driver's row read.  The horizontal diffusion
+driver's row and continuity residual read.  The horizontal diffusion
 of b1 is diagonal in Fourier space.
 
 The explicit heat forcing is x3-independent: the adiabatic response to the
@@ -185,12 +186,13 @@ def compute_chi(theta1: np.ndarray, grid: Grid, gas: thermo.GasParams,
 
 @dataclass
 class ObmState:
+    """Limit unknowns, of checked shapes and finite values, chi and t too."""
+
     grid: Grid
     theta1: np.ndarray          # strip shape
     b1: np.ndarray              # hshape
     chi: float
     t: float
-    diag: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         g = self.grid
@@ -203,6 +205,8 @@ class ObmState:
         for arr, what in ((self.theta1, "theta1"), (self.b1, "b1")):
             if not np.all(np.isfinite(arr)):
                 raise FieldError(f"non-finite values in {what}")
+        if not (np.isfinite(self.chi) and np.isfinite(self.t)):
+            raise FieldError(f"chi and t must be finite, got {self.chi} and {self.t}")
 
     @cached_property
     def modes(self) -> np.ndarray:
@@ -265,11 +269,11 @@ def boussinesq_rho(theta1: np.ndarray, b1: np.ndarray, cfg: ObmConfig) -> np.nda
     return num / cfg.dpdr
 
 
-def _heat_terms(flux: float, b1: np.ndarray, cfg: ObmConfig):
+def _heat_terms(flux: float, b1: np.ndarray, cfg: ObmConfig) -> np.ndarray:
     """Explicit heat forcing (everything except the stiff kappa lap theta1)
-    divided by rho_bar c_p, on hshape since it does not depend on x3, plus
-    the closed mean drift d<theta1>/dt; theta1 enters both only through its
-    wall flux ``flux`` (:func:`obmlab.fields.wall_flux_arr`).
+    divided by rho_bar c_p, on hshape since it does not depend on x3; theta1
+    enters it only through the closed mean drift d<theta1>/dt, that is
+    through its wall flux ``flux`` (:func:`obmlab.fields.wall_flux_arr`).
 
     The non-local term enters through the closed ODE
     d<theta1>/dt = kappa(theta_bar) <lap theta1> / (rho_bar de_dtheta); with
@@ -284,7 +288,7 @@ def _heat_terms(flux: float, b1: np.ndarray, cfg: ObmConfig):
     # induction equation
     forcing = -tb * cfg.alpha * cfg.zeta * lap_h_arr(cfg.ref.b_bar * b1, cfg.grid)
     forcing = forcing + tb * cfg.alpha * cfg.dpdt * drift
-    return forcing / (rb * cfg.cp), drift
+    return forcing / (rb * cfg.cp)
 
 
 def _diag_implicit(data: np.ndarray, nu: float, dt: float, grid: Grid) -> np.ndarray:
@@ -336,7 +340,7 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
     def explicit(flux: float, b1: np.ndarray, t: float) -> tuple:
         """Explicit tendencies: theta1's x3-independent forcing (hshape),
         theta1's source at t (strip shape, None without ``src``) and b1's."""
-        Nth = _heat_terms(flux, b1, cfg)[0]
+        Nth = _heat_terms(flux, b1, cfg)
         if src is None:
             return Nth, None, np.zeros(g.hshape)
         extra = src(t)
@@ -369,15 +373,19 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
     new = ObmState(g, th_new, b_new, cfg.dpdt * mean_arr(th_new, g), state.t + dt)
     modes.flags.writeable = False
     new.__dict__["modes"] = modes  # the cached property, handed over
-
-    # continuity diagnostic: the transported density equation is not solved
-    # (nothing is advected), so its residual on the derived rho1 is the rate
-    # of change of boussinesq_rho, whose G term cancels
-    d_th = th_new - state.theta1
-    d_A = cfg.ref.b_bar * (b_new - state.b1)
-    d_rho = cfg.dpdt * (d_th - mean_arr(d_th, g)) + (d_A - d_A.mean())
-    new.diag["continuity_residual"] = float(np.max(np.abs(d_rho))) / (cfg.dpdr * dt)
     return new
+
+
+def _continuity_residual(old: ObmState, new: ObmState, cfg: ObmConfig) -> float:
+    """Continuity diagnostic of the step of size cfg.dt from ``old`` to
+    ``new``: the transported density equation is not solved (nothing is
+    advected), so its residual on the derived rho1 is the rate of change of
+    boussinesq_rho, whose G term cancels."""
+    g = cfg.grid
+    d_th = new.theta1 - old.theta1
+    d_A = cfg.ref.b_bar * (new.b1 - old.b1)
+    d_rho = cfg.dpdt * (d_th - mean_arr(d_th, g)) + (d_A - d_A.mean())
+    return float(np.max(np.abs(d_rho))) / (cfg.dpdr * cfg.dt)
 
 
 def magnetic_energy(state: ObmState, cfg: ObmConfig) -> float:
@@ -402,21 +410,17 @@ def run_obm(state: ObmState, cfg: ObmConfig, src=None, on_step=None):
     exactly; returns (final state, per-step diagnostic rows).
 
     Rows are (t, mean theta1, chi, kinetic energy, magnetic energy,
-    continuity residual); the kinetic energy of the pinned flow is 0.0."""
+    continuity residual of the step to the row's state); the kinetic energy
+    of the pinned flow is 0.0."""
     n_steps, dt = _landing_step(state.t, cfg.t_end, cfg.dt)
     if n_steps and dt != cfg.dt:
         cfg = replace(cfg, dt=dt)
     rows = []
     for _ in range(n_steps):
-        state = step_obm(state, cfg, src=src)
-        rows.append((
-            state.t,
-            mean_arr(state.theta1, state.grid),
-            state.chi,
-            0.0,
-            magnetic_energy(state, cfg),
-            state.diag.get("continuity_residual", 0.0),
-        ))
+        new = step_obm(state, cfg, src=src)
+        rows.append((new.t, mean_arr(new.theta1, new.grid), new.chi, 0.0,
+                     magnetic_energy(new, cfg), _continuity_residual(state, new, cfg)))
+        state = new  # the previous state is released here
         if on_step is not None:
             on_step(state)
     return state, rows

@@ -26,7 +26,7 @@ from obmlab.cli import (
     main,
 )
 from obmlab.fields import Geometry, Grid, mean_arr, read_snapshot
-from obmlab.mhd import PrimConfig, cfl_limits
+from obmlab.mhd import PrimConfig, cfl_limits, snapshot_fields
 from obmlab.obm import ObmConfig, default_potential
 from obmlab.relent import well_prepared_data
 
@@ -684,6 +684,45 @@ def test_run_mhd_evaluates_entropy_production_once_per_step(tmp_path, capsys,
                  "--inject-entropy-fault"]) == 1
     assert "pointwise floor = -" in capsys.readouterr().out
     assert calls == [True] * steps
+
+
+def test_run_mhd_positivity_loss_writes_the_last_valid_state(tmp_path, capsys,
+                                                            monkeypatch):
+    """A run that loses positivity after two good steps exits 3 and leaves
+    <prefix>_mhd_fail.snap whole, holding the state after the second step.
+    No configuration of the bundled set-up loses positivity in a short run,
+    so a source hook chills one node from the third step on."""
+    from obmlab import cli
+    run_prim = cli.run_prim
+    states = []
+
+    def chilled(state, cfg, t_end, on_step, **kwargs):
+        def note(new):
+            states.append(new)
+            on_step(new)
+
+        def chill(_t):
+            cold = np.zeros(state.grid.shape)
+            if len(states) >= 2:
+                cold[4, 5] = -1e4
+            return {"theta": cold}
+
+        return run_prim(state, cfg, t_end, on_step=note, src=chill, **kwargs)
+
+    monkeypatch.setattr(cli, "run_prim", chilled)
+    path = write_config(tmp_path, SMALL_MHD)
+    out = tmp_path / "out"
+    assert main(["run-mhd", "--config", path, "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "positivity lost" in err
+    assert len(states) == 2
+    grid, fields = read_snapshot(out / "run_mhd_fail.snap")
+    assert grid == states[-1].grid
+    want = snapshot_fields(states[-1])
+    assert list(fields) == list(want)
+    for name, arr in want.items():
+        assert np.array_equal(fields[name], arr)
+    assert not list(out.glob("*.tmp"))
 
 
 def test_run_mhd_is_byte_deterministic(tmp_path, capsys):

@@ -13,14 +13,12 @@ from obmlab.fields import (
     ddx1_arr,
     ddx3_arr,
     mean_arr,
-    read_snapshot,
 )
 from obmlab.mhd import (
     CflError,
     PositivityError,
     PrimConfig,
     PrimitiveState,
-    _band_limited,
     _cfl_limit,
     _dissipation,
     _state_work,
@@ -218,9 +216,9 @@ def test_tendencies_are_band_limited(n1, n3, eps, seed):
 def test_tendencies_match_the_physical_space_oracle(n1, n3, eps, seed):
     """The pseudo-spectral right side equals the physical-space one, which
     truncates each flux by a full round trip, to rounding.  rho, u and theta
-    fill every x1 mode; a and B2 are projected first, as the drivers do."""
+    fill every x1 mode; a and B2 are band-limited, as every state's are."""
     cfg = make_cfg(n1=n1, n3=n3, G="gravity")
-    st = _band_limited(random_state(cfg, eps, seed))
+    st = random_state(cfg, eps, seed)
     got = _tendencies(st, cfg, _state_work(st, cfg))
     for new, old in zip(got, oracle.tendencies(st, cfg)):
         assert new.shape == old.shape
@@ -252,14 +250,31 @@ def test_drivers_keep_the_magnetic_state_band_limited(n1, n3, eps, seed, forced,
         assert_band_limited(arr)
 
 
-def test_projection_keeps_the_wall_relation_and_mean_B3():
-    cfg = make_cfg()
+@settings(max_examples=40, deadline=None)
+@given(n1=hst.sampled_from([8, 16, 32, 64]), n3=hst.integers(5, 17),
+       c3=hst.floats(-2.0, 2.0), seed=hst.integers(0, 2 ** 32 - 1))
+def test_projection_keeps_the_wall_relation_and_mean_B3(n1, n3, c3, seed):
+    """The constructor projects a and B2, given with every x1 mode filled,
+    onto the modes up to n1 // 3; the wall relation of a that the input
+    satisfied and the mean c3 of B3 survive, and a state rebuilt from its
+    own fields is the same state to 1e-15."""
+    cfg = make_cfg(n1=n1, n3=n3)
     g = cfg.grid
-    st = random_state(cfg, 0.5, 11)
-    band = _band_limited(st)
-    assert np.max(np.abs(band.a[0] - (4 * band.a[1] - band.a[2]) / 3)) < 1e-15
-    assert np.max(np.abs(band.a[-1] - (4 * band.a[-2] - band.a[-3]) / 3)) < 1e-15
-    assert mean_arr(band.B[2], g) == pytest.approx(st.c3, abs=1e-15)
+    rng = np.random.default_rng(seed)
+    a = fix_flux_walls(0.05 * rng.normal(size=g.shape))
+    B2 = 0.05 * rng.normal(size=g.shape)
+    full = np.abs(np.fft.rfft(np.stack([a, B2]), axis=-1))[..., n1 // 3 + 1:]
+    assert np.all(np.max(full, axis=(1, 2)) > 1e-3)  # the input fills the tail
+    fields = (np.ones(g.shape), np.zeros((3,) + g.shape), np.ones(g.shape))
+    st = PrimitiveState(g, *fields, a, c3, B2, 0.5, 0.0)
+    for arr in (st.a, st.B2, st.B):
+        assert_band_limited(arr)
+    assert np.max(np.abs(st.a[0] - (4 * st.a[1] - st.a[2]) / 3)) < 1e-15
+    assert np.max(np.abs(st.a[-1] - (4 * st.a[-2] - st.a[-3]) / 3)) < 1e-15
+    assert mean_arr(st.B[2], g) == pytest.approx(c3, abs=1e-15)
+    again = PrimitiveState(g, *fields, st.a, st.c3, st.B2, st.eps, st.t)
+    assert np.max(np.abs(again.a - st.a)) <= 1e-15
+    assert np.max(np.abs(again.B2 - st.B2)) <= 1e-15
 
 
 @settings(max_examples=20, deadline=None)
@@ -306,48 +321,47 @@ def count_transformed_fields(monkeypatch):
 
 def test_fft_calls_per_tendency_and_step(monkeypatch):
     cfg = make_cfg()
-    st = random_state(cfg, 0.5, 3)
-    dt = 0.5 * cfl_limits(st, cfg)
     calls = count_transformed_fields(monkeypatch)
-    band = _band_limited(st)
-    assert calls[0] <= 4  # a and B2 there and back
+    st = random_state(cfg, 0.5, 3)
+    assert calls[0] <= 4  # the constructor's projection: a and B2 there and back
     calls[0] = 0
-    band.B  # cached from here on
+    st.B  # cached from here on
     assert calls[0] <= 2
     calls[0] = 0
-    work = _state_work(band, cfg)
+    dt = 0.5 * cfl_limits(st, cfg)
+    assert calls[0] == 0  # the EOS pass and the cached B
+    work = _state_work(st, cfg)
     assert calls[0] <= 12  # grad u, J and d1 theta
     calls[0] = 0
-    _tendencies(band, cfg, work)
+    _tendencies(st, cfg, work)
     assert calls[0] <= 26
     calls[0] = 0
-    _step_prim(band, cfg, dt, _cfl_limit(band, work), None, _state_work(band, cfg))
+    _step_prim(st, cfg, dt, _cfl_limit(st, work), None, _state_work(st, cfg))
     # two states' work and right sides and the field of the stage state
     assert calls[0] <= 78
     calls[0] = 0
     step_prim(st, cfg, dt)
-    # the projection and the projected state's B come first
-    assert calls[0] <= 4 + 2 + 78
+    assert calls[0] <= 78
 
 
 def test_public_cfl_bound_reads_the_eos_pass_and_B_only(monkeypatch):
-    """The public bound is the run loop's bound of the projected state, from
-    the projection, B and the EOS pass."""
+    """The public bound is the run loop's bound, from B and the EOS pass."""
     cfg = make_cfg()
     st = random_state(cfg, 0.5, 5)
-    band = _band_limited(st)
-    expected = _cfl_limit(band, _state_work(band, cfg))
+    expected = _cfl_limit(st, _state_work(st, cfg))
+    fresh = random_state(cfg, 0.5, 5)  # the same state, its B not yet built
     calls = count_transformed_fields(monkeypatch)
-    assert cfl_limits(st, cfg) == expected
-    assert calls[0] <= 4 + 2
+    assert cfl_limits(fresh, cfg) == expected
+    assert calls[0] <= 2
 
 
 @settings(max_examples=20, deadline=None)
 @given(n1=hst.sampled_from([8, 16, 32]), n3=hst.integers(5, 17),
        eps=hst.floats(0.1, 1.0), seed=hst.integers(0, 2 ** 32 - 1))
 def test_public_cfl_bound_is_accepted_by_step_prim(n1, n3, eps, seed):
-    """dt = cfl_limits(state) passes step_prim's check, also when a and B2
-    fill every x1 mode and the projection moves the peak of |B|."""
+    """dt = cfl_limits(state) passes step_prim's check, also when the a and
+    B2 given to the constructor fill every x1 mode, so that its projection
+    moves the peak of |B|."""
     cfg = make_cfg(n1=n1, n3=n3)
     st = random_state(cfg, eps, seed)
     step_prim(st, cfg, cfl_limits(st, cfg))
@@ -636,10 +650,11 @@ def test_cfl_rejection():
         step_prim(st, cfg, 10.0 * cfl_limits(st, cfg))
 
 
-def test_positivity_rejection_dumps_last_valid(tmp_path):
+def test_positivity_rejection_dumps_last_valid():
+    """The error carries the last valid state; writing it is the command
+    line's part (test_cli)."""
     cfg = make_cfg()
     st = uniform_state(cfg)
-    snap = tmp_path / "fail.snap"
 
     def chill(_t):
         cold = np.zeros(cfg.grid.shape)
@@ -647,8 +662,7 @@ def test_positivity_rejection_dumps_last_valid(tmp_path):
         return {"theta": cold}
 
     with pytest.raises(PositivityError) as err:
-        run_prim(st, cfg, t_end=1.0, src=chill, fail_snapshot=str(snap))
-    # the step started from the projected copy of st, which here changes no value
+        run_prim(st, cfg, t_end=1.0, src=chill)
     last = err.value.last_valid
     for name in ("rho", "u", "theta", "a", "B2"):
         assert np.array_equal(getattr(last, name), getattr(st, name))
@@ -657,10 +671,6 @@ def test_positivity_rejection_dumps_last_valid(tmp_path):
     message = str(err.value)
     assert f"from t = {st.t!r}:" in message
     assert "min theta = -" in message and "at (i3, i1) = (3, 5)" in message
-    saved_grid, fields = read_snapshot(str(snap))
-    assert saved_grid == cfg.grid
-    assert np.array_equal(fields["rho"], st.rho)
-    assert np.array_equal(fields["theta"], st.theta)
 
 
 def test_invalid_state_construction():
@@ -704,6 +714,17 @@ def test_non_finite_t_end_is_rejected_by_both_drivers(t_end, limit):
     else:
         with pytest.raises(FieldError, match="t_end must be finite"):
             run_prim(uniform_state(cfg), cfg, t_end=t_end)
+
+
+@given(dt=hst.one_of(hst.just(np.nan), hst.just(0.0), hst.just(-0.0),
+                     hst.floats(max_value=0.0, exclude_max=True)))
+def test_run_prim_rejects_a_nan_or_non_positive_dt(dt):
+    """dt must be None or positive, the rule ObmConfig.dt keeps: a NaN or a
+    zero would reach the landing rule's step count, and a negative dt would
+    take the whole remaining time in one step."""
+    cfg = make_cfg()
+    with pytest.raises(FieldError, match="dt must be positive"):
+        run_prim(uniform_state(cfg), cfg, t_end=0.01, dt=dt)
 
 
 # -- energies ---------------------------------------------------------------

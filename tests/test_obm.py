@@ -65,9 +65,13 @@ def induction_rhs(b1, cfg):
 
 
 def heat_rhs(st, cfg):
-    """Full heat right side and mean drift: the explicit terms plus the
-    stiff kappa lap theta1 / (rho_bar c_p) that step_obm solves for."""
-    nonstiff, drift = _heat_terms(wall_flux_arr(st.theta1, cfg.grid), st.b1, cfg)
+    """Full heat right side and the closed mean drift: the explicit terms
+    plus the stiff kappa lap theta1 / (rho_bar c_p) that step_obm solves
+    for, and d<theta1>/dt = kappa <lap theta1> / (rho_bar de_dtheta) from
+    the wall flux."""
+    flux = wall_flux_arr(st.theta1, cfg.grid)
+    nonstiff = _heat_terms(flux, st.b1, cfg)
+    drift = cfg.kappa * flux / (cfg.ref.rho_bar * cfg.dedt)
     lap = lap_h_arr(st.theta1, cfg.grid) + d2dx3_arr(st.theta1, cfg.grid)
     return nonstiff + cfg.kappa * lap / (cfg.ref.rho_bar * cfg.cp), drift
 
@@ -104,6 +108,16 @@ def test_state_validation():
         ObmState.create(g, bad, gas=cfg.gas, ref=cfg.ref)
     with pytest.raises(TypeError, match="gas"):
         ObmState.create(g, np.zeros(g.shape))  # chi needs the gas and reference
+
+
+@given(bad=st.sampled_from([np.nan, np.inf, -np.inf]), field=st.sampled_from(["t", "chi"]))
+def test_state_rejects_a_non_finite_t_or_chi(bad, field):
+    """A NaN or infinite t or chi is refused at construction, before the
+    landing rule of run_obm would turn it into a step count."""
+    g = strip2(16, 9)
+    values = {"t": 0.0, "chi": 0.0, field: bad}
+    with pytest.raises(FieldError, match="chi and t must be finite"):
+        ObmState(g, np.zeros(g.shape), np.zeros(g.hshape), values["chi"], values["t"])
 
 
 # -- Boussinesq closure --------------------------------------------------------
@@ -245,13 +259,19 @@ def test_b1_pure_diffusion_matches_heat_kernel():
 
 
 def test_chi_invariant_and_diagnostics():
+    """chi follows theta1, and a row's continuity residual is the largest
+    rate of change of the Boussinesq density over its step."""
     g = strip2()
-    cfg = make_cfg(g, dt=5e-4)
-    st = initial_state(cfg)
-    st = step_obm(st, cfg)
-    assert st.chi == compute_chi(st.theta1, g, GAS, REF)
-    assert "continuity_residual" in st.diag
-    assert np.isfinite(st.diag["continuity_residual"])
+    cfg = make_cfg(g, dt=5e-4, t_end=1e-3)
+    st0 = initial_state(cfg)
+    st, rows = run_obm(st0, cfg)
+    assert st.chi == compute_chi(st.theta1, g, GAS, REF) == rows[-1][2]
+    one = step_obm(st0, cfg)
+    rate = (boussinesq_rho(one.theta1, one.b1, cfg)
+            - boussinesq_rho(st0.theta1, st0.b1, cfg)) / cfg.dt
+    residual = rows[0][5]
+    assert residual > 0.0
+    assert residual == pytest.approx(np.max(np.abs(rate)), rel=1e-8)
 
 
 def test_dirichlet_walls_exact():
