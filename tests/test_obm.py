@@ -110,14 +110,15 @@ def test_state_validation():
         ObmState.create(g, np.zeros(g.shape))  # chi needs the gas and reference
 
 
-@given(bad=st.sampled_from([np.nan, np.inf, -np.inf]), field=st.sampled_from(["t", "chi"]))
-def test_state_rejects_a_non_finite_t_or_chi(bad, field):
+@given(bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       name=st.sampled_from(["t", "chi"]))
+def test_state_rejects_a_non_finite_t_or_chi(bad, name):
     """A NaN or infinite t or chi is refused at construction, before the
     landing rule of run_obm would turn it into a step count."""
     g = strip2(16, 9)
-    values = {"t": 0.0, "chi": 0.0, field: bad}
+    values = {"t": 0.0, "chi": 0.0, name: bad}
     with pytest.raises(FieldError, match="chi and t must be finite"):
-        ObmState(g, np.zeros(g.shape), np.zeros(g.hshape), values["chi"], values["t"])
+        ObmState(g, np.zeros(g.shape), np.zeros(g.hshape), **values)
 
 
 # -- Boussinesq closure --------------------------------------------------------
