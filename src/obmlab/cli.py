@@ -14,9 +14,10 @@ Subcommands
     loss) a snapshot of the last valid state.  Checks that the entropy
     production in the solver's rows, integral and pointwise, is nonnegative.
 ``converge``
-    Side-by-side relative-energy study over a decreasing Mach sequence;
-    prints a line as each Mach number finishes, writes a study CSV plus a
-    text summary and reports the observed rate.
+    Side-by-side relative-energy study over a decreasing Mach sequence, its
+    Mach numbers run in parallel worker processes where more than one CPU
+    is usable; prints a line per Mach number in eps order as each finishes,
+    writes a study CSV plus a text summary and reports the observed rate.
 ``mms``
     Manufactured-solution refinement sweeps for both solvers; prints the
     error tables and checks the observed vertical orders.
@@ -34,7 +35,8 @@ start comments.  Unknown sections or keys are errors, not warnings.  Every
 key has a default, so an empty or absent file runs the bundled setup.
 Integer keys but the seed, and the steps any dt needs to t_end, are at most
 2**20; an automatic dt counts its steps at the CFL bound of the initial
-state (at the smallest eps in a study).
+state (at the smallest eps in a study), and a run whose automatic dt later
+collapses past that count stops with exit 3.
 
 [thermo]
     p_inf = 1.0            cold-pressure coefficient (> 0)
@@ -118,8 +120,8 @@ import numpy as np
 from .fields import FieldError, Geometry, Grid, mean_arr, write_snapshot
 from .mhd import (CflError, PositivityError, PrimConfig, PrimitiveState, StepRow,
                   cfl_limits, run_prim, snapshot_fields)
-from .obm import (ObmConfig, ObmConfigError, ObmState, default_potential,
-                  initial_state, run_obm)
+from .obm import (_MAX_STEPS, ObmConfig, ObmConfigError, ObmState,
+                  default_potential, initial_state, run_obm)
 from .relent import convergence_study, well_prepared_data
 from .thermo import (DefaultPStructure, GasParams, ReferenceState,
                      ThermoDomainError, thermo_check)
@@ -171,9 +173,6 @@ _DEFAULTS = {
     "output": {"prefix": "run", "snapshots": 25, "seed": 0},
 }
 
-# bound on every integer key but the seed; it also keeps validation, which
-# builds the grid, within memory
-_MAX_COUNT = 2 ** 20
 # smallest admissible eps * eps: the scaled energies divide by it
 _TINY = np.finfo(float).tiny
 _PROFILES = ("smooth", "random")
@@ -224,8 +223,8 @@ def _coerce(section: str, key: str, raw: str):
     if isinstance(value, float):
         if not np.isfinite(value):
             raise ConfigError(f"[{section}] {key}: non-finite value {raw!r}")
-    elif key != "seed" and value > _MAX_COUNT:
-        raise ConfigError(f"[{section}] {key}: {value} exceeds {_MAX_COUNT}")
+    elif key != "seed" and value > _MAX_STEPS:  # also keeps the grid within memory
+        raise ConfigError(f"[{section}] {key}: {value} exceeds {_MAX_STEPS}")
     return value
 
 
@@ -380,9 +379,9 @@ class RunConfig:
                     f"[grid] n1 = {n1} keeps horizontal modes up to {n1 // 3} "
                     f"under the 2/3 rule, but [{sec}] profile = {profile} "
                     f"has modes up to {_PROFILE_MODES[profile]}")
-            if dt > 0 and t_end / dt > _MAX_COUNT:  # [mhd] dt = 0 is automatic
+            if dt > 0 and t_end / dt > _MAX_STEPS:  # [mhd] dt = 0 is automatic
                 raise ConfigError(f"[{sec}] dt = {dt:g} needs more than "
-                                  f"{_MAX_COUNT} steps to reach t_end = {t_end:g}")
+                                  f"{_MAX_STEPS} steps to reach t_end = {t_end:g}")
         out = self.sections["output"]
         if out["snapshots"] < 0:
             raise ConfigError("[output] snapshots must be nonnegative")
@@ -397,9 +396,9 @@ def _check_automatic_steps(section: str, state: PrimitiveState, pcfg: PrimConfig
                            t_end: float) -> None:
     """The step bound of the loader for a run whose dt is safety times the
     CFL bound, taken at the initial state (the bound can underflow to 0)."""
-    if pcfg.safety * cfl_limits(state, pcfg) * _MAX_COUNT < t_end:
+    if pcfg.safety * cfl_limits(state, pcfg) * _MAX_STEPS < t_end:
         raise ConfigError(
-            f"[{section}] eps = {state.eps:g} needs more than {_MAX_COUNT} steps "
+            f"[{section}] eps = {state.eps:g} needs more than {_MAX_STEPS} steps "
             f"of safety * CFL bound to reach t_end = {t_end:g}")
 
 

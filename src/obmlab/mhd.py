@@ -76,7 +76,7 @@ from .fields import (
     hifft,
     mean_arr,
 )
-from .obm import _check_potential_and_walls, _landing_step
+from .obm import _MAX_STEPS, _check_potential_and_walls, _landing_step
 
 __all__ = [
     "CflError",
@@ -98,7 +98,8 @@ __all__ = [
 
 
 class CflError(RuntimeError):
-    """Raised when a step's dt exceeds the stability bound."""
+    """Raised when a step's dt exceeds the stability bound, or when the
+    automatic dt collapses."""
 
 
 class PositivityError(RuntimeError):
@@ -556,7 +557,9 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
     CFL bound, shrunk by the common landing rule so the run ends exactly on
     t_end; ``on_step`` then gets the new state.  The a and B2 sources are
     projected as in :func:`step_prim`.  A lost positivity raises
-    :class:`PositivityError`, which carries the last valid state."""
+    :class:`PositivityError`, which carries the last valid state; an
+    automatic dt that collapses, so that the rest of the run would take more
+    than 2**20 steps, raises :class:`CflError`."""
     if not np.isfinite(t_end):
         raise FieldError(f"t_end must be finite, got {t_end}")
     if not (dt is None or dt > 0):
@@ -570,6 +573,10 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
     while True:
         limit = _cfl_limit(state, work[0])
         bound = cfg.safety * limit if dt is None else dt
+        if dt is None and not bound * _MAX_STEPS >= t_end - state.t:
+            raise CflError(f"the automatic dt collapsed to {bound:.3e} after step "
+                           f"{len(rows)}, at t = {state.t!r}: more than {_MAX_STEPS} "
+                           f"steps would be left to t_end = {t_end!r}")
         n_left, step = _landing_step(state.t, t_end, bound)
         if n_left == 0:
             break

@@ -393,6 +393,12 @@ def magnetic_energy(state: ObmState, cfg: ObmConfig) -> float:
     return 0.5 * state.grid.volume * float(np.mean(state.b1 ** 2))
 
 
+# the most steps a run may take to reach t_end: run_prim holds an automatic
+# dt to it and the command line any configured dt; the command line bounds
+# its integer keys by it too
+_MAX_STEPS = 2 ** 20
+
+
 def _landing_step(t: float, t_end: float, dt_max: float):
     """The landing rule of every driver: the fewest equal steps of at most
     dt_max (up to a relative 1e-9, so rounding never adds a sliver step)

@@ -15,6 +15,7 @@ how the relative energy and the primitive-variable deviations shrink.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -592,6 +593,70 @@ class StudyReport:
                 for k in keys}
 
 
+def _study_entry(theta1, b1, cfg: ObmConfig, eps: float, times) -> StudyEntry:
+    """One entry of :func:`convergence_study`: both solvers from well-prepared
+    data at Mach number eps, synchronized at ``times``."""
+    g = cfg.grid
+    pcfg = PrimConfig(g, cfg.gas, cfg.ref, cfg.G, cfg.theta_B)
+    try:
+        prim, limit, info = well_prepared_data(theta1, b1, cfg, eps)
+    except (FieldError, thermo.ThermoDomainError) as exc:
+        return StudyEntry(eps=eps, report=RelEnergyReport(*[np.zeros(0)] * 4),
+                          failed=f"{type(exc).__name__}: {exc}")
+    series, rows = [], []  # (t, E_total, E_ess, E_res) per sync; solver rows
+    failed = None
+
+    def record(t):
+        quad = quadruple_from_obm(limit, cfg, eps)
+        _, ee, er = ess_res_split(prim, quad, cfg.gas, cfg.ref)
+        series.append((t, ee + er, ee, er))
+
+    record(0.0)
+    mass0 = g.volume * mean_arr(prim.rho, g)
+    for k in range(1, len(times)):
+        try:
+            prim, new_rows = run_prim(prim, pcfg, t_end=float(times[k]))
+            limit, _ = run_obm(limit, replace(cfg, t_end=float(times[k])))
+        except (PositivityError, CflError, FieldError) as exc:
+            failed = f"{type(exc).__name__}: {exc}"
+            break
+        record(float(times[k]))
+        rows += new_rows
+    report = RelEnergyReport(*(np.array(column) for column in zip(*series)))
+    deviations = {}
+    if failed is None:
+        quad_fields = quadruple_from_obm(limit, cfg, eps)
+        rho1_l = boussinesq_rho(limit.theta1, limit.b1, cfg)
+        bgvec = np.zeros((3,) + g.shape)
+        bgvec[2] = cfg.ref.b_bar
+        deviations = {
+            "rho": l2_arr((prim.rho - cfg.ref.rho_bar) / eps - rho1_l, g),
+            "theta": l2_arr((prim.theta - cfg.ref.theta_bar) / eps - limit.theta1, g),
+            "u": l2_arr(np.sqrt(prim.rho) * prim.u
+                     - np.sqrt(cfg.ref.rho_bar) * quad_fields.U, g),
+            "B": l2_arr((prim.B - bgvec) / eps
+                     - (quad_fields.H - bgvec) / eps, g),
+        }
+    monitors = {
+        "compat_residual": info["compat_residual"],
+        "rel_energy0": info["rel_energy0"],
+        "mass_drift": float(abs(rows[-1].mass - mass0)) if rows else np.nan,
+        "divB_max": max((r.divB_max for r in rows), default=0.0),
+        "entropy_prod_min": min((r.entropy_production for r in rows),
+                                default=np.inf),
+    }
+    return StudyEntry(eps=eps, report=report, deviations=deviations,
+                      monitors=monitors, failed=failed)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def convergence_study(theta1, b1, cfg: ObmConfig, eps_list,
                       n_snap: int = 25, on_entry=None) -> StudyReport:
     """March both solvers from shared well-prepared data for each eps.
@@ -608,75 +673,59 @@ def convergence_study(theta1, b1, cfg: ObmConfig, eps_list,
     compatibility residual and relative energy, and from the compressible
     solver's rows the mass drift, the largest divergence of B and the
     smallest entropy production integral.  A solver failure marks the entry
-    and truncates its series; remaining Mach numbers still run.  Each entry
-    is passed to ``on_entry`` as it completes.
+    and truncates its series; remaining Mach numbers still run.
+
+    The entries are independent, so with more than one of them and more
+    than one usable CPU they run side by side in forked worker processes,
+    one per CPU at most; elsewhere they run one after the other in this
+    process, with the same results.  An entry's cost grows as 1/eps through
+    the acoustic bound, so the smallest eps starts first.  Entries reach the
+    report, and ``on_entry``, in eps order, each as soon as it and all
+    before it are done.  Any other exception from an entry, or from
+    ``on_entry``, stops the workers and propagates.
     """
     eps_arr = np.asarray(list(eps_list), dtype=float)
     if eps_arr.size < 1 or np.any(eps_arr <= 0):
         raise FieldError("eps_list must contain positive Mach numbers")
     if np.any(np.diff(eps_arr) >= 0):
         raise FieldError("eps_list must be strictly decreasing")
-    g = cfg.grid
-    pcfg = PrimConfig(g, cfg.gas, cfg.ref, cfg.G, cfg.theta_B)
+    if isinstance(n_snap, bool) or not isinstance(n_snap, (int, np.integer)) \
+            or n_snap < 1:
+        raise FieldError(f"n_snap must be an integer >= 1, got {n_snap!r}")
     times = np.linspace(0.0, cfg.t_end, n_snap + 1)
     entries = []
-    for eps in eps_arr:
-        try:
-            prim, limit, info = well_prepared_data(theta1, b1, cfg, float(eps))
-        except (FieldError, thermo.ThermoDomainError) as exc:
-            entries.append(StudyEntry(
-                eps=float(eps),
-                report=RelEnergyReport(*[np.zeros(0)] * 4),
-                failed=f"{type(exc).__name__}: {exc}"))
-            continue
-        series, rows = [], []  # (t, E_total, E_ess, E_res) per sync; solver rows
-        failed = None
 
-        def record(t):
-            quad = quadruple_from_obm(limit, cfg, float(eps))
-            _, ee, er = ess_res_split(prim, quad, cfg.gas, cfg.ref)
-            series.append((t, ee + er, ee, er))
-
-        record(0.0)
-        mass0 = g.volume * mean_arr(prim.rho, g)
-        for k in range(1, n_snap + 1):
-            try:
-                prim, new_rows = run_prim(prim, pcfg, t_end=float(times[k]))
-                limit, _ = run_obm(limit, replace(cfg, t_end=float(times[k])))
-            except (PositivityError, CflError, FieldError) as exc:
-                failed = f"{type(exc).__name__}: {exc}"
-                break
-            record(float(times[k]))
-            rows += new_rows
-        report = RelEnergyReport(*(np.array(column) for column in zip(*series)))
-        deviations = {}
-        if failed is None:
-            quad_fields = quadruple_from_obm(limit, cfg, float(eps))
-            rho1_l = boussinesq_rho(limit.theta1, limit.b1, cfg)
-            bgvec = np.zeros((3,) + g.shape)
-            bgvec[2] = cfg.ref.b_bar
-            deviations = {
-                "rho": l2_arr((prim.rho - cfg.ref.rho_bar) / eps - rho1_l, g),
-                "theta": l2_arr((prim.theta - cfg.ref.theta_bar) / eps - limit.theta1, g),
-                "u": l2_arr(np.sqrt(prim.rho) * prim.u
-                         - np.sqrt(cfg.ref.rho_bar) * quad_fields.U, g),
-                "B": l2_arr((prim.B - bgvec) / eps
-                         - (quad_fields.H - bgvec) / eps, g),
-            }
-        monitors = {
-            "compat_residual": info["compat_residual"],
-            "rel_energy0": info["rel_energy0"],
-            "mass_drift": float(abs(rows[-1].mass - mass0)) if rows else np.nan,
-            "divB_max": max((r.divB_max for r in rows), default=0.0),
-            "entropy_prod_min": min((r.entropy_production for r in rows),
-                                    default=np.inf),
-        }
-        entry = StudyEntry(eps=float(eps), report=report,
-                           deviations=deviations, monitors=monitors,
-                           failed=failed)
+    def done(entry):
         entries.append(entry)
         if on_entry is not None:
             on_entry(entry)
+
+    workers = min(eps_arr.size, _usable_cpus())
+    if workers > 1:
+        import multiprocessing  # here, so that importing the package stays lean
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers == 1:
+        for eps in eps_arr:
+            done(_study_entry(theta1, b1, cfg, float(eps), times))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        # fork, not the platform default: a forked worker has numpy and the
+        # package loaded already
+        pool = ProcessPoolExecutor(workers,
+                                   mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = [pool.submit(_study_entry, theta1, b1, cfg, float(eps), times)
+                       for eps in eps_arr[::-1]][::-1]
+            for future in futures:
+                done(future.result())
+        except BaseException:
+            # a running entry cannot be cancelled; its worker is stopped
+            for process in list(pool._processes.values()):
+                process.terminate()
+            raise
+        finally:
+            pool.shutdown(cancel_futures=True)
     rate = None
     sups = np.array([e.sup_E for e in entries])
     if all(e.failed is None for e in entries) and np.all(sups > 0) \

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obmlab
+from obmlab import mhd
 from obmlab.cli import (
     _DEFAULTS,
-    _MAX_COUNT,
     ConfigError,
     RunConfig,
     _check_automatic_steps,
@@ -27,7 +27,7 @@ from obmlab.cli import (
 )
 from obmlab.fields import Geometry, Grid, mean_arr, read_snapshot
 from obmlab.mhd import PrimConfig, cfl_limits, snapshot_fields
-from obmlab.obm import ObmConfig, default_potential
+from obmlab.obm import _MAX_STEPS, ObmConfig, default_potential
 from obmlab.relent import well_prepared_data
 
 
@@ -323,19 +323,21 @@ for case in (mms.PrimCase(), mms.ObmCase()):
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(" ".join(sorted(loaded - set(sys.stdlib_module_names))))
 print("scipy" in sys.modules, "sympy" in sys.modules,
-      "solve_banded" in vars(sys.modules["obmlab.obm"]))
+      "solve_banded" in vars(sys.modules["obmlab.obm"]),
+      "multiprocessing" in sys.modules, "concurrent.futures" in sys.modules)
 """
 
 
 def test_cli_import_loads_only_numpy_and_the_standard_library():
     """A cold ``import obmlab.cli``, followed by building both
     manufactured-solution cases and evaluating their sources, loads numpy,
-    the standard library and obmlab alone: neither scipy nor sympy."""
+    the standard library and obmlab alone: neither scipy nor sympy, nor the
+    process pool that only a study with workers imports."""
     done = run_python("-c", IMPORT_PROBE)
     assert done.returncode == 0, done.stderr
     third_party, flags = done.stdout.splitlines()
     assert set(third_party.split()) <= {"numpy", "obmlab"}
-    assert flags == "False False False"
+    assert flags == "False False False False False"
 
 
 def test_obm_solve_banded_is_scipys_for_the_tracer():
@@ -406,7 +408,7 @@ def test_automatic_step_bound_is_inclusive():
     th, b1 = _initial_profiles(ocfg, cfg["mhd"], 0, (0.0, 0.0))
     prim = well_prepared_data(th, b1, ocfg, 0.1)[0]
     pcfg = PrimConfig(g, ocfg.gas, ocfg.ref, ocfg.G, ocfg.theta_B, safety=0.5)
-    t_end = 0.5 * cfl_limits(prim, pcfg) * _MAX_COUNT
+    t_end = 0.5 * cfl_limits(prim, pcfg) * _MAX_STEPS
     _check_automatic_steps("mhd", prim, pcfg, t_end)
     with pytest.raises(ConfigError, match=r"\[mhd\] eps = 0.1 needs more than"):
         _check_automatic_steps("mhd", prim, pcfg, t_end * (1.0 + 1e-12))
@@ -429,6 +431,23 @@ def test_mhd_blowup_exits_3(tmp_path, capsys):
     assert main(["run-mhd", "--config", path, "--out", str(tmp_path),
                  "--quiet"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_run_mhd_collapsed_automatic_dt_exits_3(tmp_path, capsys, monkeypatch):
+    """An automatic dt that collapses during the run (here a CFL bound of
+    5e-324 once the state has stepped) is a numerical failure: exit 3 and
+    one line on stderr, not a traceback from the landing rule."""
+    real = mhd._cfl_limit
+    monkeypatch.setattr(mhd, "_cfl_limit",
+                        lambda state, w: real(state, w) if state.t == 0 else 5e-324)
+    path = write_config(tmp_path, SMALL_MHD)
+    assert main(["run-mhd", "--config", path, "--out", str(tmp_path),
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("obmlab: numerical failure: the automatic dt collapsed "
+                          "to 4.941e-324 after step 1, at t = ")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_mms_blowup_exits_3(tmp_path, capsys):

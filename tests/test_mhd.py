@@ -727,6 +727,24 @@ def test_run_prim_rejects_a_nan_or_non_positive_dt(dt):
         run_prim(uniform_state(cfg), cfg, t_end=0.01, dt=dt)
 
 
+def collapse_after_first_step(monkeypatch):
+    """Make the CFL bound 5e-324, the smallest float, once a state has
+    stepped: the automatic dt collapses after the first step."""
+    real = mhd._cfl_limit
+    monkeypatch.setattr(mhd, "_cfl_limit",
+                        lambda state, w: real(state, w) if state.t == 0 else 5e-324)
+
+
+def test_run_prim_raises_cfl_error_when_the_automatic_dt_collapses(monkeypatch):
+    """A bound whose remaining steps exceed 2**20 is a CflError naming the
+    step and t, not an OverflowError from the landing rule."""
+    cfg = make_cfg()
+    collapse_after_first_step(monkeypatch)
+    with pytest.raises(CflError, match=r"collapsed to 4\.941e-324 after step 1, "
+                                       r"at t = [0-9.e-]+: more than 1048576 steps"):
+        run_prim(wavy_state(cfg), cfg, t_end=0.01)
+
+
 # -- energies ---------------------------------------------------------------
 
 

@@ -1,9 +1,14 @@
 """Relative-energy functional, coercivity, and the side-by-side study."""
 
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from obmlab import thermo
+from obmlab import mhd, relent, thermo
 from obmlab.fields import FieldError, Geometry, Grid, mean_arr
 from obmlab.obm import ObmConfig, ObmState
 from obmlab.relent import (
@@ -413,3 +418,118 @@ def test_convergence_study_validates_eps_list():
         convergence_study(theta1, b1, cfg, [0.1, 0.2])
     with pytest.raises(FieldError):
         convergence_study(theta1, b1, cfg, [])
+
+
+@given(n_snap=st.one_of(
+    st.integers(max_value=0),
+    st.integers(min_value=1, max_value=50).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.just(np.float64(4.0)),
+))
+def test_convergence_study_rejects_a_bad_n_snap(n_snap):
+    """n_snap must be an int >= 1: 0 used to return an unstepped study
+    reported as complete, -2 and 2.5 died inside numpy."""
+    g = strip()
+    theta1, b1 = wavy_profiles(g)
+    with pytest.raises(FieldError, match="n_snap must be an integer >= 1"):
+        convergence_study(theta1, b1, make_cfg(g), [0.4, 0.2], n_snap=n_snap)
+
+
+def run_study(monkeypatch, cpus, eps_list, on_entry=None):
+    """convergence_study on 16x17 as if ``cpus`` CPUs were usable; also
+    returns, per entry handed out, whether worker processes were alive."""
+    monkeypatch.setattr(relent, "_usable_cpus", lambda: cpus)
+    g = strip()
+    theta1, b1 = wavy_profiles(g)
+    pooled = []
+
+    def seen(entry):
+        pooled.append(bool(multiprocessing.active_children()))
+        if on_entry is not None:
+            on_entry(entry)
+
+    rep = convergence_study(theta1, b1, make_cfg(g, dt=2e-3, t_end=0.02), eps_list,
+                            n_snap=4, on_entry=seen)
+    return rep, pooled
+
+
+@pytest.mark.parametrize("eps_list", [[0.4, 0.2, 0.1], [20.0, 0.2]])
+def test_inline_and_parallel_studies_agree_exactly(monkeypatch, eps_list):
+    """The entries computed in forked workers equal those computed in this
+    process bit for bit, in the same order, failed entries included."""
+    inline, pooled_inline = run_study(monkeypatch, 1, eps_list)
+    parallel, pooled = run_study(monkeypatch, 3, eps_list)
+    assert pooled_inline == [False] * len(eps_list)
+    assert pooled == [True] * len(eps_list)
+    assert not multiprocessing.active_children()
+    assert [e.eps for e in parallel.entries] == eps_list
+    assert parallel.rate == inline.rate
+    assert (parallel.rate is None) == (eps_list[0] == 20.0)
+    for a, b in zip(inline.entries, parallel.entries):
+        assert a.eps == b.eps and a.failed == b.failed
+        for name in ("times", "E_total", "E_ess", "E_res"):
+            assert np.array_equal(getattr(a.report, name), getattr(b.report, name))
+        for table in ("deviations", "monitors"):
+            x, y = getattr(a, table), getattr(b, table)
+            assert x.keys() == y.keys()
+            assert all(np.array_equal(x[k], y[k], equal_nan=True) for k in x)
+    assert [e.failed is None for e in parallel.entries] == [e != 20.0 for e in eps_list]
+
+
+def test_worker_exception_reaches_the_caller_with_its_type(monkeypatch):
+    """An error that is not a solver failure is not folded into the entry:
+    raised in a worker, it reaches the caller as itself."""
+    real = relent.ess_res_split
+
+    def split(state, test, gas, ref):
+        if state.eps == 0.2:
+            raise thermo.ThermoDomainError("split refused at eps = 0.2")
+        return real(state, test, gas, ref)
+
+    monkeypatch.setattr(relent, "ess_res_split", split)
+    with pytest.raises(thermo.ThermoDomainError, match="split refused at eps = 0.2"):
+        run_study(monkeypatch, 2, [0.4, 0.2])
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_on_entry_error_stops_the_running_workers(monkeypatch, error):
+    """An exception in the parent while an entry still runs in a worker
+    stops that worker: the call raises at once and leaves no process."""
+    real = relent.run_prim
+
+    def run_prim(state, cfg, t_end):
+        if state.eps == 0.2 and state.t == 0:
+            time.sleep(60.0)  # far longer than the test may take
+        return real(state, cfg, t_end=t_end)
+
+    def on_entry(entry):
+        raise error(f"stop at eps = {entry.eps:g}")
+
+    monkeypatch.setattr(relent, "run_prim", run_prim)
+    start = time.perf_counter()
+    with pytest.raises(error, match="stop at eps = 0.4"):
+        run_study(monkeypatch, 2, [0.4, 0.2], on_entry)
+    assert time.perf_counter() - start < 30.0
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_collapsed_dt_fails_its_entry_alone(monkeypatch, cpus):
+    """A CFL bound that collapses to 5e-324 after the first step at
+    eps = 0.2 marks that entry failed; the other entry completes."""
+    real = mhd._cfl_limit
+    monkeypatch.setattr(
+        mhd, "_cfl_limit",
+        lambda state, w: 5e-324 if state.t > 0 and state.eps == 0.2 else real(state, w))
+    rep, _ = run_study(monkeypatch, cpus, [0.4, 0.2])
+    first, second = rep.entries
+    assert first.failed is None and len(first.report.times) == 5
+    assert second.failed.startswith("CflError: the automatic dt collapsed to 4.941e-324 "
+                                    "after step 1")
+    assert len(second.report.times) == 1  # the record at t = 0 alone
+    assert rep.rate is None
+    assert not multiprocessing.active_children()
