@@ -580,8 +580,9 @@ def cmd_run_mhd(cfg: RunConfig, args) -> int:
     with _setup():
         # dt/t_end of this helper config are never read by the data builder
         ocfg = ObmConfig(grid, gas, ref, G, walls, dt=1.0, t_end=0.0)
-        th, b1 = _initial_profiles(ocfg, m, _seed(cfg, args), walls)
-        prim0, _, info = well_prepared_data(th, b1, ocfg, m["eps"])
+        prim0, limit, info = well_prepared_data(
+            *_initial_profiles(ocfg, m, _seed(cfg, args), walls), ocfg, m["eps"])
+        del limit  # the compressible run does not read it
         pcfg = PrimConfig(grid, gas, ref, G, walls, safety=m["safety"])
     if m["dt"] == 0:
         _check_automatic_steps("mhd", prim0, pcfg, m["t_end"])
@@ -590,9 +591,11 @@ def cmd_run_mhd(cfg: RunConfig, args) -> int:
     snaps = _SnapshotSchedule(outdir, f"{prefix}_mhd", cfg["output"]["snapshots"],
                               m["t_end"], snapshot_fields)
     snaps.note(prim0)
+    start = [prim0]  # the march gets the only reference to the initial data
+    del prim0
     with _march():
         try:
-            state, rows = run_prim(prim0, pcfg, m["t_end"],
+            state, rows = run_prim(start.pop(), pcfg, m["t_end"],
                                    dt=(m["dt"] if m["dt"] > 0 else None),
                                    on_step=snaps.note,
                                    entropy_fault=args.inject_entropy_fault)

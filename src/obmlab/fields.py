@@ -177,25 +177,27 @@ class Grid:
 # -- raw array helpers (axis conventions: x3 = axis 0 on strips, x2 = -2, x1 = -1)
 
 
-def hfft(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real-to-complex horizontal transform (rfft on x1, full fft on x2)."""
-    if grid.has_x2:
+def hfft(data: np.ndarray, grid: Grid, x2: bool = True) -> np.ndarray:
+    """Real-to-complex horizontal transform: rfft on x1, and on the torus a
+    full fft on x2 unless ``x2`` is false."""
+    if grid.has_x2 and x2:
         return np.fft.rfftn(data, axes=(-2, -1))
     return np.fft.rfft(data, axis=-1)
 
 
-def hifft(spec: np.ndarray, grid: Grid, out=None) -> np.ndarray:
-    """Inverse of :func:`hfft`, written into ``out`` when given."""
-    if grid.has_x2:
+def hifft(spec: np.ndarray, grid: Grid, out=None, x2: bool = True) -> np.ndarray:
+    """Inverse of :func:`hfft` with the same ``x2``, written into ``out`` when
+    given."""
+    if grid.has_x2 and x2:
         return np.fft.irfftn(spec, s=(grid.n2, grid.n1), axes=(-2, -1), out=out)
     return np.fft.irfft(spec, n=grid.n1, axis=-1, out=out)
 
 
 def ddx1_arr(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral d/dx1 along the last axis."""
-    spec = np.fft.rfft(data, axis=-1)
+    """Spectral d/dx1 along the last axis, through the x1 transform alone."""
+    spec = hfft(data, grid, x2=False)
     spec *= 1j * grid.k1r_d
-    return np.fft.irfft(spec, n=grid.n1, axis=-1)
+    return hifft(spec, grid, x2=False)
 
 
 def ddx2_arr(data: np.ndarray, grid: Grid) -> np.ndarray:

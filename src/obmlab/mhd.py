@@ -40,12 +40,24 @@ d1 u3 = 0 along the wall).
 The right side is pseudo-spectral: each nonlinear flux is transformed once,
 the 2/3-rule mask, d1 and the x3 stencil (along the other axis, so they
 commute) act on the spectrum, and each tendency component is one inverse
-transform.  A state's EOS, transport and derivatives are built once
+transform.  A state's EOS, transport, B and derivatives are built once
 (:func:`_state_work`).  a and B2 carry no x1 mode above n1 // 3: the
 :class:`PrimitiveState` constructor projects them and the linear stages keep
-them there, so the Lorentz force reads B and J as they are.  A step
-transforms 78 fields: two states' work (12 each), two right sides (26 each)
-and the stage state's B (2).
+them there, so the Lorentz force reads B and J as they are.  B is derived
+data: it lives in the work, and ``PrimitiveState.B`` assembles a fresh copy
+on each read.  A step transforms 80 fields: two states' work (14 each, B's 2
+included) and two right sides (26 each); a :func:`run_prim` step, its row
+included, transforms 82.
+
+Every array of the step lives until its last read and no longer.  The right
+side consumes its work, dropping each field after its last read; the stage
+state's work holds only what the right side reads; and the drivers hand a
+work over without keeping a reference (from CPython 3.11 a call's arguments
+belong to the callee).  A caller that keeps the work gets the same result
+and keeps the memory.  A :func:`run_prim` step then peaks at the start of
+its second right side, where the stage state (7 fields) and its work (28)
+stand in for the work it started with (31): 7 to 8 fields of the grid
+above what is held when the step starts.
 
 Mass bookkeeping: the trapezoid rule does not telescope against the
 one-sided first-derivative closures, so -div(rho u) carries an O(h^2)
@@ -58,7 +70,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -176,10 +188,11 @@ class PrimitiveState:
         self.a = dealias_arr(self.a, g)
         self.B2 = dealias_arr(self.B2, g)
 
-    @cached_property
+    @property
     def B(self) -> np.ndarray:
-        """Assembled (3, n3, n1) magnetic field; div B = 0 to rounding.  Built
-        once and read-only, as no state array changes after construction."""
+        """Assembled (3, n3, n1) magnetic field; div B = 0 to rounding.  A
+        fresh read-only array on each read, cached nowhere: the step reads
+        the B of a state's work, which dies with the work."""
         g = self.grid
         B = np.stack([
             -ddx3_arr(self.a, g),
@@ -199,14 +212,14 @@ def a_from_b3_profile(b3: np.ndarray, grid: Grid):
     b3 = np.asarray(b3, dtype=float)
     if b3.shape != (grid.n1,):
         raise FieldError(f"b3 profile must have shape ({grid.n1},)")
-    spec = np.fft.rfft(b3)
+    spec = hfft(b3, grid)
     c3 = float(spec[0].real) / grid.n1
     k = grid.k1r_d.copy()
     dead = k == 0.0
     k[dead] = 1.0
     aspec = spec / (1j * k)
     aspec[dead] = 0.0
-    a_line = np.fft.irfft(aspec, n=grid.n1)
+    a_line = hifft(aspec, grid)
     return np.broadcast_to(a_line, grid.shape).copy(), c3
 
 
@@ -221,23 +234,15 @@ def _strain(d1u, d3u):
                   d3u[2] + d3u[2] - third)
 
 
-def _stress(mu, eta, divu, D):
-    """(S11, S12, S13, S23, S33) of the Newtonian stress mu D + eta div u I;
-    S22 is never differentiated on the strip."""
-    bulk = eta * divu
-    D11, D12, D13, D23, D33 = D
-    return mu * D11 + bulk, mu * D12, mu * D13, mu * D23, mu * D33 + bulk
-
-
-def _dissipation(mu, eta, divu, D):
-    """S : grad u evaluated as the manifestly non-negative quadratic form
-    (mu/2)|D|^2 + eta (div u)^2, |D|^2 summed over the nine entries in row
-    order."""
+def _dissipation(mu, divu, D):
+    """S : grad u of the Newtonian stress S = mu D, evaluated as the
+    manifestly non-negative quadratic form (mu/2)|D|^2, |D|^2 summed over
+    the nine entries in row order."""
     D11, D12, D13, D23, D33 = D
     d22 = (2.0 / 3.0) * divu
     q12, q13, q23 = D12 * D12, D13 * D13, D23 * D23
     sq = D11 * D11 + q12 + q13 + q12 + d22 * d22 + q23 + q13 + q23 + D33 * D33
-    return 0.5 * mu * sq + eta * divu ** 2
+    return 0.5 * mu * sq
 
 
 def _curl25(B: np.ndarray, grid: Grid) -> np.ndarray:
@@ -249,27 +254,39 @@ def _curl25(B: np.ndarray, grid: Grid) -> np.ndarray:
     ])
 
 
-# A state's EOS (rho e, rho s) and transport, d1 u, d3 u, :func:`_strain`, phi,
-# J = curl B, zeta |J|^2 and grad theta; passed to each reader, never cached on
-# the state, which would keep it alive for a step.  The bound reads the EOS alone.
+# A state's EOS (rho e, rho s) and transport, B, d1 u, d3 u, :func:`_strain`,
+# phi, J = curl B, zeta |J|^2 and grad theta; passed to each reader, never
+# cached on the state, which would keep it alive for a step.  The bound reads
+# the EOS and B alone.  The bulk viscosity, identically zero in this model, is
+# not carried.
 _StateWork = namedtuple(
-    "_StateWork", "p dp_drho dp_dtheta de_dtheta rho_e rho_s mu eta kappa zeta "
-    "d1u d3u divu D phi J joule d1th d3th", defaults=[None] * 9)
+    "_StateWork", "p dp_drho dp_dtheta de_dtheta rho_e rho_s mu kappa zeta B "
+    "d1u d3u divu D phi J joule d1th d3th", defaults=[None] * 10)
 
 
-def _state_work(state: PrimitiveState, cfg: PrimConfig) -> _StateWork:
-    """The state's work, from one EOS pass and 12 transformed fields.  Zeroed
+def _bound_work(state: PrimitiveState, cfg: PrimConfig) -> _StateWork:
+    """The part of the state's work that the bound reads: one EOS pass and B."""
+    eos = thermo._eos_and_transport(state.rho, state.theta, cfg.gas)
+    return _StateWork(*eos[:7], *eos[8:], B=state.B)  # eos[7] is the bulk viscosity
+
+
+def _state_work(state: PrimitiveState, cfg: PrimConfig, row: bool = True) -> _StateWork:
+    """The state's work, from one EOS pass and 14 transformed fields.  Without
+    ``row`` it leaves out dp/drho, rho e and rho s, which only the bound and
+    the row read: the stage state's work is the right side's alone.  Zeroed
     wall rows of d3 u1 and d3 u2 make the strain's tangential stress vanish
     there (stress-free slip walls)."""
     g = state.grid
+    w = _bound_work(state, cfg)
+    if not row:
+        w = w._replace(dp_drho=None, rho_e=None, rho_s=None)
     d1u = np.stack([ddx1_arr(c, g) for c in state.u])
     d3u = np.stack([ddx3_arr(c, g) for c in state.u])
     d3u[:2, [0, -1]] = 0.0
     divu, D = _strain(d1u, d3u)
-    J = _curl25(state.B, g)
-    w = _StateWork(*thermo._eos_and_transport(state.rho, state.theta, cfg.gas))
+    J = _curl25(w.B, g)
     return w._replace(d1u=d1u, d3u=d3u, divu=divu, D=D, J=J,
-                      phi=_dissipation(w.mu, w.eta, divu, D),
+                      phi=_dissipation(w.mu, divu, D),
                       joule=w.zeta * (J[0] ** 2 + J[1] ** 2 + J[2] ** 2),
                       d1th=ddx1_arr(state.theta, g), d3th=ddx3_arr(state.theta, g))
 
@@ -283,49 +300,43 @@ def _tendencies(state: PrimitiveState, cfg: PrimConfig, w: _StateWork):
     them with zeros.  Left physical: d3 p and
     d3(kappa d3 theta), untruncated, and the advection, Lorentz, Joule and
     dissipation products, which the final truncation of u_t and theta_t
-    covers, since dz(dz(a) + b) = dz(a + b).  Returns new arrays."""
+    covers, since dz(dz(a) + b) = dz(a + b).  Returns new arrays.
+
+    It consumes the work: each field is dropped after its last read.  The
+    temperature comes first, as eight of the work's fields serve it alone;
+    the stress entries and the electric field are formed and transformed one
+    at a time."""
     g = state.grid
     eps = state.eps
     rho, u, theta = state.rho, state.u, state.theta
-    B, J = state.B, w.J
     m = g.n1_kept
     ik = 1j * g.k1r_d[:m]  # d1 on a truncated spectrum
     phys, ddx3 = partial(hifft, grid=g), partial(ddx3_arr, grid=g)
-    buf = np.empty((2, 3) + g.shape)  # for the cross products and the advection
 
     def spec(arr):  # the truncated spectrum
         return hfft(arr, g)[..., :m]
 
+    p, mu, zeta, B, J, d1u, d3u, D = w.p, w.mu, w.zeta, w.B, w.J, w.d1u, w.d3u, w.D
+    dp_dtheta, de_dtheta, kappa, divu = w.dp_dtheta, w.de_dtheta, w.kappa, w.divu
+    phi, joule, d1th, d3th = w.phi, w.joule, w.d1th, w.d3th
+    del w
+
+    # temperature in internal-energy form
+    heat_flux_div = phys(ik * spec(kappa * d1th)) + ddx3(kappa * d3th)
+    del kappa
+    theta_t = (-theta * dp_dtheta * divu + eps ** 2 * phi + heat_flux_div
+               + joule) / (rho * de_dtheta) - (u[0] * d1th + u[2] * d3th)
+    del dp_dtheta, divu, phi, heat_flux_div, joule, de_dtheta, d1th, d3th
+
     # continuity in divergence form with the uniform mean-defect correction
     div_flux = phys(ik * spec(rho * u[0]) + ddx3(spec(rho * u[2])))
     rho_t = -div_flux + mean_arr(div_flux, g)
+    del div_flux
 
-    # momentum: stress and pressure, gravity, Lorentz, advection
-    S11, S12, S13, S23, S33 = _stress(w.mu, w.eta, w.divu, w.D)
-    S11 -= w.p / eps ** 2
-    s13 = spec(S13)
-    u_t = np.empty((3,) + g.shape)
-    phys(ik * spec(S11) + ddx3(s13), out=u_t[0])
-    phys(ik * spec(S12) + ddx3(spec(S23)), out=u_t[1])
-    phys(ik * s13 + ddx3(spec(S33)), out=u_t[2])
-    del S11, S12, S13, S23, S33, s13
-    u_t[2] -= ddx3(w.p) / eps ** 2
-    u_t[0] += rho * cfg.G1 / eps
-    u_t[2] += rho * cfg.G3 / eps
-    u_t += np.divide(cross3(J, B, out=buf[0]), eps ** 2, out=buf[0])  # Lorentz
-    u_t /= rho
-    u_t -= np.add(np.multiply(u[0], w.d1u, out=buf[0]),  # advection
-                  np.multiply(u[2], w.d3u, out=buf[1]), out=buf[0])
-
-    # temperature in internal-energy form
-    heat_flux_div = phys(ik * spec(w.kappa * w.d1th)) + ddx3(w.kappa * w.d3th)
-    theta_t = (-theta * w.dp_dtheta * w.divu + eps ** 2 * w.phi + heat_flux_div
-               + w.joule) / (rho * w.de_dtheta) - (u[0] * w.d1th + u[2] * w.d3th)
-
-    # induction through the electric field E = zeta curl B - u x B
-    uxB = cross3(u, B, out=buf[0])
-    E = [spec(w.zeta * J[i] - uxB[i]) for i in range(3)]
-    a_t = -phys(E[1])
+    # induction through the electric field E = zeta curl B - u x B, one
+    # component at a time, then the Lorentz force: the last reads of B and J
+    cross = cross3(u, B, out=np.empty((3,) + g.shape))  # the cross products' scratch
+    a_t = -phys(spec(zeta * J[1] - cross[1]))
     # differentiated form of the wall constraint d3 a = 0 (an O(h^3)
     # perturbation since d3 E2 vanishes at the walls for B1|wall = 0);
     # as a linear invariant it then propagates exactly through any
@@ -333,7 +344,37 @@ def _tendencies(state: PrimitiveState, cfg: PrimConfig, w: _StateWork):
     # costs a temporal order
     a_t[0] = (4.0 * a_t[1] - a_t[2]) / 3.0
     a_t[-1] = (4.0 * a_t[-2] - a_t[-3]) / 3.0
-    B2_t = phys(ik * E[2] - ddx3(E[0]))
+    E0 = spec(zeta * J[0] - cross[0])
+    B2_t = phys(ik * spec(zeta * J[2] - cross[2]) - ddx3(E0))
+    del E0, zeta
+    np.divide(cross3(J, B, out=cross), eps ** 2, out=cross)  # the Lorentz force
+    del B, J
+
+    # momentum: the stress mu D and pressure, gravity, Lorentz, advection
+    D11, D12, D13, D23, D33 = D
+    del D
+    s13 = spec(mu * D13)
+    del D13
+    u_t = np.empty((3,) + g.shape)
+    phys(ik * spec(mu * D11 - p / eps ** 2) + ddx3(s13), out=u_t[0])
+    del D11
+    phys(ik * spec(mu * D12) + ddx3(spec(mu * D23)), out=u_t[1])
+    del D12, D23
+    phys(ik * s13 + ddx3(spec(mu * D33)), out=u_t[2])
+    del s13, D33, mu
+    u_t[2] -= ddx3(p) / eps ** 2
+    del p
+    u_t[0] += rho * cfg.G1 / eps
+    u_t[2] += rho * cfg.G3 / eps
+    u_t += cross  # the Lorentz force
+    u_t /= rho
+    advection = np.multiply(u[0], d1u, out=cross)
+    del d1u
+    for i in range(3):
+        advection[i] += u[2] * d3u[i]
+    del d3u
+    u_t -= advection
+    del advection, cross
 
     return rho_t, phys(spec(u_t), out=u_t), phys(spec(theta_t), out=theta_t), a_t, B2_t
 
@@ -361,19 +402,18 @@ def cfl_limits(state: PrimitiveState, cfg: PrimConfig) -> float:
     c_max bounds the fast magnetosonic speed through the closed-form
     equation of state and nu_max the diffusivities: it reads the EOS pass
     and B alone."""
-    eos = thermo._eos_and_transport(state.rho, state.theta, cfg.gas)
-    return _cfl_limit(state, _StateWork(*eos))
+    return _cfl_limit(state, _bound_work(state, cfg))
 
 
 def _cfl_limit(state: PrimitiveState, w: _StateWork) -> float:
     """Body of :func:`cfl_limits`, given the state's work."""
     rho = state.rho
-    B = state.B
+    B = w.B
     bsq = B[0] ** 2 + B[1] ** 2 + B[2] ** 2
     c = np.sqrt(w.dp_drho + (4.0 / 3.0) * w.p / rho + bsq / rho)
     umax = np.max(np.abs(state.u))
     c_max = float(np.max(c)) / state.eps + umax
-    nu = np.maximum(((4.0 / 3.0) * w.mu + w.eta) / rho, w.kappa / (rho * w.de_dtheta))
+    nu = np.maximum((4.0 / 3.0) * w.mu / rho, w.kappa / (rho * w.de_dtheta))
     nu_max = max(float(np.max(nu)), float(np.max(w.zeta)))
     h = min(state.grid.dx1, state.grid.dx3)
     return 0.4 * min(h / c_max, h ** 2 / nu_max)
@@ -413,16 +453,17 @@ def step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float,
     projected as the state's own.  Raises CflError if dt exceeds the
     advective/diffusive bound and PositivityError (carrying the pre-step
     state) if rho or theta would leave the admissible cone."""
-    work = _state_work(state, cfg)
-    return _step_prim(state, cfg, dt, _cfl_limit(state, work), src, work)
+    work = [_state_work(state, cfg)]  # handed over, as in :func:`run_prim`
+    return _step_prim(state, cfg, dt, _cfl_limit(state, work[0]), src, work.pop())
 
 
 def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
                src, work: _StateWork) -> PrimitiveState:
     """Body of :func:`step_prim`, given the state's stability bound
     ``limit`` and work, so that a driver which has already built them for
-    choosing dt does not build them again.  The work is dropped after the
-    first stage, and freed then if the caller kept no reference.  Each stage
+    choosing dt does not build them again.  The work is handed to the first
+    right side, which frees it field by field if the caller kept no
+    reference; the stage state's work is the second's alone.  Each stage
     is summed in its tendencies' storage and assembled without the
     constructor, whose checks :func:`_check_admissible` has made and whose
     projection the linear stages keep."""
@@ -445,14 +486,16 @@ def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
         return new
 
     base = (state.rho, state.u, state.theta, state.a, state.B2)
-    mid = add_src(_tendencies(state, cfg, work), state.t)
+    stage = [work]  # the right side gets the only reference
     del work
+    mid = add_src(_tendencies(state, cfg, stage.pop()), state.t)
     for m, b in zip(mid, base):  # mid = base + dt f1
         np.add(np.multiply(m, dt, out=m), b, out=m)
     _impose_bcs(*mid, cfg, state.eps)
     _check_admissible(mid, state)
     mid_state = assemble(mid, state.t + dt)
-    out = add_src(_tendencies(mid_state, cfg, _state_work(mid_state, cfg)), state.t + dt)
+    out = add_src(_tendencies(mid_state, cfg, _state_work(mid_state, cfg, row=False)),
+                  state.t + dt)
     for o, b, m in zip(out, base, mid):  # out = b / 2 + (mid + dt f2) / 2
         o *= dt
         o += m
@@ -480,7 +523,8 @@ def _check_admissible(parts, last_valid):
 
 def total_energy(state: PrimitiveState, gas: thermo.GasParams) -> float:
     """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2) ]."""
-    return _energy(state, thermo.rho_e_total(state.rho, state.theta, gas), (0.0,))[0]
+    return _energy(state, state.B, thermo.rho_e_total(state.rho, state.theta, gas),
+                   (0.0,))[0]
 
 
 def ballistic_energy(state: PrimitiveState, psi: np.ndarray,
@@ -488,7 +532,7 @@ def ballistic_energy(state: PrimitiveState, psi: np.ndarray,
     """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2 - psi rho s) ]
     for a positive test temperature psi."""
     rho, theta = state.rho, state.theta
-    return _energy(state, thermo.rho_e_total(rho, theta, gas),
+    return _energy(state, state.B, thermo.rho_e_total(rho, theta, gas),
                    (_psi_rho_s(psi, thermo.rho_s_total(rho, theta, gas)),))[0]
 
 
@@ -499,13 +543,14 @@ def _psi_rho_s(psi, rho_s):
     return psi * rho_s
 
 
-def _energy(state: PrimitiveState, roe, psi_rho_s) -> list:
+def _energy(state: PrimitiveState, B, roe, psi_rho_s) -> list:
     """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2 - q) ] for each q
-    in ``psi_rho_s``, given rho e: the body of both energies, so that a
-    caller wanting both evaluates rho e once."""
+    in ``psi_rho_s``, given B and rho e: the body of both energies, so that
+    a caller wanting both evaluates rho e once."""
     g = state.grid
-    kinetic = 0.5 * state.rho * (state.u ** 2).sum(axis=0)
-    inner = roe + 0.5 * (state.B ** 2).sum(axis=0)
+    u = state.u  # |u|^2 and |B|^2 summed in the order of .sum(axis=0), unstacked
+    kinetic = 0.5 * state.rho * (u[0] ** 2 + u[1] ** 2 + u[2] ** 2)
+    inner = roe + 0.5 * (B[0] ** 2 + B[1] ** 2 + B[2] ** 2)
     return [g.volume * mean_arr(kinetic + (inner - q) / state.eps ** 2, g)
             for q in psi_rho_s]
 
@@ -544,6 +589,28 @@ class StepRow(NamedTuple):
     entropy_floor: float       # pointwise minimum over the three terms
 
 
+def _row(state: PrimitiveState, w: _StateWork, psi, fault: bool) -> StepRow:
+    """The :func:`run_prim` row of a new state, from its work; each of the
+    row's fields dies once its numbers are taken."""
+    g = state.grid
+    phi, joule, cond = _entropy_terms(state, w, fault)
+    production = g.volume * mean_arr(phi + joule + cond, g)
+    floor = min(float(np.min(term)) for term in (phi, joule, cond))
+    del phi, joule, cond
+    divB_max = float(np.max(np.abs(ddx1_arr(w.B[0], g) + ddx3_arr(w.B[2], g))))
+    return StepRow(
+        state.t,
+        g.volume * mean_arr(state.rho, g),
+        g.volume * mean_arr(state.rho * state.u[0], g),
+        *_energy(state, w.B, w.rho_e, (0.0, _psi_rho_s(psi, w.rho_s))),
+        divB_max,
+        float(np.min(state.rho)),
+        float(np.min(state.theta)),
+        production,
+        floor,
+    )
+
+
 def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
              dt: float = None, src=None, on_step=None, entropy_fault: bool = False):
     """March to t_end; returns (final state, one :class:`StepRow` per step).
@@ -564,11 +631,10 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
         raise FieldError(f"t_end must be finite, got {t_end}")
     if not (dt is None or dt > 0):
         raise FieldError(f"dt must be positive, got {dt}")
-    g = state.grid
     rows = []
     psi = psi_extension(cfg, state.eps)
     # the state's work, read by the row and the bound; a one-item list so that
-    # the step gets the only reference and frees it after its first stage
+    # the step gets the only reference and its first right side consumes it
     work = [_state_work(state, cfg)]
     while True:
         limit = _cfl_limit(state, work[0])
@@ -582,20 +648,7 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
             break
         state = _step_prim(state, cfg, step, limit, src, work.pop())
         work.append(_state_work(state, cfg))
-        B = state.B
-        divB = ddx1_arr(B[0], g) + ddx3_arr(B[2], g)
-        phi, joule, cond = _entropy_terms(state, work[0], entropy_fault)
-        rows.append(StepRow(
-            state.t,
-            g.volume * mean_arr(state.rho, g),
-            g.volume * mean_arr(state.rho * state.u[0], g),
-            *_energy(state, work[0].rho_e, (0.0, _psi_rho_s(psi, work[0].rho_s))),
-            float(np.max(np.abs(divB))),
-            float(np.min(state.rho)),
-            float(np.min(state.theta)),
-            g.volume * mean_arr(phi + joule + cond, g),
-            min(float(np.min(term)) for term in (phi, joule, cond)),
-        ))
+        rows.append(_row(state, work[0], psi, entropy_fault))
         if on_step is not None:
             on_step(state)
         if n_left == 1:

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import textwrap
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -742,6 +743,37 @@ def test_run_mhd_positivity_loss_writes_the_last_valid_state(tmp_path, capsys,
     for name, arr in want.items():
         assert np.array_equal(fields[name], arr)
     assert not list(out.glob("*.tmp"))
+
+
+def test_run_mhd_hands_the_initial_state_to_the_march(tmp_path, monkeypatch):
+    """Once the march starts, nothing but run_prim holds the initial state:
+    after the second step it is gone, with its fields."""
+    from obmlab import cli
+    run_prim = cli.run_prim
+    gone = []
+
+    def watched(state, cfg, t_end, dt, on_step, entropy_fault):
+        initial = weakref.ref(state)
+        steps = []
+
+        def note(new):
+            steps.append(new.t)
+            if len(steps) == 2:
+                gone.append(initial() is None)
+            on_step(new)
+
+        # the wrapper keeps no reference either: no argument tuple, as a
+        # call with *args or **kwargs would build and hold
+        handed = [state]
+        del state
+        return run_prim(handed.pop(), cfg, t_end, dt=dt, on_step=note,
+                        entropy_fault=entropy_fault)
+
+    monkeypatch.setattr(cli, "run_prim", watched)
+    path = write_config(tmp_path, SMALL_MHD)
+    assert main(["run-mhd", "--config", path, "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    assert gone == [True]
 
 
 def test_run_mhd_is_byte_deterministic(tmp_path, capsys):
