@@ -36,7 +36,8 @@ key has a default, so an empty or absent file runs the bundled setup.
 Integer keys but the seed, and the steps any dt needs to t_end, are at most
 2**20; an automatic dt counts its steps at the CFL bound of the initial
 state (at the smallest eps in a study), and a run whose automatic dt later
-collapses past that count stops with exit 3.
+collapses past that count stops with exit 3.  A grid has at most 2**23
+points, n1 * n3, so that one field takes at most 64 MiB.
 
 [thermo]
     p_inf = 1.0            cold-pressure coefficient (> 0)
@@ -44,7 +45,6 @@ collapses past that count stops with exit 3.
     s0 = 0.0               entropy additive constant
     mu_low = 0.05          shear viscosity lower envelope constant
     mu_high = 0.05         shear viscosity upper envelope constant
-    eta_high = 0.0         bulk viscosity upper bound (the law itself is 0)
     kappa_low = 0.05       conductivity lower envelope constant
     kappa_high = 0.05      conductivity upper envelope constant
     beta = 3.0             conductivity temperature exponent (> 0)
@@ -120,7 +120,7 @@ import numpy as np
 from .fields import FieldError, Geometry, Grid, mean_arr, write_snapshot
 from .mhd import (CflError, PositivityError, PrimConfig, PrimitiveState, StepRow,
                   cfl_limits, run_prim, snapshot_fields)
-from .obm import (_MAX_STEPS, ObmConfig, ObmConfigError, ObmState,
+from .obm import (_MAX_POINTS, _MAX_STEPS, ObmConfig, ObmConfigError, ObmState,
                   default_potential, initial_state, run_obm)
 from .relent import convergence_study, well_prepared_data
 from .thermo import (DefaultPStructure, GasParams, ReferenceState,
@@ -148,7 +148,7 @@ class NumericalFailure(RuntimeError):
 _DEFAULTS = {
     "thermo": {
         "p_inf": 1.0, "a": 0.0, "s0": 0.0,
-        "mu_low": 0.05, "mu_high": 0.05, "eta_high": 0.0,
+        "mu_low": 0.05, "mu_high": 0.05,
         "kappa_low": 0.05, "kappa_high": 0.05, "beta": 3.0,
         "zeta_low": 0.05, "zeta_high": 0.05,
         "rho_bar": 1.0, "theta_bar": 1.0, "b_bar": 0.5,
@@ -223,7 +223,7 @@ def _coerce(section: str, key: str, raw: str):
     if isinstance(value, float):
         if not np.isfinite(value):
             raise ConfigError(f"[{section}] {key}: non-finite value {raw!r}")
-    elif key != "seed" and value > _MAX_STEPS:  # also keeps the grid within memory
+    elif key != "seed" and value > _MAX_STEPS:  # _validate bounds the grid's memory
         raise ConfigError(f"[{section}] {key}: {value} exceeds {_MAX_STEPS}")
     return value
 
@@ -280,7 +280,7 @@ class RunConfig:
         with _setup():
             return GasParams(
                 p_inf=t["p_inf"], a=t["a"], s0=t["s0"],
-                mu_low=t["mu_low"], mu_high=t["mu_high"], eta_high=t["eta_high"],
+                mu_low=t["mu_low"], mu_high=t["mu_high"],
                 kappa_low=t["kappa_low"], kappa_high=t["kappa_high"], beta=t["beta"],
                 zeta_low=t["zeta_low"], zeta_high=t["zeta_high"])
 
@@ -321,6 +321,9 @@ class RunConfig:
         self.gas()
         self.ref()
         self.make_grid()
+        n1, n3 = self.sections["grid"]["n1"], self.sections["grid"]["n3"]
+        if n1 * n3 > _MAX_POINTS:
+            raise ConfigError(f"[grid] n1 x n3 = {n1} x {n3} exceeds {_MAX_POINTS} points")
         t = self.sections["thermo"]
         if t["n_points"] < 1:
             raise ConfigError("[thermo] n_points must be >= 1")
@@ -370,7 +373,6 @@ class RunConfig:
         if s["profile"] not in _PROFILES:
             raise ConfigError(
                 f"[study] profile must be one of {', '.join(_PROFILES)}")
-        n1 = self.sections["grid"]["n1"]
         for sec in ("obm", "mhd", "study"):
             profile, dt, t_end = (self.sections[sec][key]
                                   for key in ("profile", "dt", "t_end"))

@@ -101,8 +101,6 @@ __all__ = [
     "cfl_limits",
     "step_prim",
     "run_prim",
-    "ballistic_energy",
-    "total_energy",
     "psi_extension",
     "a_from_b3_profile",
     "snapshot_fields",
@@ -257,8 +255,7 @@ def _curl25(B: np.ndarray, grid: Grid) -> np.ndarray:
 # A state's EOS (rho e, rho s) and transport, B, d1 u, d3 u, :func:`_strain`,
 # phi, J = curl B, zeta |J|^2 and grad theta; passed to each reader, never
 # cached on the state, which would keep it alive for a step.  The bound reads
-# the EOS and B alone.  The bulk viscosity, identically zero in this model, is
-# not carried.
+# the EOS and B alone.
 _StateWork = namedtuple(
     "_StateWork", "p dp_drho dp_dtheta de_dtheta rho_e rho_s mu kappa zeta B "
     "d1u d3u divu D phi J joule d1th d3th", defaults=[None] * 10)
@@ -266,8 +263,8 @@ _StateWork = namedtuple(
 
 def _bound_work(state: PrimitiveState, cfg: PrimConfig) -> _StateWork:
     """The part of the state's work that the bound reads: one EOS pass and B."""
-    eos = thermo._eos_and_transport(state.rho, state.theta, cfg.gas)
-    return _StateWork(*eos[:7], *eos[8:], B=state.B)  # eos[7] is the bulk viscosity
+    return _StateWork(*thermo._eos_and_transport(state.rho, state.theta, cfg.gas),
+                      B=state.B)
 
 
 def _state_work(state: PrimitiveState, cfg: PrimConfig, row: bool = True) -> _StateWork:
@@ -521,21 +518,6 @@ def _check_admissible(parts, last_valid):
 # -- energies and diagnostics ---------------------------------------------------
 
 
-def total_energy(state: PrimitiveState, gas: thermo.GasParams) -> float:
-    """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2) ]."""
-    return _energy(state, state.B, thermo.rho_e_total(state.rho, state.theta, gas),
-                   (0.0,))[0]
-
-
-def ballistic_energy(state: PrimitiveState, psi: np.ndarray,
-                     gas: thermo.GasParams) -> float:
-    """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2 - psi rho s) ]
-    for a positive test temperature psi."""
-    rho, theta = state.rho, state.theta
-    return _energy(state, state.B, thermo.rho_e_total(rho, theta, gas),
-                   (_psi_rho_s(psi, thermo.rho_s_total(rho, theta, gas)),))[0]
-
-
 def _psi_rho_s(psi, rho_s):
     psi = np.asarray(psi, dtype=float)
     if np.any(psi <= 0.0) or not np.all(np.isfinite(psi)):
@@ -545,8 +527,9 @@ def _psi_rho_s(psi, rho_s):
 
 def _energy(state: PrimitiveState, B, roe, psi_rho_s) -> list:
     """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2 - q) ] for each q
-    in ``psi_rho_s``, given B and rho e: the body of both energies, so that
-    a caller wanting both evaluates rho e once."""
+    in ``psi_rho_s``, given B and rho e.  The row passes q = 0 and q = psi
+    rho s, psi > 0 the test temperature, for its total and ballistic
+    energies from one rho e."""
     g = state.grid
     u = state.u  # |u|^2 and |B|^2 summed in the order of .sum(axis=0), unstacked
     kinetic = 0.5 * state.rho * (u[0] ** 2 + u[1] ** 2 + u[2] ** 2)

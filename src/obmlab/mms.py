@@ -66,7 +66,38 @@ def _evaluate(fns, tval: float, grid: Grid) -> dict:
     return out
 
 
-class PrimCase:
+class _Case:
+    """What both cases share: the gas and reference defaults, the exact
+    fields on a strip grid, the source hook and the per-field errors of the
+    state fields named in ``_error_fields``."""
+
+    def __init__(self, gas: thermo.GasParams | None = None,
+                 ref: thermo.ReferenceState | None = None):
+        self.gas = thermo.GasParams() if gas is None else gas
+        self.ref = thermo.ReferenceState() if ref is None else ref
+
+    def fields(self, tval: float, grid: Grid) -> dict:
+        """Exact fields on the grid at time tval."""
+        if grid.geometry is not Geometry.STRIP2:
+            raise FieldError("the manufactured cases run on the 2.5D strip")
+        return _evaluate(self.exact, tval, grid)
+
+    def source(self, grid: Grid):
+        """Additive source hook ``src(t)`` for the solver's step and run.  It
+        keeps its last (t, fields) pair, as a step's last stage and the next
+        step's first ask for the same t; the solvers only read the fields."""
+        return lru_cache(maxsize=1)(partial(_evaluate, self.sources, grid=grid))
+
+    def error(self, state) -> dict:
+        """Per-field L2 errors against the exact fields at state.t."""
+        f = self.fields(state.t, state.grid)
+        out = {name: l2_arr(getattr(state, name) - f[name], state.grid)
+               for name in self._error_fields}
+        out["combined"] = float(np.sqrt(sum(v ** 2 for v in out.values())))
+        return out
+
+
+class PrimCase(_Case):
     """Forced compressible run with a known closed-form solution.
 
     The exact fields are single-mode trigonometric polynomials with gentle
@@ -78,11 +109,11 @@ class PrimCase:
     """
 
     eps = 0.5  # Mach number of the run
+    _error_fields = ("rho", "u", "theta", "a", "B2")
 
     def __init__(self, gas: thermo.GasParams | None = None,
                  ref: thermo.ReferenceState | None = None):
-        self.gas = thermo.GasParams() if gas is None else gas
-        self.ref = thermo.ReferenceState() if ref is None else ref
+        super().__init__(gas, ref)
         P = self.gas.structure()
         if type(P) is not thermo.DefaultPStructure or P.p_inf != self.gas.p_inf:
             raise FieldError(f"the compressible sources assume the default "
@@ -183,42 +214,18 @@ class PrimCase:
                      - u[2] * J[0] - g1[1] * B[0] - g3[1] * B[2])
         return out
 
-    def fields(self, tval: float, grid: Grid) -> dict:
-        """Exact fields on the grid at time tval (plus the constant c3)."""
-        if grid.geometry is not Geometry.STRIP2:
-            raise FieldError("the compressible case runs on the 2.5D strip")
-        return {**_evaluate(self.exact, tval, grid), "c3": self.ref.b_bar}
-
     def state(self, tval: float, grid: Grid) -> PrimitiveState:
         f = self.fields(tval, grid)
         return PrimitiveState(grid, rho=f["rho"], u=f["u"], theta=f["theta"],
-                              a=f["a"], c3=f["c3"], B2=f["B2"],
+                              a=f["a"], c3=self.ref.b_bar, B2=f["B2"],
                               eps=self.eps, t=float(tval))
 
     def config(self, grid: Grid) -> PrimConfig:
         return PrimConfig(grid, self.gas, self.ref, default_potential(grid),
                           (0.0, 0.0))
 
-    def source(self, grid: Grid):
-        """Additive source hook ``src(t)`` for step_prim / run_prim.  It keeps
-        its last (t, fields) pair, as a step's last stage and the next step's
-        first ask for the same t; the solvers only read the fields."""
-        return lru_cache(maxsize=1)(partial(_evaluate, self.sources, grid=grid))
 
-    def error(self, state: PrimitiveState) -> dict:
-        """Per-field L2 errors against the exact fields at state.t."""
-        f = self.fields(state.t, state.grid)
-        g = state.grid
-        out = {"rho": l2_arr(state.rho - f["rho"], g),
-               "u": l2_arr(state.u - f["u"], g),
-               "theta": l2_arr(state.theta - f["theta"], g),
-               "a": l2_arr(state.a - f["a"], g),
-               "B2": l2_arr(state.B2 - f["B2"], g)}
-        out["combined"] = float(np.sqrt(sum(v ** 2 for v in out.values())))
-        return out
-
-
-class ObmCase:
+class ObmCase(_Case):
     """Forced limit-system run with a known closed-form solution.
 
     On the 2.5D strip the limit velocity is pinned to zero, so the case
@@ -230,10 +237,11 @@ class ObmCase:
     b1 at x1 alone.
     """
 
+    _error_fields = ("theta1", "b1")
+
     def __init__(self, gas: thermo.GasParams | None = None,
                  ref: thermo.ReferenceState | None = None):
-        self.gas = thermo.GasParams() if gas is None else gas
-        self.ref = thermo.ReferenceState() if ref is None else ref
+        super().__init__(gas, ref)
         gas, rb, tb = self.gas, self.ref.rho_bar, self.ref.theta_bar
         # the limit system's coefficients at the reference state
         self._coeffs = (*thermo.alpha_cp(self.ref, gas),
@@ -265,11 +273,6 @@ class ObmCase:
         return {"theta1": 0.1 * np.cos(2 * t) * s3 * (1 + c1 / 2) - rhs,
                 "b1": -0.075 * np.sin(3 * t) * c1 + zet * _PI ** 2 * f["b1"]}
 
-    def fields(self, tval: float, grid: Grid) -> dict:
-        if grid.geometry is not Geometry.STRIP2:
-            raise FieldError("the limit case runs on the 2.5D strip")
-        return _evaluate(self.exact, tval, grid)
-
     def state(self, tval: float, grid: Grid) -> ObmState:
         f = self.fields(tval, grid)
         return ObmState.create(grid, f["theta1"], f["b1"], gas=self.gas,
@@ -278,18 +281,6 @@ class ObmCase:
     def config(self, grid: Grid, dt: float, t_end: float) -> ObmConfig:
         return ObmConfig(grid, self.gas, self.ref, default_potential(grid),
                          (0.0, 0.0), dt, t_end)
-
-    def source(self, grid: Grid):
-        """Additive source hook ``src(t)`` for step_obm / run_obm, which keeps
-        its last (t, fields) pair as :meth:`PrimCase.source` does."""
-        return lru_cache(maxsize=1)(partial(_evaluate, self.sources, grid=grid))
-
-    def error(self, state: ObmState) -> dict:
-        f = self.fields(state.t, state.grid)
-        out = {"theta1": l2_arr(state.theta1 - f["theta1"], state.grid),
-               "b1": l2_arr(state.b1 - f["b1"], state.grid)}
-        out["combined"] = float(np.sqrt(sum(v ** 2 for v in out.values())))
-        return out
 
 
 @dataclass

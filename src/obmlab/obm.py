@@ -227,12 +227,11 @@ class ObmState:
     def create(cls, grid: Grid, theta1, b1=None, *,
                gas: thermo.GasParams, ref: thermo.ReferenceState,
                t: float = 0.0) -> "ObmState":
-        """Assemble a state, filling a zero b1 and recomputing chi."""
-        theta1 = np.asarray(theta1, dtype=float)
-        if b1 is None:
-            b1 = np.zeros(grid.hshape)
-        chi = compute_chi(theta1, grid, gas, ref)
-        return cls(grid, theta1, np.asarray(b1, float), chi, t)
+        """Assemble a state, filling a zero b1 and recomputing chi once the
+        constructor has checked theta1 and b1."""
+        state = cls(grid, theta1, np.zeros(grid.hshape) if b1 is None else b1, 0.0, t)
+        state.chi = compute_chi(state.theta1, grid, gas, ref)
+        return state
 
 
 def initial_state(cfg: ObmConfig, theta_amp: float = 0.1,
@@ -388,7 +387,7 @@ def _continuity_residual(old: ObmState, new: ObmState, cfg: ObmConfig) -> float:
     return float(np.max(np.abs(d_rho))) / (cfg.dpdr * cfg.dt)
 
 
-def magnetic_energy(state: ObmState, cfg: ObmConfig) -> float:
+def magnetic_energy(state: ObmState) -> float:
     """(1/2) int (b1)^2 dx over the strip volume."""
     return 0.5 * state.grid.volume * float(np.mean(state.b1 ** 2))
 
@@ -397,6 +396,9 @@ def magnetic_energy(state: ObmState, cfg: ObmConfig) -> float:
 # dt to it and the command line any configured dt; the command line bounds
 # its integer keys by it too
 _MAX_STEPS = 2 ** 20
+# the most points the command line lets a grid have: a field of 2**23 float64
+# values takes 64 MiB, and a run holds a few dozen (2048 x 2049 fits)
+_MAX_POINTS = 2 ** 23
 
 
 def _landing_step(t: float, t_end: float, dt_max: float):
@@ -425,7 +427,7 @@ def run_obm(state: ObmState, cfg: ObmConfig, src=None, on_step=None):
     for _ in range(n_steps):
         new = step_obm(state, cfg, src=src)
         rows.append((new.t, mean_arr(new.theta1, new.grid), new.chi, 0.0,
-                     magnetic_energy(new, cfg), _continuity_residual(state, new, cfg)))
+                     magnetic_energy(new), _continuity_residual(state, new, cfg)))
         state = new  # the previous state is released here
         if on_step is not None:
             on_step(state)

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
 from . import thermo
 from .fields import (
     FieldError,
-    Geometry,
     Grid,
     ddx1_arr,
     ddx3_arr,
@@ -269,9 +269,6 @@ class CoercivityConstants:
     n_res: int
 
 
-_COERC_CACHE: dict = {}
-
-
 def _fd_hessian_min(r, Theta, gas: thermo.GasParams):
     """Smallest eigenvalue of the (rho, theta) Hessian of rho*e - Theta*rho*s.
 
@@ -298,6 +295,7 @@ def _fd_hessian_min(r, Theta, gas: thermo.GasParams):
     return half_tr - disc
 
 
+@cache
 def compute_coercivity(gas: thermo.GasParams,
                        ref: thermo.ReferenceState) -> CoercivityConstants:
     """Sample coercivity constants for a gas law and reference state.
@@ -310,10 +308,6 @@ def compute_coercivity(gas: thermo.GasParams,
     comparison states in the inner box.  A safety factor below one absorbs
     sampling slack.  The sample is fixed, so results are cached per (gas, ref).
     """
-    key = (gas, ref)
-    cached = _COERC_CACHE.get(key)
-    if cached is not None:
-        return cached
     n_pairs, n_res = 40000, 20000
     rng = np.random.default_rng(7)
     rb, tb = ref.rho_bar, ref.theta_bar
@@ -375,13 +369,11 @@ def compute_coercivity(gas: thermo.GasParams,
     res_floor = float(np.min(e / weight))
     c_res = 0.8 * res_floor
 
-    out = CoercivityConstants(c_ess=float(c_ess), c_res=float(c_res),
-                              hess_floor=float(hess_floor),
-                              pair_floor=pair_floor, res_floor=res_floor,
-                              n_pairs=int(pair_vals.size + near.size),
-                              n_res=int(m))
-    _COERC_CACHE[key] = out
-    return out
+    return CoercivityConstants(c_ess=float(c_ess), c_res=float(c_res),
+                               hess_floor=float(hess_floor),
+                               pair_floor=pair_floor, res_floor=res_floor,
+                               n_pairs=int(pair_vals.size + near.size),
+                               n_res=int(m))
 
 
 @dataclass(frozen=True)
@@ -472,16 +464,10 @@ def well_prepared_data(theta1, b1, cfg: ObmConfig, eps: float):
     """
     g = cfg.grid
     ref = cfg.ref
-    if g.geometry is not Geometry.STRIP2:
-        raise FieldError("well-prepared data needs a two-dimensional strip")
     if not eps > 0:
         raise FieldError(f"eps must be positive, got {eps}")
-    theta1 = np.asarray(theta1, dtype=float)
-    b1 = np.asarray(b1, dtype=float)
-    if theta1.shape != g.shape:
-        raise FieldError(f"theta1 shape {theta1.shape} != {g.shape}")
-    if b1.shape != g.hshape:
-        raise FieldError(f"b1 shape {b1.shape} != {g.hshape}")
+    limit = ObmState.create(g, theta1, b1, gas=cfg.gas, ref=cfg.ref)
+    theta1, b1 = limit.theta1, limit.b1
     bottom, top = cfg.theta_B
     tscale = 1.0 + float(np.max(np.abs(theta1)))
     if np.max(np.abs(theta1[0] - bottom)) > 1e-10 * tscale or \
@@ -495,7 +481,6 @@ def well_prepared_data(theta1, b1, cfg: ObmConfig, eps: float):
     a = fix_flux_walls(a)
     prim = PrimitiveState(grid=g, rho=rho, u=np.zeros((3,) + g.shape), theta=theta,
                           a=a, c3=c3, B2=np.zeros(g.shape), eps=eps, t=0.0)
-    limit = ObmState.create(g, theta1, b1, gas=cfg.gas, ref=cfg.ref)
     quad = quadruple_from_obm(limit, cfg, eps)
     info = {
         "compat_residual": float(np.max(np.abs(compatibility_residual(theta1, b1, cfg)))),

@@ -56,7 +56,6 @@ __all__ = [
     "cancellation_summands",
     "heat_flux_identity_residual",
     "mu",
-    "eta",
     "kappa",
     "zeta",
     "thermo_check",
@@ -81,13 +80,12 @@ class GasParams:
     in temperature,
 
         mu(theta)    = mu_low    * (1 + theta)
-        eta(theta)   = 0
         kappa(theta) = kappa_low * (1 + theta**beta)
         zeta(theta)  = zeta_low  * (1 + theta)
 
     which sit on the lower envelope of the admissible two-sided growth
     bounds; the *_high constants define the upper envelope used only for
-    validation.
+    validation.  The model has no bulk viscosity.
     """
 
     p_inf: float = 1.0
@@ -95,7 +93,6 @@ class GasParams:
     s0: float = 0.0
     mu_low: float = 0.05
     mu_high: float = 0.05
-    eta_high: float = 0.0
     kappa_low: float = 0.05
     kappa_high: float = 0.05
     beta: float = 3.0
@@ -109,8 +106,6 @@ class GasParams:
             raise ThermoDomainError(f"a must be >= 0, got {self.a}")
         if not 0 < self.mu_low <= self.mu_high:
             raise ThermoDomainError("need 0 < mu_low <= mu_high")
-        if not self.eta_high >= 0:
-            raise ThermoDomainError("eta_high must be >= 0")
         if not 0 < self.kappa_low <= self.kappa_high:
             raise ThermoDomainError("need 0 < kappa_low <= kappa_high")
         if not self.beta > 0:
@@ -219,13 +214,13 @@ def _de_dtheta(rho, mol, t3, gas: GasParams):
 
 
 def _transport(theta, gas: GasParams):
-    """(mu, eta, kappa, zeta), the four laws of :class:`GasParams`."""
-    return (gas.mu_low * (1.0 + theta), np.zeros_like(theta),
-            gas.kappa_low * (1.0 + theta ** gas.beta), gas.zeta_low * (1.0 + theta))
+    """(mu, kappa, zeta), the three laws of :class:`GasParams`."""
+    return (gas.mu_low * (1.0 + theta), gas.kappa_low * (1.0 + theta ** gas.beta),
+            gas.zeta_low * (1.0 + theta))
 
 
 def _eos_and_transport(rho, theta, gas: GasParams):
-    """(p, dp_drho, dp_dtheta, de_dtheta, rho_e, rho_s, mu, eta, kappa, zeta),
+    """(p, dp_drho, dp_dtheta, de_dtheta, rho_e, rho_s, mu, kappa, zeta),
     equal to the public functions' values (rho_e: :func:`rho_e_total`, rho_s:
     :func:`rho_s_total`), from one Z, P(Z) and P'(Z).
 
@@ -404,19 +399,14 @@ def mu(theta, gas: GasParams):
     return _transport(_checked_theta(theta), gas)[0]
 
 
-def eta(theta, gas: GasParams):
-    """Bulk viscosity; identically zero in this model."""
-    return _transport(_checked_theta(theta), gas)[1]
-
-
 def kappa(theta, gas: GasParams):
     """Heat conductivity kappa_low * (1 + theta**beta)."""
-    return _transport(_checked_theta(theta), gas)[2]
+    return _transport(_checked_theta(theta), gas)[1]
 
 
 def zeta(theta, gas: GasParams):
     """Magnetic diffusivity zeta_low * (1 + theta)."""
-    return _transport(_checked_theta(theta), gas)[3]
+    return _transport(_checked_theta(theta), gas)[2]
 
 
 @dataclass
@@ -507,7 +497,6 @@ def thermo_check(gas: GasParams, ref: ReferenceState, seed: int = 0,
 
     th = rng.uniform(0.0, 5.0, 200)
     envelopes = ((mu(th, gas), gas.mu_low * (1 + th), gas.mu_high * (1 + th)),
-                 (eta(th, gas), 0.0, gas.eta_high * (1 + th)),
                  (kappa(th, gas), gas.kappa_low * (1 + th ** gas.beta),
                   gas.kappa_high * (1 + th ** gas.beta)),
                  (zeta(th, gas), gas.zeta_low * (1 + th), gas.zeta_high * (1 + th)))

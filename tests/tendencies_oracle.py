@@ -77,7 +77,7 @@ def tendencies(state, cfg):
 
     grad_u = velocity_gradient(u, g)
     mu = np.asarray(thermo.mu(theta, gas))
-    eta = np.asarray(thermo.eta(theta, gas))
+    eta = np.zeros_like(mu)  # the model has no bulk viscosity
     divu, D = strain(grad_u)
     phi = dissipation(mu, eta, divu, D)  # before the stress takes over D
 

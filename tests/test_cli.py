@@ -180,6 +180,9 @@ def test_eps_list_must_be_finite(tmp_path, raw):
     ("[study]\ndt = 1e-300\n", r"\[study\] dt"),
     ("[mhd]\ndt = 1e-300\n", r"\[mhd\] dt"),
     ("[obm]\nt_end = 2.0\ndt = 1e-6\n", r"\[obm\] dt"),
+    # grids whose fields no run could allocate
+    ("[grid]\nn1 = 1048576\nn3 = 1048576\n", r"\[grid\] n1 x n3 = 1048576 x 1048576"),
+    ("[grid]\nn1 = 4096\nn3 = 4097\n", r"\[grid\] n1 x n3 = 4096 x 4097"),
 ])
 def test_oversized_counts_are_rejected(tmp_path, body, what):
     path = write_config(tmp_path, body)
@@ -191,6 +194,19 @@ def test_tiny_dt_exits_2_with_a_message(tmp_path, capsys):
     path = write_config(tmp_path, "[obm]\ndt = 1e-320\n")
     assert main(["run-obm", "--config", path, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("obmlab: config error: [obm] dt")
+
+
+def test_largest_grid_loads(tmp_path):
+    # 2048 x 2049 points stay within the 2**23 bound on one field
+    path = write_config(tmp_path, "[grid]\nn1 = 2048\nn3 = 2049\n")
+    assert RunConfig.load(path)["grid"]["n3"] == 2049
+
+
+def test_oversized_grid_exits_2_before_any_field_is_built(tmp_path, capsys):
+    # thermo-check builds no field, so only the loader can refuse the grid
+    path = write_config(tmp_path, "[grid]\nn1 = 1048576\nn3 = 1048576\n")
+    assert main(["thermo-check", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("obmlab: config error: [grid] n1 x n3")
 
 
 def test_dt_at_the_step_bound_loads(tmp_path):
@@ -285,8 +301,9 @@ def test_config_loader_property(payload):
             assert "Traceback" not in err.getvalue()
 
 
-def test_unknown_key_exits_2(tmp_path, capsys):
-    path = write_config(tmp_path, "[thermo]\nbogus = 1\n")
+@pytest.mark.parametrize("key", ["bogus", "eta_high"])  # the model has no bulk viscosity
+def test_unknown_key_exits_2(tmp_path, capsys, key):
+    path = write_config(tmp_path, f"[thermo]\n{key} = 1\n")
     assert main(["thermo-check", "--config", path]) == 2
     capsys.readouterr()
 

@@ -23,19 +23,19 @@ from obmlab.mhd import (
     PrimitiveState,
     _cfl_limit,
     _dissipation,
+    _psi_rho_s,
+    _row,
     _state_work,
     _step_prim,
     _strain,
     _tendencies,
     a_from_b3_profile,
-    ballistic_energy,
     cfl_limits,
     entropy_production_terms,
     fix_flux_walls,
     psi_extension,
     run_prim,
     step_prim,
-    total_energy,
 )
 
 import tendencies_oracle as oracle
@@ -136,12 +136,6 @@ def test_stress_trace_is_pure_bulk():
     theta = np.array(0.9)
     S0 = viscous_stress(theta, d1u, d3u, GAS)
     assert abs(S0[0, 0] + S0[1, 1] + S0[2, 2]) < 1e-12
-    # the bulk viscosity is identically zero whatever eta_high says, so the
-    # step carries none and the trace stays zero
-    gas_bulk = thermo.GasParams(p_inf=1.0, a=0.0, eta_high=0.3)
-    assert thermo.eta(0.9, gas_bulk) == 0.0
-    S1 = viscous_stress(theta, d1u, d3u, gas_bulk)
-    assert abs(S1[0, 0] + S1[1, 1] + S1[2, 2]) < 1e-12
 
 
 def test_velocity_gradient_slip_rows():
@@ -281,7 +275,7 @@ def test_projection_keeps_the_wall_relation_and_mean_B3(n1, n3, c3, seed):
 @settings(max_examples=20, deadline=None)
 @given(seed=hst.integers(0, 2 ** 32 - 1), radiative=hst.booleans())
 def test_state_work_eos_and_transport_are_the_public_values(seed, radiative):
-    gas = thermo.GasParams(p_inf=1.0, a=0.3 if radiative else 0.0, eta_high=0.2)
+    gas = thermo.GasParams(p_inf=1.0, a=0.3 if radiative else 0.0)
     cfg = make_cfg(gas=gas)
     st = random_state(cfg, 0.3, seed)
     w = _state_work(st, cfg)
@@ -292,7 +286,7 @@ def test_state_work_eos_and_transport_are_the_public_values(seed, radiative):
     for got, fn in ((w.mu, thermo.mu), (w.kappa, thermo.kappa),
                     (w.zeta, thermo.zeta)):
         assert np.array_equal(got, fn(theta, gas))
-    assert "eta" not in w._fields  # identically zero, not carried
+    assert "eta" not in w._fields  # the model has no bulk viscosity
     assert np.array_equal(w.B, st.B)
     assert np.array_equal(w.rho_e, thermo.rho_e_total(rho, theta, gas))
     assert np.array_equal(w.rho_s, thermo.rho_s_total(rho, theta, gas))
@@ -303,7 +297,7 @@ def test_state_work_eos_and_transport_are_the_public_values(seed, radiative):
     assert np.array_equal(w.divu, divu)
     for got, (i, j) in zip(w.D, ENTRIES):
         assert np.array_equal(got, D[i, j])
-    assert np.allclose(w.phi, oracle.dissipation(w.mu, thermo.eta(theta, gas), divu, D),
+    assert np.allclose(w.phi, oracle.dissipation(w.mu, np.zeros_like(theta), divu, D),
                        rtol=1e-14, atol=0.0)
     assert np.array_equal(w.J, oracle.curl25(st.B, g))
     assert np.array_equal(w.d1th, ddx1_arr(theta, g))
@@ -448,7 +442,7 @@ def test_fft_and_eos_passes_per_run_step(monkeypatch):
     monkeypatch.setattr(thermo, "_check_rho_theta", counted_check)
     public = [0]
     for name in ("pressure", "dp_drho", "dp_dtheta", "de_dtheta", "rho_e_total",
-                 "rho_s_total", "mu", "eta", "kappa", "zeta"):
+                 "rho_s_total", "mu", "kappa", "zeta"):
         def counted_public(*args, _fn=getattr(thermo, name), **kwargs):
             public[0] += 1
             return _fn(*args, **kwargs)
@@ -798,11 +792,17 @@ def test_run_prim_raises_cfl_error_when_the_automatic_dt_collapses(monkeypatch):
 # -- energies ---------------------------------------------------------------
 
 
+def row_energies(st, cfg):
+    """The total and ballistic energies of the run_prim row of st, with psi
+    the wall extension, theta_bar on these configs' zero walls."""
+    row = _row(st, _state_work(st, cfg), psi_extension(cfg, st.eps), False)
+    return row.total_energy, row.ballistic_energy
+
+
 def test_ballistic_rest_state_closed_form():
     cfg = make_cfg()
     st = uniform_state(cfg, eps=0.25)
-    psi = np.full(cfg.grid.shape, REF.theta_bar)
-    got = ballistic_energy(st, psi, GAS)
+    got = row_energies(st, cfg)[1]
     per_volume = (thermo.rho_e_total(1.0, 1.0, GAS) + 0.5 * REF.b_bar ** 2
                   - REF.theta_bar * 1.0 * thermo.entropy(1.0, 1.0, GAS)) / 0.25 ** 2
     assert got == pytest.approx(cfg.grid.volume * per_volume, rel=1e-12)
@@ -812,18 +812,16 @@ def test_ballistic_kinetic_term_and_total_energy():
     cfg = make_cfg()
     st0 = uniform_state(cfg, eps=0.25)
     st1 = uniform_state(cfg, eps=0.25, u1=0.2)
-    psi = np.full(cfg.grid.shape, REF.theta_bar)
-    dk = ballistic_energy(st1, psi, GAS) - ballistic_energy(st0, psi, GAS)
+    (total0, ballistic0), (total1, ballistic1) = row_energies(st0, cfg), row_energies(st1, cfg)
+    dk = ballistic1 - ballistic0
     assert dk == pytest.approx(cfg.grid.volume * 0.5 * 1.0 * 0.2 ** 2, rel=1e-12)
-    de = total_energy(st1, GAS) - total_energy(st0, GAS)
-    assert de == pytest.approx(dk, rel=1e-12)
+    assert total1 - total0 == pytest.approx(dk, rel=1e-12)
 
 
 def test_ballistic_rejects_nonpositive_psi():
     cfg = make_cfg()
-    st = uniform_state(cfg)
     with pytest.raises(thermo.ThermoDomainError):
-        ballistic_energy(st, np.zeros(cfg.grid.shape), GAS)
+        _psi_rho_s(np.zeros(cfg.grid.shape), np.ones(cfg.grid.shape))
 
 
 def test_psi_extension_matches_walls():

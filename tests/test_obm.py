@@ -108,6 +108,9 @@ def test_state_validation():
         ObmState.create(g, bad, gas=cfg.gas, ref=cfg.ref)
     with pytest.raises(TypeError, match="gas"):
         ObmState.create(g, np.zeros(g.shape))  # chi needs the gas and reference
+    # shapes are checked before chi reads theta1
+    with pytest.raises(FieldError, match=r"theta1 shape \(8, 16\) != \(9, 16\)"):
+        ObmState.create(g, np.zeros((8, 16)), gas=GAS, ref=REF)
 
 
 @given(bad=st.sampled_from([np.nan, np.inf, -np.inf]),

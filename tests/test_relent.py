@@ -350,6 +350,11 @@ def test_well_prepared_rejects_bad_inputs():
         well_prepared_data(bad_theta, b1, cfg, 0.1)
     with pytest.raises(FieldError):
         well_prepared_data(theta1, b1, cfg, -0.1)
+    # the limit state it builds checks the shapes
+    with pytest.raises(FieldError, match="theta1 shape"):
+        well_prepared_data(theta1[1:], b1, cfg, 0.1)
+    with pytest.raises(FieldError, match="b1 shape"):
+        well_prepared_data(theta1, b1[1:], cfg, 0.1)
 
 
 def test_quadruple_from_obm_satisfies_invariants():

@@ -25,7 +25,6 @@ from obmlab.thermo import (
     ds_drho,
     ds_dtheta,
     entropy,
-    eta,
     gibbs_residual,
     internal_energy,
     kappa,
@@ -209,12 +208,11 @@ def test_closure_identities_random_refs():
 
 def test_transport_values_and_bounds():
     gas = GasParams(mu_low=0.3, mu_high=0.5, kappa_low=1.0, kappa_high=2.0,
-                    zeta_low=0.1, zeta_high=0.4, eta_high=0.2, beta=3.0)
+                    zeta_low=0.1, zeta_high=0.4, beta=3.0)
     assert mu(0.0, gas) == pytest.approx(0.3)
     assert kappa(1.0, gas) == pytest.approx(2.0)
     assert zeta(2.0, gas) == pytest.approx(0.3)
     theta = np.linspace(0.0, 10.0, 101)
-    assert np.all(eta(theta, gas) == 0.0)
     assert np.all(mu(theta, gas) >= gas.mu_low * (1 + theta) - 1e-15)
     assert np.all(mu(theta, gas) <= gas.mu_high * (1 + theta) + 1e-15)
     assert np.all(kappa(theta, gas) >= gas.kappa_low * (1 + theta ** 3) - 1e-12)
