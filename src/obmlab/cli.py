@@ -75,9 +75,9 @@ points, n1 * n3, so that one field takes at most 64 MiB.
 
 [mhd]
     eps = 0.1              Mach/Alfven number of the run (> 0, eps**2 normal)
-    dt = 0.0               time step; 0 selects safety * CFL each step
+    dt = 0.0               time step; 0 selects safety * the bound each step
     t_end = 0.25           final time (>= 0)
-    safety = 0.6           fraction of the CFL bound used when dt = 0
+    safety = 0.6           fraction of the stability bound used when dt = 0
     theta_amp = 0.1        as in [obm], for the well-prepared profiles
     b_amp = 0.25           as in [obm]
     profile = smooth       as in [obm]

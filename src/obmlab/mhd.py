@@ -23,8 +23,10 @@ divergence cleaning is needed and mean(B3) = c3 is conserved exactly.  The
 wall condition B1 = 0 becomes d3 a = 0 at the walls, imposed by solving the
 one-sided stencil for the wall value of a; B2 = 0 is imposed directly.
 
-Time stepping is explicit SSP-RK2 with boundary conditions re-imposed
-after each stage.  Temperature is advanced in internal-energy form
+Time stepping is the explicit three-stage SSP-RK3 of Shu and Osher, its
+stages at t, t + dt and t + dt/2, with boundary conditions re-imposed after
+each stage; :func:`cfl_limits` takes dt from its stability region.
+Temperature is advanced in internal-energy form
 
     rho de_dtheta Dtheta/Dt = -theta dp_dtheta div u + eps^2 S:grad u
                               + div(kappa grad theta) + zeta |curl B|^2
@@ -45,19 +47,19 @@ transform.  A state's EOS, transport, B and derivatives are built once
 :class:`PrimitiveState` constructor projects them and the linear stages keep
 them there, so the Lorentz force reads B and J as they are.  B is derived
 data: it lives in the work, and ``PrimitiveState.B`` assembles a fresh copy
-on each read.  A step transforms 80 fields: two states' work (14 each, B's 2
-included) and two right sides (26 each); a :func:`run_prim` step, its row
-included, transforms 82.
+on each read.  A step transforms 120 fields: three states' work (14 each,
+B's 2 included) and three right sides (26 each); a :func:`run_prim` step,
+its row included, transforms 122.
 
 Every array of the step lives until its last read and no longer.  The right
-side consumes its work, dropping each field after its last read; the stage
+side consumes its work, dropping each field after its last read; each stage
 state's work holds only what the right side reads; and the drivers hand a
 work over without keeping a reference (from CPython 3.11 a call's arguments
 belong to the callee).  A caller that keeps the work gets the same result
 and keeps the memory.  A :func:`run_prim` step then peaks at the start of
-its second right side, where the stage state (7 fields) and its work (28)
-stand in for the work it started with (31): 7 to 8 fields of the grid
-above what is held when the step starts.
+its second and of its third right side, where a stage state (7 fields) and
+its work (28) stand in for the work it started with (31): 7 to 8 fields of
+the grid above what is held when the step starts.
 
 Mass bookkeeping: the trapezoid rule does not telescope against the
 one-sided first-derivative closures, so -div(rho u) carries an O(h^2)
@@ -129,7 +131,7 @@ class PrimConfig:
     ref: thermo.ReferenceState
     G: np.ndarray
     theta_B: tuple  # (bottom, top) wall temperature deviations, hshape each
-    safety: float = 0.6  # fraction of the CFL bound used by the run driver
+    safety: float = 0.6  # fraction of the stability bound used by the run driver
 
     def __post_init__(self):
         g = self.grid
@@ -395,16 +397,21 @@ def _entropy_terms(state: PrimitiveState, w: _StateWork, fault: bool):
 
 
 def cfl_limits(state: PrimitiveState, cfg: PrimConfig) -> float:
-    """Largest admissible dt: 0.4 min(h eps / c_max, h^2 / nu_max), where
-    c_max bounds the fast magnetosonic speed through the closed-form
-    equation of state and nu_max the diffusivities: it reads the EOS pass
-    and B alone."""
+    """Largest admissible dt: min(sqrt(3) / (c_max s1), 1.5 / (nu_max s2)),
+    where c_max bounds the fast magnetosonic speed (over eps) plus |u|
+    through the closed-form equation of state, nu_max the diffusivities,
+    and s1 = hypot(k1, 1/dx3), s2 = k1^2 + 1/dx3^2 bound the discrete
+    symbol: k1 = pi (n1 // 3) is the largest kept x1 wavenumber and 1/dx3
+    the largest symbol of the central x3 stencil.  A linearized mode then
+    has dt lambda = -dt nu (s1'^2 + s3'^2) +- i dt c hypot(s1', s3') in the
+    rectangle [-1.5, 0] x [-sqrt(3), sqrt(3)], which the stability region
+    of the SSP-RK3 step contains.  It reads the EOS pass and B alone."""
     return _cfl_limit(state, _bound_work(state, cfg))
 
 
 def _cfl_limit(state: PrimitiveState, w: _StateWork) -> float:
     """Body of :func:`cfl_limits`, given the state's work."""
-    rho = state.rho
+    rho, g = state.rho, state.grid
     B = w.B
     bsq = B[0] ** 2 + B[1] ** 2 + B[2] ** 2
     c = np.sqrt(w.dp_drho + (4.0 / 3.0) * w.p / rho + bsq / rho)
@@ -412,8 +419,9 @@ def _cfl_limit(state: PrimitiveState, w: _StateWork) -> float:
     c_max = float(np.max(c)) / state.eps + umax
     nu = np.maximum((4.0 / 3.0) * w.mu / rho, w.kappa / (rho * w.de_dtheta))
     nu_max = max(float(np.max(nu)), float(np.max(w.zeta)))
-    h = min(state.grid.dx1, state.grid.dx3)
-    return 0.4 * min(h / c_max, h ** 2 / nu_max)
+    k1, k3 = np.pi * (g.n1 // 3), 1.0 / g.dx3
+    return min(np.sqrt(3.0) / (c_max * np.hypot(k1, k3)),
+               1.5 / (nu_max * (k1 ** 2 + k3 ** 2)))
 
 
 def fix_flux_walls(a: np.ndarray) -> np.ndarray:
@@ -442,8 +450,11 @@ def _impose_bcs(rho, u, theta, a, B2, cfg: PrimConfig, eps: float):
 
 def step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float,
               src=None) -> PrimitiveState:
-    """One SSP-RK2 step of size dt with boundary conditions re-imposed
-    after each stage.
+    """One Shu-Osher SSP-RK3 step of size dt, its stages at t, t + dt and
+    t + dt/2, with boundary conditions re-imposed after each stage.  Its
+    stability polynomial 1 + z + z^2/2 + z^3/6 keeps |R| <= 1 on the
+    rectangle [-1.5, 0] x [-sqrt(3), sqrt(3)], into which
+    :func:`cfl_limits` puts every linearized mode.
 
     ``src(t)`` may return a dict with optional keys rho, u, theta, a, B2
     holding additive source fields (manufactured-solution hook), a and B2
@@ -460,10 +471,11 @@ def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
     ``limit`` and work, so that a driver which has already built them for
     choosing dt does not build them again.  The work is handed to the first
     right side, which frees it field by field if the caller kept no
-    reference; the stage state's work is the second's alone.  Each stage
-    is summed in its tendencies' storage and assembled without the
-    constructor, whose checks :func:`_check_admissible` has made and whose
-    projection the linear stages keep."""
+    reference; each stage state's work is its right side's alone.  Each
+    stage is summed in its tendencies' storage in increment form, b + c ((s
+    - b) + dt f(s)), which keeps the mass to rounding of its increments, and
+    assembled without the constructor, whose checks :func:`_check_admissible`
+    has made and whose projection the linear stages keep."""
     if dt > limit * (1.0 + 1e-12):
         raise CflError(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e} "
                        f"in the step from t = {state.t!r}")
@@ -477,7 +489,9 @@ def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
                 p += extra[key] if key not in ("a", "B2") else dealias_arr(extra[key], g)
         return parts
 
-    def assemble(parts, t):
+    def assemble(parts, t):  # the stage state, its walls imposed and checked
+        _impose_bcs(*parts, cfg, state.eps)
+        _check_admissible(parts, state)
         new = object.__new__(PrimitiveState)
         vars(new).update(zip(names, parts), grid=g, c3=state.c3, eps=state.eps, t=t)
         return new
@@ -485,22 +499,20 @@ def _step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float, limit: float,
     base = (state.rho, state.u, state.theta, state.a, state.B2)
     stage = [work]  # the right side gets the only reference
     del work
-    mid = add_src(_tendencies(state, cfg, stage.pop()), state.t)
-    for m, b in zip(mid, base):  # mid = base + dt f1
-        np.add(np.multiply(m, dt, out=m), b, out=m)
-    _impose_bcs(*mid, cfg, state.eps)
-    _check_admissible(mid, state)
-    mid_state = assemble(mid, state.t + dt)
-    out = add_src(_tendencies(mid_state, cfg, _state_work(mid_state, cfg, row=False)),
-                  state.t + dt)
-    for o, b, m in zip(out, base, mid):  # out = b / 2 + (mid + dt f2) / 2
-        o *= dt
-        o += m
-        o *= 0.5
-        o += np.multiply(0.5, b, out=m)  # the stage state is spent
-    _impose_bcs(*out, cfg, state.eps)
-    _check_admissible(out, state)
-    return assemble(out, state.t + dt)
+    rates = add_src(_tendencies(state, cfg, stage.pop()), state.t)
+    for r, b in zip(rates, base):  # s1 = b + dt f(b)
+        np.add(np.multiply(r, dt, out=r), b, out=r)
+    s = assemble(rates, state.t + dt)
+    for c, t in ((0.25, state.t + dt / 2), (2.0 / 3.0, state.t + dt)):
+        rates = add_src(_tendencies(s, cfg, _state_work(s, cfg, row=False)), s.t)
+        for r, b, p in zip(rates, base, (s.rho, s.u, s.theta, s.a, s.B2)):
+            r *= dt  # s' = b + c ((s - b) + dt f(s)); the stage state is spent
+            r += np.subtract(p, b, out=p)
+            r *= c
+            r += b
+        del s, p
+        s = assemble(rates, t)
+    return s
 
 
 def _check_admissible(parts, last_valid):
@@ -604,9 +616,9 @@ def run_prim(state: PrimitiveState, cfg: PrimConfig, t_end: float,
     the step's :func:`entropy_production_terms`, with the viscous term's sign
     flipped when ``entropy_fault`` is set (the command-line fault hook).
     Each step is at most dt, or with dt = None cfg.safety times the current
-    CFL bound, shrunk by the common landing rule so the run ends exactly on
-    t_end; ``on_step`` then gets the new state.  The a and B2 sources are
-    projected as in :func:`step_prim`.  A lost positivity raises
+    stability bound, shrunk by the common landing rule so the run ends
+    exactly on t_end; ``on_step`` then gets the new state.  The a and B2
+    sources are projected as in :func:`step_prim`.  A lost positivity raises
     :class:`PositivityError`, which carries the last valid state; an
     automatic dt that collapses, so that the rest of the run would take more
     than 2**20 steps, raises :class:`CflError`."""

@@ -84,9 +84,11 @@ class _Case:
 
     def source(self, grid: Grid):
         """Additive source hook ``src(t)`` for the solver's step and run.  It
-        keeps its last (t, fields) pair, as a step's last stage and the next
-        step's first ask for the same t; the solvers only read the fields."""
-        return lru_cache(maxsize=1)(partial(_evaluate, self.sources, grid=grid))
+        keeps its last two (t, fields) pairs: a compressible step asks for t,
+        t + dt and t + dt/2, and the next step's first stage for the t + dt
+        before last; a limit step's end is the next one's start.  The solvers
+        only read the fields."""
+        return lru_cache(maxsize=2)(partial(_evaluate, self.sources, grid=grid))
 
     def error(self, state) -> dict:
         """Per-field L2 errors against the exact fields at state.t."""

@@ -26,7 +26,7 @@ THERMO_RECORD = HERE / "thermo_check_stdout.json"
 MMS_RECORD = HERE / "mms_vertical_combined.json"
 STUDY_RECORD = HERE / "convergence_study_32x33.json"
 SEED = 7
-T_END = 0.006  # 19 steps of the automatic dt at eps = 0.1
+T_END = 0.006  # 7 steps of the automatic dt at eps = 0.1
 TAMPERS = ("none", "entropy-constant", "entropy-slope")
 
 

@@ -747,7 +747,8 @@ def test_run_mhd_positivity_loss_writes_the_last_valid_state(tmp_path, capsys,
         return run_prim(state, cfg, t_end, on_step=note, src=chill, **kwargs)
 
     monkeypatch.setattr(cli, "run_prim", chilled)
-    path = write_config(tmp_path, SMALL_MHD)
+    # four automatic steps, so the run has not ended before the third
+    path = write_config(tmp_path, SMALL_MHD.replace("t_end = 0.01", "t_end = 0.03"))
     out = tmp_path / "out"
     assert main(["run-mhd", "--config", path, "--out", str(out), "--quiet"]) == 3
     err = capsys.readouterr().err
