@@ -120,8 +120,8 @@ import numpy as np
 from .fields import FieldError, Geometry, Grid, mean_arr, write_snapshot
 from .mhd import (CflError, PositivityError, PrimConfig, PrimitiveState, StepRow,
                   cfl_limits, run_prim, snapshot_fields)
-from .obm import (_MAX_POINTS, _MAX_STEPS, ObmConfig, ObmConfigError, ObmState,
-                  default_potential, initial_state, run_obm)
+from .obm import (_MAX_POINTS, _MAX_STEPS, ObmConfig, ObmState, default_potential,
+                  initial_state, run_obm)
 from .relent import convergence_study, well_prepared_data
 from .thermo import (DefaultPStructure, GasParams, ReferenceState,
                      ThermoDomainError, thermo_check)
@@ -175,8 +175,7 @@ _DEFAULTS = {
 
 # smallest admissible eps * eps: the scaled energies divide by it
 _TINY = np.finfo(float).tiny
-_PROFILES = ("smooth", "random")
-# highest horizontal mode m (wavenumber pi m) in each initial data family
+# each initial data family and its highest horizontal mode m (wavenumber pi m)
 _PROFILE_MODES = {"smooth": 2, "random": 3}
 _G_PROFILES = ("linear", "zero")
 _TAMPERS = ("none", "entropy-constant", "entropy-slope")
@@ -191,10 +190,11 @@ _MMS_HEADER = ("sweep", "n", "spacing", "error", "order")
 
 @contextmanager
 def _setup():
-    """Map validation errors raised while building runs to ConfigError."""
+    """Map the errors of malformed solver input raised while building runs,
+    ThermoDomainError and FieldError, to ConfigError."""
     try:
         yield
-    except (ThermoDomainError, FieldError, ObmConfigError) as exc:
+    except (ThermoDomainError, FieldError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -334,9 +334,6 @@ class RunConfig:
                 f"[thermo] tamper must be one of {', '.join(_TAMPERS)}")
         for sec in ("obm", "mhd"):
             s = self.sections[sec]
-            if s["profile"] not in _PROFILES:
-                raise ConfigError(
-                    f"[{sec}] profile must be one of {', '.join(_PROFILES)}")
             if s["g_profile"] not in _G_PROFILES:
                 raise ConfigError(
                     f"[{sec}] g_profile must be one of {', '.join(_G_PROFILES)}")
@@ -370,12 +367,12 @@ class RunConfig:
             raise ConfigError("[study] t_end must be positive")
         if s["n_snap"] < 1:
             raise ConfigError("[study] n_snap must be >= 1")
-        if s["profile"] not in _PROFILES:
-            raise ConfigError(
-                f"[study] profile must be one of {', '.join(_PROFILES)}")
         for sec in ("obm", "mhd", "study"):
             profile, dt, t_end = (self.sections[sec][key]
                                   for key in ("profile", "dt", "t_end"))
+            if profile not in _PROFILE_MODES:
+                raise ConfigError(
+                    f"[{sec}] profile must be one of {', '.join(_PROFILE_MODES)}")
             if n1 // 3 < _PROFILE_MODES[profile]:
                 raise ConfigError(
                     f"[grid] n1 = {n1} keeps horizontal modes up to {n1 // 3} "

@@ -47,6 +47,7 @@ __all__ = [
     "Grid",
     "FieldError",
     "SnapshotFormatError",
+    "field_array",
     "dealias_arr",
     "ddx1_arr",
     "ddx2_arr",
@@ -72,6 +73,18 @@ class FieldError(ValueError):
 
 class SnapshotFormatError(IOError):
     """Raised when a snapshot file cannot be parsed."""
+
+
+def field_array(data, shape: tuple, what: str) -> np.ndarray:
+    """``data`` as a float array, checked to have ``shape`` and finite
+    values: the one check of a solver input array, raising
+    :class:`FieldError` that names the field ``what``."""
+    arr = np.asarray(data, dtype=float)
+    if arr.shape != shape:
+        raise FieldError(f"{what} shape {arr.shape} != {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise FieldError(f"non-finite values in {what}")
+    return arr
 
 
 class Geometry(enum.Enum):

@@ -86,6 +86,7 @@ from .fields import (
     ddx1_arr,
     ddx3_arr,
     dealias_arr,
+    field_array,
     hfft,
     hifft,
     mean_arr,
@@ -137,8 +138,7 @@ class PrimConfig:
         g = self.grid
         if g.geometry is not Geometry.STRIP2:
             raise FieldError("the primitive solver runs on the 2.5D strip")
-        self.G, self.theta_B = _check_potential_and_walls(
-            g, self.G, self.theta_B, FieldError)
+        self.G, self.theta_B = _check_potential_and_walls(g, self.G, self.theta_B)
         if not 0 < self.safety <= 1:
             raise FieldError(f"safety must lie in (0, 1], got {self.safety}")
         # gravity acceleration components, cached
@@ -164,19 +164,9 @@ class PrimitiveState:
 
     def __post_init__(self):
         g = self.grid
-        self.rho = np.asarray(self.rho, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        self.theta = np.asarray(self.theta, dtype=float)
-        self.a = np.asarray(self.a, dtype=float)
-        self.B2 = np.asarray(self.B2, dtype=float)
-        for arr, what in ((self.rho, "rho"), (self.theta, "theta"),
-                          (self.a, "a"), (self.B2, "B2")):
-            if arr.shape != g.shape:
-                raise FieldError(f"{what} shape {arr.shape} != {g.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise FieldError(f"non-finite values in {what}")
-        if self.u.shape != (3,) + g.shape or not np.all(np.isfinite(self.u)):
-            raise FieldError("u must be a finite (3, n3, n1) array")
+        for what in ("rho", "theta", "a", "B2"):
+            setattr(self, what, field_array(getattr(self, what), g.shape, what))
+        self.u = field_array(self.u, (3,) + g.shape, "u")
         if np.min(self.rho) <= 0.0:
             raise FieldError(f"rho must stay positive, min = {np.min(self.rho):.3e}")
         if np.min(self.theta) <= 0.0:
@@ -209,10 +199,7 @@ def a_from_b3_profile(b3: np.ndarray, grid: Grid):
     Returns (a, c3) with a the spectral antiderivative of the mean-free
     part of b3 (broadcast over x3) and c3 its mean, so that
     c3 + d1 a reproduces b3 to spectral accuracy and B1 = -d3 a = 0."""
-    b3 = np.asarray(b3, dtype=float)
-    if b3.shape != (grid.n1,):
-        raise FieldError(f"b3 profile must have shape ({grid.n1},)")
-    spec = hfft(b3, grid)
+    spec = hfft(field_array(b3, (grid.n1,), "b3"), grid)
     c3 = float(spec[0].real) / grid.n1
     k = grid.k1r_d.copy()
     dead = k == 0.0
@@ -530,13 +517,6 @@ def _check_admissible(parts, last_valid):
 # -- energies and diagnostics ---------------------------------------------------
 
 
-def _psi_rho_s(psi, rho_s):
-    psi = np.asarray(psi, dtype=float)
-    if np.any(psi <= 0.0) or not np.all(np.isfinite(psi)):
-        raise thermo.ThermoDomainError("psi must be positive and finite")
-    return psi * rho_s
-
-
 def _energy(state: PrimitiveState, B, roe, psi_rho_s) -> list:
     """int [ (1/2) rho |u|^2 + eps^-2 (rho e + |B|^2 / 2 - q) ] for each q
     in ``psi_rho_s``, given B and rho e.  The row passes q = 0 and q = psi
@@ -586,7 +566,9 @@ class StepRow(NamedTuple):
 
 def _row(state: PrimitiveState, w: _StateWork, psi, fault: bool) -> StepRow:
     """The :func:`run_prim` row of a new state, from its work; each of the
-    row's fields dies once its numbers are taken."""
+    row's fields dies once its numbers are taken.  ``psi`` is
+    :func:`psi_extension`'s, a blend of the two wall temperatures that the
+    step imposed and :func:`_check_admissible` found positive, so psi > 0."""
     g = state.grid
     phi, joule, cond = _entropy_terms(state, w, fault)
     production = g.volume * mean_arr(phi + joule + cond, g)
@@ -597,7 +579,7 @@ def _row(state: PrimitiveState, w: _StateWork, psi, fault: bool) -> StepRow:
         state.t,
         g.volume * mean_arr(state.rho, g),
         g.volume * mean_arr(state.rho * state.u[0], g),
-        *_energy(state, w.B, w.rho_e, (0.0, _psi_rho_s(psi, w.rho_s))),
+        *_energy(state, w.B, w.rho_e, (0.0, psi * w.rho_s)),
         divB_max,
         float(np.min(state.rho)),
         float(np.min(state.theta)),

@@ -56,6 +56,7 @@ from .fields import (
     FieldError,
     Grid,
     _odd_fft,
+    field_array,
     from_sine_modes,
     helmholtz_solve_column,
     hfft,
@@ -67,7 +68,6 @@ from .fields import (
 )
 
 __all__ = [
-    "ObmConfigError",
     "ObmConfig",
     "ObmState",
     "compute_chi",
@@ -92,31 +92,26 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class ObmConfigError(ValueError):
-    """Raised for invalid solver configuration."""
-
-
 def default_potential(grid: Grid) -> np.ndarray:
     """Mean-free vertical potential G(x3) = 1/2 - x3 on the strip."""
     c = grid.coords()
     return np.broadcast_to(0.5 - c["x3"], grid.shape).copy()
 
 
-def _check_potential_and_walls(grid: Grid, G, theta_B, error) -> tuple:
+def _check_potential_and_walls(grid: Grid, G, theta_B) -> tuple:
     """Validated solver inputs shared by both configs: the potential G as a
     finite strip-shaped array and the (bottom, top) wall temperature
-    deviations broadcast to finite hshape arrays.  Failures raise ``error``."""
-    G = np.asarray(G, dtype=float)
-    if G.shape != grid.shape:
-        raise error(f"G shape {G.shape} != grid shape {grid.shape}")
-    if not np.all(np.isfinite(G)):
-        raise error("non-finite potential G")
-    bottom, top = theta_B
-    bottom = np.broadcast_to(np.asarray(bottom, dtype=float), grid.hshape).copy()
-    top = np.broadcast_to(np.asarray(top, dtype=float), grid.hshape).copy()
-    if not (np.all(np.isfinite(bottom)) and np.all(np.isfinite(top))):
-        raise error("non-finite wall temperature")
-    return G, (bottom, top)
+    deviations as finite hshape arrays of their own, a number standing for
+    a uniform wall."""
+    G = field_array(G, grid.shape, "G")
+    walls = []
+    for wall, side in zip(theta_B, ("bottom", "top"), strict=True):
+        if np.ndim(wall) == 0:
+            wall = np.full(grid.hshape, wall, dtype=float)
+        else:
+            wall = np.array(wall, dtype=float)  # a copy, not the caller's array
+        walls.append(field_array(wall, grid.hshape, f"{side} wall temperature"))
+    return G, tuple(walls)
 
 
 @dataclass
@@ -140,16 +135,15 @@ class ObmConfig:
     def __post_init__(self):
         g = self.grid
         if not g.has_walls:
-            raise ObmConfigError("the limit solver needs a strip geometry")
-        self.G, self.theta_B = _check_potential_and_walls(
-            g, self.G, self.theta_B, ObmConfigError)
+            raise FieldError("the limit solver needs a strip geometry")
+        self.G, self.theta_B = _check_potential_and_walls(g, self.G, self.theta_B)
         gm = mean_arr(self.G, g)
         if abs(gm) > 1e-10 * (1.0 + np.max(np.abs(self.G))):
-            raise ObmConfigError(f"potential G must be mean-free, mean = {gm:.3e}")
+            raise FieldError(f"potential G must be mean-free, mean = {gm:.3e}")
         if not self.dt > 0:
-            raise ObmConfigError(f"dt must be positive, got {self.dt}")
+            raise FieldError(f"dt must be positive, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
-            raise ObmConfigError(f"t_end must be finite and nonnegative, got {self.t_end}")
+            raise FieldError(f"t_end must be finite and nonnegative, got {self.t_end}")
         gas, rb, tb = self.gas, self.ref.rho_bar, self.ref.theta_bar
         self.alpha, self.cp = thermo.alpha_cp(self.ref, gas)
         self.dpdt = float(thermo.dp_dtheta(rb, tb, gas))
@@ -195,16 +189,8 @@ class ObmState:
     t: float
 
     def __post_init__(self):
-        g = self.grid
-        self.theta1 = np.asarray(self.theta1, dtype=float)
-        self.b1 = np.asarray(self.b1, dtype=float)
-        if self.theta1.shape != g.shape:
-            raise FieldError(f"theta1 shape {self.theta1.shape} != {g.shape}")
-        if self.b1.shape != g.hshape:
-            raise FieldError(f"b1 shape {self.b1.shape} != {g.hshape}")
-        for arr, what in ((self.theta1, "theta1"), (self.b1, "b1")):
-            if not np.all(np.isfinite(arr)):
-                raise FieldError(f"non-finite values in {what}")
+        self.theta1 = field_array(self.theta1, self.grid.shape, "theta1")
+        self.b1 = field_array(self.b1, self.grid.hshape, "b1")
         if not (np.isfinite(self.chi) and np.isfinite(self.t)):
             raise FieldError(f"chi and t must be finite, got {self.chi} and {self.t}")
 

@@ -19,6 +19,7 @@ import obmlab
 from obmlab import mhd
 from obmlab.cli import (
     _DEFAULTS,
+    _MHD_HEADER,
     ConfigError,
     RunConfig,
     _check_automatic_steps,
@@ -306,6 +307,51 @@ def test_unknown_key_exits_2(tmp_path, capsys, key):
     path = write_config(tmp_path, f"[thermo]\n{key} = 1\n")
     assert main(["thermo-check", "--config", path]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("thermo", "p_inf", "nan"),
+    ("thermo", "n_points", "0"),
+    ("thermo", "fd_step", "0"),
+    ("thermo", "tamper", "bogus"),
+    ("obm", "profile", "bogus"),
+    ("obm", "g_profile", "bogus"),
+    ("obm", "t_end", "-1"),
+    ("obm", "dt", "0"),
+    ("mhd", "profile", "bogus"),
+    ("mhd", "g_profile", "bogus"),
+    ("mhd", "t_end", "-1"),
+    ("mhd", "eps", "0"),
+    ("mhd", "dt", "-1"),
+    ("mhd", "safety", "0"),
+    ("mhd", "safety", "1.5"),
+    ("study", "eps_list", "0.1, x"),
+    ("study", "eps_list", "0.1, -0.1"),
+    ("study", "dt", "0"),
+    ("study", "t_end", "0"),
+    ("study", "n_snap", "0"),
+    ("study", "profile", "bogus"),
+    ("output", "snapshots", "-1"),
+    ("output", "seed", "-1"),
+    ("output", "prefix", "a/b"),
+])
+def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, section, key, value):
+    """Each loader check: exit 2 with one message that names the section and
+    key, no traceback, and no output directory."""
+    path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main(["thermo-check", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"obmlab: config error: [{section}] {key}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_keys_outside_a_section_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, "[DEFAULT]\nn1 = 16\n")
+    assert main(["thermo-check", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "obmlab: config error: keys outside a [section] header")
 
 
 def test_bad_grid_exits_2(tmp_path, capsys):
@@ -665,6 +711,29 @@ def test_seed_changes_random_profile_output(tmp_path, capsys):
     assert csvs["base"] != csvs["other"]
 
 
+@pytest.mark.parametrize("command, section", [("run-obm", "obm"), ("run-mhd", "mhd")])
+def test_zero_potential_runs(tmp_path, capsys, command, section):
+    """g_profile = zero runs.  The compressible run feels the potential
+    through its gravity; the limit run writes theta1 and b1, whose equations
+    do not read G (it enters only the derived density), so its files are
+    those of the linear potential."""
+    config = SMALL_OBM if section == "obm" else SMALL_MHD
+    outs = {}
+    for g_profile in ("linear", "zero"):
+        body = config.replace(f"[{section}]\n",
+                              f"[{section}]\n    g_profile = {g_profile}\n")
+        path = write_config(tmp_path, body, name=f"{g_profile}.ini")
+        out = tmp_path / g_profile
+        assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 0
+        outs[g_profile] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    capsys.readouterr()
+    assert list(outs["zero"]) == list(outs["linear"])
+    if section == "mhd":
+        assert all(outs["zero"][name] != outs["linear"][name] for name in outs["zero"])
+    else:
+        assert outs["zero"] == outs["linear"]
+
+
 # -- run-mhd -------------------------------------------------------------------
 
 
@@ -684,6 +753,19 @@ def test_run_mhd_writes_rows_and_passes_entropy_check(tmp_path, capsys):
     assert len(sorted(out.glob("run_mhd_*.snap"))) == 3
     grid, fields = read_snapshot(sorted(out.glob("run_mhd_*.snap"))[0])
     assert set(fields) == {"rho", "u1", "u2", "u3", "theta", "B1", "B2", "B3"}
+
+
+def test_run_mhd_without_steps_writes_the_initial_state(tmp_path, capsys):
+    """With t_end = 0 the march takes no step: exit 0, a CSV of the header
+    alone, and one snapshot, 000, of the initial data."""
+    path = write_config(tmp_path, SMALL_MHD.replace("t_end = 0.01", "t_end = 0.0"))
+    out = tmp_path / "out"
+    assert main(["run-mhd", "--config", path, "--out", str(out)]) == 0
+    assert "0 steps to t = 0" in capsys.readouterr().out
+    assert (out / "run_mhd.csv").read_text() == ",".join(_MHD_HEADER) + "\n"
+    assert [f.name for f in out.glob("run_mhd_*.snap")] == ["run_mhd_000.snap"]
+    _, fields = read_snapshot(out / "run_mhd_000.snap")
+    assert np.all(fields["u1"] == 0.0) and np.all(fields["theta"] > 0.0)
 
 
 def test_run_mhd_entropy_fault_exits_1(tmp_path, capsys):
@@ -846,6 +928,46 @@ def test_converge_small_study(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     for name in ("run_study.csv", "run_study.txt"):
         assert (quiet / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_converge_with_a_failed_mach_number_exits_3(tmp_path, capsys, monkeypatch):
+    """A Mach number whose compressible run fails is marked in the CSV and
+    the summary, both written, and the command exits 3 naming it; the other
+    Mach number completes."""
+    from obmlab import relent
+    real = relent.run_prim
+
+    def failing(state, cfg, t_end, **kwargs):
+        if state.eps == 0.2:
+            raise mhd.PositivityError("positivity lost (injected)", last_valid=state)
+        return real(state, cfg, t_end, **kwargs)
+
+    monkeypatch.setattr(relent, "run_prim", failing)
+    monkeypatch.setattr(relent, "_usable_cpus", lambda: 1)
+    path = write_config(tmp_path, """\
+        [grid]
+        n1 = 16
+        n3 = 17
+
+        [study]
+        eps_list = 0.4, 0.2
+        dt = 2e-3
+        t_end = 0.02
+        n_snap = 4
+    """)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", path, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("obmlab: numerical failure: eps = 0.2: "
+                            "PositivityError: positivity lost (injected)\n")
+    assert "converge: eps = 0.2, sup_E = " in captured.out
+    assert captured.out.count("FAILED") == 2  # its progress line and summary row
+    rows = [line.split(",") for line in
+            (out / "run_study.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[-1]) for row in rows] == [("0.40000000000000002", "0"),
+                                                    ("0.20000000000000001", "1")]
+    assert rows[1][4:8] == ["nan"] * 4 and "nan" not in rows[0]
+    assert "sup_E strictly decreasing: no" in (out / "run_study.txt").read_text()
 
 
 # -- mms -----------------------------------------------------------------------

@@ -26,7 +26,6 @@ from obmlab.mhd import (
     PrimitiveState,
     _cfl_limit,
     _dissipation,
-    _psi_rho_s,
     _row,
     _state_work,
     _step_prim,
@@ -43,6 +42,7 @@ from obmlab.mhd import (
 from obmlab.relent import well_prepared_data
 
 import tendencies_oracle as oracle
+from malformed import BAD, malformed
 
 GAS = thermo.GasParams(p_inf=1.0, a=0.0)
 REF = thermo.ReferenceState(rho_bar=1.0, theta_bar=1.0, b_bar=0.5)
@@ -774,6 +774,71 @@ def test_invalid_state_construction():
                        good["a"], 0.5, good["B2"], 0.5, 0.0)
 
 
+STATE_FIELDS = ("rho", "u", "theta", "a", "B2")
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("name", STATE_FIELDS)
+def test_state_rejects_a_field_of_wrong_shape_or_non_finite(name, bad):
+    st = uniform_state(make_cfg())
+    fields = {key: getattr(st, key) for key in STATE_FIELDS}
+    fields[name], match = malformed(fields[name], bad)
+    with pytest.raises(FieldError, match=match.format(name=name)):
+        PrimitiveState(st.grid, fields["rho"], fields["u"], fields["theta"],
+                       fields["a"], st.c3, fields["B2"], st.eps, st.t)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5, np.nan, np.inf])
+def test_state_rejects_a_non_positive_or_non_finite_eps(eps):
+    st = uniform_state(make_cfg())
+    with pytest.raises(FieldError, match="eps must be positive"):
+        PrimitiveState(st.grid, st.rho, st.u, st.theta, st.a, st.c3, st.B2, eps, st.t)
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_b3_profile_of_wrong_shape_or_non_finite_is_rejected(bad):
+    grid = make_cfg().grid
+    b3, match = malformed(np.full(grid.n1, 0.5), bad)
+    with pytest.raises(FieldError, match=match.format(name="b3")):
+        a_from_b3_profile(b3, grid)
+
+
+def test_step_rejects_a_non_finite_stage():
+    """A stage with a NaN is refused before its positivity is read."""
+    cfg = make_cfg()
+    st = wavy_state(cfg)
+
+    def poison(_t):
+        rho = np.zeros(cfg.grid.shape)
+        rho[4, 5] = np.nan
+        return {"rho": rho}
+
+    with pytest.raises(FieldError, match="non-finite values produced by the step"):
+        step_prim(st, cfg, 0.5 * cfl_limits(st, cfg), src=poison)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("theta_B", [-2.0, -2.5])
+def test_a_non_positive_wall_temperature_stops_the_run_before_its_first_row(
+        monkeypatch, side, theta_B):
+    """theta_bar + eps theta_B <= 0 at a wall (here 0 and -0.25 at eps =
+    0.5): the first stage imposes it and fails its positivity check, so the
+    run raises PositivityError with the initial state before any row.  The
+    row reads psi = psi_extension, a blend of the two wall temperatures, and
+    so only ever sees psi > 0."""
+    walls = [0.0, 0.0]
+    walls[side] = theta_B
+    cfg = make_cfg(theta_B=tuple(walls))
+    st = uniform_state(cfg, eps=0.5)
+    assert np.min(psi_extension(cfg, st.eps)) <= 0.0
+    rows = []
+    monkeypatch.setattr(mhd, "_row", lambda *args: rows.append(args))
+    with pytest.raises(PositivityError, match=r"min theta = (-|0\.0)") as err:
+        run_prim(st, cfg, t_end=0.01)
+    assert err.value.last_valid is st
+    assert rows == []
+
+
 @pytest.mark.parametrize("c3, t", [(np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan),
                                    (0.5, np.inf), (0.5, -np.inf)])
 def test_non_finite_c3_or_t_is_rejected(c3, t):
@@ -793,7 +858,7 @@ def test_non_finite_t_end_is_rejected_by_both_drivers(t_end, limit):
     cfg = make_cfg()
     g = cfg.grid
     if limit:
-        with pytest.raises(obm.ObmConfigError, match="t_end must be finite"):
+        with pytest.raises(FieldError, match="t_end must be finite"):
             obm.ObmConfig(g, GAS, REF, obm.default_potential(g), (0.0, 0.0),
                           dt=1e-3, t_end=t_end)
     else:
@@ -859,12 +924,6 @@ def test_ballistic_kinetic_term_and_total_energy():
     dk = ballistic1 - ballistic0
     assert dk == pytest.approx(cfg.grid.volume * 0.5 * 1.0 * 0.2 ** 2, rel=1e-12)
     assert total1 - total0 == pytest.approx(dk, rel=1e-12)
-
-
-def test_ballistic_rejects_nonpositive_psi():
-    cfg = make_cfg()
-    with pytest.raises(thermo.ThermoDomainError):
-        _psi_rho_s(np.zeros(cfg.grid.shape), np.ones(cfg.grid.shape))
 
 
 def test_psi_extension_matches_walls():

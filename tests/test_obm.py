@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obmlab import fields, obm, thermo
+from obmlab import fields, mhd, obm, thermo
 from obmlab.fields import (
     FieldError,
     Geometry,
@@ -22,7 +22,6 @@ from obmlab.fields import (
 )
 from obmlab.obm import (
     ObmConfig,
-    ObmConfigError,
     ObmState,
     _heat_terms,
     _landing_step,
@@ -35,6 +34,7 @@ from obmlab.obm import (
 )
 
 from oracle1d import solve_heat_mean
+from malformed import BAD, malformed
 
 GAS = thermo.GasParams(p_inf=1.0, a=0.0)
 REF = thermo.ReferenceState(rho_bar=1.0, theta_bar=1.0, b_bar=0.5)
@@ -81,11 +81,11 @@ def heat_rhs(st, cfg):
 
 def test_config_rejects_biased_potential():
     g = strip2()
-    with pytest.raises(ObmConfigError):
+    with pytest.raises(FieldError):
         make_cfg(g, G=np.ones(g.shape))
-    with pytest.raises(ObmConfigError):
+    with pytest.raises(FieldError):
         make_cfg(g, dt=0.0)
-    with pytest.raises(ObmConfigError):
+    with pytest.raises(FieldError):
         ObmConfig(grid=Grid(Geometry.TORUS2, 16, 16), gas=GAS, ref=REF,
                   G=np.zeros((16, 16)), theta_B=(0.0, 0.0), dt=1e-3, t_end=0.1)
 
@@ -111,6 +111,44 @@ def test_state_validation():
     # shapes are checked before chi reads theta1
     with pytest.raises(FieldError, match=r"theta1 shape \(8, 16\) != \(9, 16\)"):
         ObmState.create(g, np.zeros((8, 16)), gas=GAS, ref=REF)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("name", ["theta1", "b1"])
+def test_state_rejects_a_field_of_wrong_shape_or_non_finite(name, bad):
+    g = strip2(16, 9)
+    fields = {"theta1": np.zeros(g.shape), "b1": np.zeros(g.hshape)}
+    fields[name], match = malformed(fields[name], bad)
+    with pytest.raises(FieldError, match=match.format(name=name)):
+        ObmState(g, fields["theta1"], fields["b1"], 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("name", ["G", "bottom", "top"])
+@pytest.mark.parametrize("config", ["limit", "compressible"])
+def test_configs_reject_a_potential_or_wall_of_wrong_shape_or_non_finite(
+        config, name, bad):
+    """Both configs check G and the walls, each a number or an hshape array,
+    through one helper; the error names the input."""
+    g = strip2(16, 9)
+    inputs = {"G": default_potential(g), "bottom": np.zeros(g.hshape),
+              "top": np.zeros(g.hshape)}
+    inputs[name], match = malformed(inputs[name], bad)
+    G, walls = inputs["G"], (inputs["bottom"], inputs["top"])
+    what = name if name == "G" else f"{name} wall temperature"
+    with pytest.raises(FieldError, match=match.format(name=what)):
+        if config == "limit":
+            ObmConfig(g, GAS, REF, G, walls, dt=1e-3, t_end=0.1)
+        else:
+            mhd.PrimConfig(g, GAS, REF, G, walls)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_uniform_wall_must_be_finite(bad):
+    g = strip2(16, 9)
+    with pytest.raises(FieldError, match="non-finite values in top wall temperature"):
+        make_cfg(g, theta_B=(0.0, bad))
+    assert np.array_equal(make_cfg(g, theta_B=(0.0, 0.3)).theta_B[1], np.full(16, 0.3))
 
 
 @given(bad=st.sampled_from([np.nan, np.inf, -np.inf]),

@@ -29,6 +29,7 @@ from obmlab.relent import (
     well_prepared_data,
 )
 
+from malformed import BAD, malformed
 from thermo_oracle import theta_from_rho_S
 
 GAS = thermo.GasParams(p_inf=1.0, a=0.0)
@@ -289,6 +290,28 @@ def test_quadruple_rejects_bad_fields():
     with pytest.raises(FieldError):
         TestQuadruple(g, ones, ones, U, H,
                       wall_theta=(np.full(g.hshape, 2.0), np.ones(g.hshape)))
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("name", ["r", "Theta", "U", "H"])
+def test_quadruple_rejects_a_field_of_wrong_shape_or_non_finite(name, bad):
+    g = strip()
+    fields = {"r": np.ones(g.shape), "Theta": np.ones(g.shape),
+              "U": np.zeros((3,) + g.shape), "H": np.zeros((3,) + g.shape)}
+    fields[name], match = malformed(fields[name], bad)
+    with pytest.raises(FieldError, match=match.format(name=name)):
+        TestQuadruple(g, **fields)
+
+
+def test_state_and_quadruple_on_different_grids_are_rejected():
+    g, other = strip(), strip(16, 9)
+    state = mhd.PrimitiveState(g, np.ones(g.shape), np.zeros((3,) + g.shape),
+                               np.ones(g.shape), np.zeros(g.shape), 0.5,
+                               np.zeros(g.shape), 0.5, 0.0)
+    quad = TestQuadruple(other, np.ones(other.shape), np.ones(other.shape),
+                         np.zeros((3,) + other.shape), np.zeros((3,) + other.shape))
+    with pytest.raises(FieldError, match="different grids"):
+        rel_energy_total(state, quad, GAS)
 
 
 def test_rel_energy_report_validation():
