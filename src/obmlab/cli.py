@@ -69,7 +69,6 @@ points, n1 * n3, so that one field takes at most 64 MiB.
     theta_amp = 0.1        amplitude of the initial temperature deviation
     b_amp = 0.25           amplitude of the initial magnetic perturbation
     profile = smooth       initial data family: smooth | random
-    g_profile = linear     potential: linear (1/2 - x3) | zero
     theta_b_bottom = 0.0   wall temperature deviation at x3 = 0
     theta_b_top = 0.0      wall temperature deviation at x3 = 1
 
@@ -81,7 +80,7 @@ points, n1 * n3, so that one field takes at most 64 MiB.
     theta_amp = 0.1        as in [obm], for the well-prepared profiles
     b_amp = 0.25           as in [obm]
     profile = smooth       as in [obm]
-    g_profile = linear     as in [obm]
+    g_profile = linear     potential: linear (1/2 - x3) | zero
     theta_b_bottom = 0.0   as in [obm]
     theta_b_top = 0.0      as in [obm]
 
@@ -157,8 +156,7 @@ _DEFAULTS = {
     "grid": {"n1": 64, "n3": 65},
     "obm": {
         "dt": 1e-3, "t_end": 0.25, "theta_amp": 0.1, "b_amp": 0.25,
-        "profile": "smooth", "g_profile": "linear",
-        "theta_b_bottom": 0.0, "theta_b_top": 0.0,
+        "profile": "smooth", "theta_b_bottom": 0.0, "theta_b_top": 0.0,
     },
     "mhd": {
         "eps": 0.1, "dt": 0.0, "t_end": 0.25, "safety": 0.6,
@@ -333,16 +331,14 @@ class RunConfig:
             raise ConfigError(
                 f"[thermo] tamper must be one of {', '.join(_TAMPERS)}")
         for sec in ("obm", "mhd"):
-            s = self.sections[sec]
-            if s["g_profile"] not in _G_PROFILES:
-                raise ConfigError(
-                    f"[{sec}] g_profile must be one of {', '.join(_G_PROFILES)}")
-            if s["t_end"] < 0:
+            if self.sections[sec]["t_end"] < 0:
                 raise ConfigError(f"[{sec}] t_end must be nonnegative")
         o = self.sections["obm"]
         if not o["dt"] > 0:
             raise ConfigError("[obm] dt must be positive")
         m = self.sections["mhd"]
+        if m["g_profile"] not in _G_PROFILES:
+            raise ConfigError(f"[mhd] g_profile must be one of {', '.join(_G_PROFILES)}")
         if not m["eps"] > 0:
             raise ConfigError("[mhd] eps must be positive")
         if m["eps"] * m["eps"] < _TINY:
@@ -551,8 +547,8 @@ def cmd_run_obm(cfg: RunConfig, args) -> int:
     o = cfg["obm"]
     walls = cfg.wall_temps("obm")
     with _setup():
-        ocfg = ObmConfig(grid, gas, ref, cfg.potential(grid, o["g_profile"]),
-                         walls, dt=o["dt"], t_end=o["t_end"])
+        ocfg = ObmConfig(grid, gas, ref, default_potential(grid), walls,
+                         dt=o["dt"], t_end=o["t_end"])
         th, b1 = _initial_profiles(ocfg, o, _seed(cfg, args), walls)
         state = ObmState.create(grid, th, b1, gas=gas, ref=ref)
     outdir = Path(args.out)

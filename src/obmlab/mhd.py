@@ -25,7 +25,13 @@ one-sided stencil for the wall value of a; B2 = 0 is imposed directly.
 
 Time stepping is the explicit three-stage SSP-RK3 of Shu and Osher, its
 stages at t, t + dt and t + dt/2, with boundary conditions re-imposed after
-each stage; :func:`cfl_limits` takes dt from its stability region.
+each stage.  :func:`cfl_limits` takes dt from its stability region
+|1 + z + z^2/2 + z^3/6| <= 1: the largest dt whose rectangle of linearized
+modes, diffusion along the negative real axis and waves along the imaginary
+axis, fits in the region.  The region's slice at Re z = x is the segment
+|Im z| <= h(x), and h rises from sqrt(3) at x = 0 to 2.3745 near x = -0.744,
+then falls to 0 at x = -2.5127; so the rectangle fits when its height is at
+most sqrt(3) and its far corner lies in the region.
 Temperature is advanced in internal-energy form
 
     rho de_dtheta Dtheta/Dt = -theta dp_dtheta div u + eps^2 S:grad u
@@ -70,6 +76,7 @@ exact to rounding without touching the local truncation order.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
@@ -384,15 +391,19 @@ def _entropy_terms(state: PrimitiveState, w: _StateWork, fault: bool):
 
 
 def cfl_limits(state: PrimitiveState, cfg: PrimConfig) -> float:
-    """Largest admissible dt: min(sqrt(3) / (c_max s1), 1.5 / (nu_max s2)),
-    where c_max bounds the fast magnetosonic speed (over eps) plus |u|
-    through the closed-form equation of state, nu_max the diffusivities,
-    and s1 = hypot(k1, 1/dx3), s2 = k1^2 + 1/dx3^2 bound the discrete
-    symbol: k1 = pi (n1 // 3) is the largest kept x1 wavenumber and 1/dx3
-    the largest symbol of the central x3 stencil.  A linearized mode then
-    has dt lambda = -dt nu (s1'^2 + s3'^2) +- i dt c hypot(s1', s3') in the
-    rectangle [-1.5, 0] x [-sqrt(3), sqrt(3)], which the stability region
-    of the SSP-RK3 step contains.  It reads the EOS pass and B alone."""
+    """Largest admissible dt: the largest tau for which the rectangle
+    [-tau nu_max s2, 0] x [-tau c_max s1, tau c_max s1] lies in the SSP-RK3
+    stability region |1 + z + z^2/2 + z^3/6| <= 1.  c_max bounds the fast
+    magnetosonic speed (over eps) plus |u| through the closed-form equation
+    of state, nu_max the diffusivities, and s1 = hypot(k1, 1/dx3), s2 = k1^2
+    + 1/dx3^2 bound the discrete symbol: k1 = pi (n1 // 3) is the largest
+    kept x1 wavenumber and 1/dx3 the largest symbol of the central x3
+    stencil.  A linearized mode has dt lambda = -dt nu (s1'^2 + s3'^2) +- i
+    dt c hypot(s1', s3') in that rectangle.  The region's slice at Re z = x
+    is |Im z| <= h(x); h rises from sqrt(3) at x = 0 to 2.3745 near
+    x = -0.744 and falls to 0 at x = -2.5127.  So tau is the smaller of
+    sqrt(3) / (c_max s1) and the point where the corner's ray tau (-nu_max
+    s2 + i c_max s1) leaves the region.  It reads the EOS pass and B alone."""
     return _cfl_limit(state, _bound_work(state, cfg))
 
 
@@ -402,13 +413,33 @@ def _cfl_limit(state: PrimitiveState, w: _StateWork) -> float:
     B = w.B
     bsq = B[0] ** 2 + B[1] ** 2 + B[2] ** 2
     c = np.sqrt(w.dp_drho + (4.0 / 3.0) * w.p / rho + bsq / rho)
-    umax = np.max(np.abs(state.u))
+    umax = float(np.max(np.abs(state.u)))
     c_max = float(np.max(c)) / state.eps + umax
     nu = np.maximum((4.0 / 3.0) * w.mu / rho, w.kappa / (rho * w.de_dtheta))
     nu_max = max(float(np.max(nu)), float(np.max(w.zeta)))
-    k1, k3 = np.pi * (g.n1 // 3), 1.0 / g.dx3
-    return min(np.sqrt(3.0) / (c_max * np.hypot(k1, k3)),
-               1.5 / (nu_max * (k1 ** 2 + k3 ** 2)))
+    k1, k3 = math.pi * (g.n1 // 3), 1.0 / g.dx3
+    return _rk3_rectangle(nu_max * (k1 ** 2 + k3 ** 2), c_max * math.hypot(k1, k3))
+
+
+def _rk3_rectangle(x: float, y: float) -> float:
+    """Largest tau for which [-tau x, 0] x [-tau y, tau y] lies in the
+    SSP-RK3 stability region, for x, y >= 0 not both 0; 0.0 if either is
+    inf.  Bisection along the corner's ray, scaled so that max(x, y) = 1:
+    the ray's part in the region is one segment from 0 that ends before
+    |z| = 2.54, and the height cap tau y <= sqrt(3) is another."""
+    m = max(x, y)
+    if m == math.inf:
+        return 0.0
+    z, cap = complex(-x, y) / m, math.sqrt(3.0)
+    lo, hi = 0.0, 3.0
+    for _ in range(60):
+        s = 0.5 * (lo + hi)
+        w = s * z
+        if s * z.imag <= cap and abs(1.0 + w * (1.0 + w * (0.5 + w / 6.0))) <= 1.0:
+            lo = s
+        else:
+            hi = s
+    return lo / m
 
 
 def fix_flux_walls(a: np.ndarray) -> np.ndarray:
@@ -439,9 +470,8 @@ def step_prim(state: PrimitiveState, cfg: PrimConfig, dt: float,
               src=None) -> PrimitiveState:
     """One Shu-Osher SSP-RK3 step of size dt, its stages at t, t + dt and
     t + dt/2, with boundary conditions re-imposed after each stage.  Its
-    stability polynomial 1 + z + z^2/2 + z^3/6 keeps |R| <= 1 on the
-    rectangle [-1.5, 0] x [-sqrt(3), sqrt(3)], into which
-    :func:`cfl_limits` puts every linearized mode.
+    stability polynomial is 1 + z + z^2/2 + z^3/6; at dt up to
+    :func:`cfl_limits`, every linearized mode keeps |R| <= 1.
 
     ``src(t)`` may return a dict with optional keys rho, u, theta, a, B2
     holding additive source fields (manufactured-solution hook), a and B2

@@ -6,8 +6,10 @@ is meant to move the recorded numbers:
     PYTHONPATH=src python tests/golden/regen.py [record ...]
 
 Without arguments every record is rewritten; name record files (e.g.
-``convergence_study_32x33.json``) to write only those.  The test never
-writes a record."""
+``convergence_study_32x33.json``) to write only those.  Before it writes a
+record, it prints each column's largest change against the file on disk,
+relative to the column's largest recorded magnitude: the figure that a
+change which moves a record states.  The test never writes a record."""
 
 import argparse
 import contextlib
@@ -142,6 +144,41 @@ def columns_record(columns: dict) -> dict:
     }
 
 
+def record_columns(record, path=()) -> dict:
+    """The columns of a record by dotted path: each number, text or list of
+    numbers, found through its dicts and lists of dicts."""
+    if isinstance(record, list) and any(isinstance(v, (dict, list)) for v in record):
+        record = {str(i): v for i, v in enumerate(record)}
+    if not isinstance(record, dict):
+        return {".".join(path): record}
+    return {name: column for key, value in record.items()
+            for name, column in record_columns(value, path + (key,)).items()}
+
+
+def is_numeric(column) -> bool:
+    values = column if isinstance(column, list) else [column]
+    return all(isinstance(v, (int, float)) for v in values)
+
+
+def largest_changes(old: dict, new: dict) -> list:
+    """One line per column of ``new``: its largest change against ``old``,
+    relative to the column's largest magnitude in ``old``."""
+    before, lines = record_columns(old), []
+    for name, column in record_columns(new).items():
+        was = before.get(name)
+        if not (is_numeric(column) and is_numeric(was)):
+            note = "unchanged" if column == was else f"{was!r} -> {column!r}"
+        elif np.size(column) != np.size(was):
+            note = f"{np.size(was)} -> {np.size(column)} values"
+        else:
+            diff = np.max(np.abs(np.subtract(column, was, dtype=float)))
+            scale = np.max(np.abs(np.asarray(was, dtype=float)))
+            note = (f"largest relative change {diff / scale:.2e}" if scale
+                    else f"largest change {diff:.2e} from zero")
+        lines.append(f"  {name}: {note}\n")
+    return lines
+
+
 BUILDERS = {
     PRIM_RECORD: lambda: columns_record(prim_columns()),
     OBM_RECORD: lambda: columns_record(obm_columns()),
@@ -161,5 +198,9 @@ if __name__ == "__main__":
         parser.error(f"no such record: {', '.join(sorted(unknown))}")
     for path, build in BUILDERS.items():
         if not chosen or path.name in chosen:
-            path.write_text(json.dumps(build(), indent=1) + "\n")
+            record = build()
+            if path.exists():
+                sys.stdout.write(f"{path.name} against the file on disk:\n")
+                sys.stdout.writelines(largest_changes(json.loads(path.read_text()), record))
+            path.write_text(json.dumps(record, indent=1) + "\n")
             sys.stdout.write(f"wrote {path}\n")

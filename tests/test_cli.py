@@ -315,7 +315,6 @@ def test_unknown_key_exits_2(tmp_path, capsys, key):
     ("thermo", "fd_step", "0"),
     ("thermo", "tamper", "bogus"),
     ("obm", "profile", "bogus"),
-    ("obm", "g_profile", "bogus"),
     ("obm", "t_end", "-1"),
     ("obm", "dt", "0"),
     ("mhd", "profile", "bogus"),
@@ -713,25 +712,29 @@ def test_seed_changes_random_profile_output(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, section", [("run-obm", "obm"), ("run-mhd", "mhd")])
 def test_zero_potential_runs(tmp_path, capsys, command, section):
-    """g_profile = zero runs.  The compressible run feels the potential
-    through its gravity; the limit run writes theta1 and b1, whose equations
-    do not read G (it enters only the derived density), so its files are
-    those of the linear potential."""
+    """g_profile = zero runs, and the compressible run feels the potential
+    through its gravity.  The limit run writes theta1 and b1, whose
+    equations do not read G (it enters only the derived density), so [obm]
+    has no g_profile key, and setting one exits 2 as unknown."""
     config = SMALL_OBM if section == "obm" else SMALL_MHD
-    outs = {}
+    codes, outs = {}, {}
     for g_profile in ("linear", "zero"):
         body = config.replace(f"[{section}]\n",
                               f"[{section}]\n    g_profile = {g_profile}\n")
         path = write_config(tmp_path, body, name=f"{g_profile}.ini")
         out = tmp_path / g_profile
-        assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 0
-        outs[g_profile] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
-    capsys.readouterr()
-    assert list(outs["zero"]) == list(outs["linear"])
-    if section == "mhd":
-        assert all(outs["zero"][name] != outs["linear"][name] for name in outs["zero"])
+        codes[g_profile] = main([command, "--config", path, "--out", str(out), "--quiet"])
+        outs[g_profile] = ({f.name: f.read_bytes() for f in sorted(out.iterdir())}
+                           if out.exists() else None)
+    err = capsys.readouterr().err
+    if section == "obm":
+        assert codes == {"linear": 2, "zero": 2}
+        assert err.count("obmlab: config error: unknown key 'g_profile' in [obm]") == 2
+        assert outs == {"linear": None, "zero": None}
     else:
-        assert outs["zero"] == outs["linear"]
+        assert codes == {"linear": 0, "zero": 0}
+        assert list(outs["zero"]) == list(outs["linear"])
+        assert all(outs["zero"][name] != outs["linear"][name] for name in outs["zero"])
 
 
 # -- run-mhd -------------------------------------------------------------------

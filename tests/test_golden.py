@@ -96,3 +96,22 @@ def test_thermo_check_prints_its_record():
     record = json.loads(regen.THERMO_RECORD.read_text())
     assert regen.thermo_check_stdout() == record["stdout"], (
         f"record written with numpy {record['numpy']}")
+
+
+def test_regen_prints_each_columns_largest_relative_change():
+    """What regen.py prints before it overwrites a record: per column of
+    the new record, its largest change relative to the column's largest
+    recorded magnitude, through dicts and lists of entries."""
+    old = {"numpy": "2.4.6", "steps": 2, "columns": {"a": [2.0, -4.0], "b": [0.0, 0.0]},
+           "entries": [{"eps": 0.1, "failed": None, "E": [1.0, 2.0]}]}
+    new = {"numpy": "2.4.6", "steps": 3, "columns": {"a": [2.0, -4.2], "b": [0.0, 1e-3]},
+           "entries": [{"eps": 0.1, "failed": "PositivityError", "E": [1.0, 2.0, 3.0]}]}
+    assert regen.largest_changes(old, new) == [
+        "  numpy: unchanged\n",
+        "  steps: largest relative change 5.00e-01\n",
+        "  columns.a: largest relative change 5.00e-02\n",
+        "  columns.b: largest change 1.00e-03 from zero\n",
+        "  entries.0.eps: largest relative change 0.00e+00\n",
+        "  entries.0.failed: None -> 'PositivityError'\n",
+        "  entries.0.E: 2 -> 3 values\n",
+    ]

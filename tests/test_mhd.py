@@ -421,17 +421,24 @@ def stability_polynomial(z, order):
 
 @settings(max_examples=60, deadline=None)
 @given(n1=hst.sampled_from([4, 8, 16, 32, 64, 128, 256]), n3=hst.integers(5, 257),
-       c_max=hst.floats(1e-2, 1e4), nu_max=hst.floats(1e-4, 1e2),
+       nu_max=hst.floats(1e-4, 1e2), log_ratio=hst.floats(-12.0, 12.0),
        seed=hst.integers(0, 2 ** 32 - 1))
-@example(n1=64, n3=65, c_max=2.37 / 0.05, nu_max=0.135, seed=0)  # criterion 7, eps = 0.05
-def test_cfl_bound_keeps_every_linearized_mode_in_the_rk3_region(n1, n3, c_max,
-                                                                  nu_max, seed):
-    """At the dt of the bound, every mode of the linearized symbol, lambda =
-    -nu (s1^2 + s3^2) +- i c hypot(s1, s3) with s1 up to the largest kept x1
-    wavenumber and s3 up to the central stencil's 1/dx3, has |R3(dt lambda)|
-    <= 1.  Heun's R2 fails the same samples wherever the largest symbol's
-    damping is at most half the rectangle's depth, as at low Mach number:
-    its region holds no segment of the imaginary axis."""
+# criterion 7 at eps = 0.05, and the extreme ratios c_max / nu_max
+@example(n1=64, n3=65, nu_max=0.135, log_ratio=math.log10(2.37 / 0.05 / 0.135), seed=0)
+@example(n1=256, n3=257, nu_max=1e2, log_ratio=12.0, seed=1)
+@example(n1=4, n3=5, nu_max=1e-4, log_ratio=-12.0, seed=2)
+def test_cfl_bound_keeps_every_linearized_mode_in_the_rk3_region(n1, n3, nu_max,
+                                                                  log_ratio, seed):
+    """At the dt of the bound, with c_max = nu_max 10^log_ratio, every mode
+    lambda = -nu (s1^2 + s3^2) +- i c hypot(s1, s3) has |R3(dt lambda)| <= 1,
+    for nu <= nu_max and c <= c_max chosen independently, s1 up to the
+    largest kept x1 wavenumber and s3 up to the central stencil's 1/dx3:
+    the whole rectangle [-dt nu_max s2, 0] x [-dt c_max s1, dt c_max s1].
+    At 1.01 dt some point of that rectangle has |R3| > 1, so the bound is
+    the largest rectangle's.  Heun's R2 fails the same samples wherever the
+    rectangle's depth is at most 0.75, as at low Mach number: its region
+    holds no segment of the imaginary axis."""
+    c_max = nu_max * 10.0 ** log_ratio
     cfg = make_cfg(n1=n1, n3=n3)
     g = cfg.grid
     st = uniform_state(cfg, eps=1.0)
@@ -442,13 +449,28 @@ def test_cfl_bound_keeps_every_linearized_mode_in_the_rk3_region(n1, n3, c_max,
     dt = _cfl_limit(st, w)
     k1, k3 = np.pi * (n1 // 3), 1.0 / g.dx3
     rng = np.random.default_rng(seed)
-    s1 = np.append(rng.uniform(0.0, k1, 500), [k1, k1, 0.0])
-    s3 = np.append(rng.uniform(0.0, k3, 500), [k3, 0.0, k3])
-    z = dt * (-nu_max * (s1 ** 2 + s3 ** 2) + 1j * c_max * np.hypot(s1, s3))
-    z = np.concatenate([z, z.conj()])
+    # random modes, then the rectangle's four corners at the largest symbol
+    s1 = np.append(rng.uniform(0.0, k1, 500), [k1] * 4)
+    s3 = np.append(rng.uniform(0.0, k3, 500), [k3] * 4)
+    nu = nu_max * np.append(rng.uniform(0.0, 1.0, 500), [0.0, 0.0, 1.0, 1.0])
+    c = c_max * np.append(rng.uniform(0.0, 1.0, 500), [0.0, 1.0, 0.0, 1.0])
+    lam = -nu * (s1 ** 2 + s3 ** 2) + 1j * c * np.hypot(s1, s3)
+    z = np.concatenate([dt * lam, dt * lam.conj()])
     assert np.max(np.abs(stability_polynomial(z, 3))) <= 1.0 + 1e-12
+    # the rectangle's top edge at 1.01 dt
+    depth, height = 1.01 * dt * nu_max * (k1 ** 2 + k3 ** 2), 1.01 * dt * c_max * np.hypot(k1, k3)
+    top = -depth * np.linspace(0.0, 1.0, 1001) + 1j * height
+    assert np.max(np.abs(stability_polynomial(top, 3))) > 1.0
     if dt * nu_max * (k1 ** 2 + k3 ** 2) <= 0.75:
         assert np.max(np.abs(stability_polynomial(z, 2))) > 1.0 + 1e-3
+
+
+@pytest.mark.parametrize("x, y", [(1.0, math.inf), (0.0, math.inf), (math.inf, 1.0),
+                                  (math.inf, math.inf)])
+def test_rk3_rectangle_of_an_infinite_speed_or_diffusivity_is_zero(x, y):
+    """The bound of an infinite c_max (eps so small that c / eps overflows)
+    or nu_max is 0.0, never NaN, so the drivers stop with CflError."""
+    assert mhd._rk3_rectangle(x, y) == 0.0
 
 
 def test_fft_and_eos_passes_per_run_step(monkeypatch):
