@@ -119,8 +119,8 @@ import numpy as np
 from .fields import FieldError, Geometry, Grid, mean_arr, write_snapshot
 from .mhd import (CflError, PositivityError, PrimConfig, PrimitiveState, StepRow,
                   cfl_limits, run_prim, snapshot_fields)
-from .obm import (_MAX_POINTS, _MAX_STEPS, ObmConfig, ObmState, default_potential,
-                  initial_state, run_obm)
+from .obm import (_MAX_POINTS, _MAX_STEPS, ObmConfig, ObmRow, ObmState,
+                  default_potential, initial_state, run_obm)
 from .relent import convergence_study, well_prepared_data
 from .thermo import (DefaultPStructure, GasParams, ReferenceState,
                      ThermoDomainError, thermo_check)
@@ -178,8 +178,7 @@ _PROFILE_MODES = {"smooth": 2, "random": 3}
 _G_PROFILES = ("linear", "zero")
 _TAMPERS = ("none", "entropy-constant", "entropy-slope")
 
-_OBM_HEADER = ("t", "mean_theta1", "chi", "kinetic_energy",
-               "magnetic_energy", "continuity_residual")
+_OBM_HEADER = ObmRow._fields
 _MHD_HEADER = StepRow._fields[:-1]  # the row but its pointwise entropy floor
 _STUDY_HEADER = ("eps", "sup_E", "sup_E_ess", "sup_E_res",
                  "dev_rho", "dev_theta", "dev_u", "dev_B", "failed")
@@ -493,8 +492,7 @@ class _SnapshotSchedule:
 
 def _obm_snapshot_fields(state: ObmState) -> dict:
     g = state.grid
-    return {"theta1": state.theta1,
-            "b1": np.broadcast_to(state.b1, g.shape).copy()}
+    return {"theta1": state.theta1, "b1": np.broadcast_to(state.b1, g.shape)}
 
 
 def _say(args, text: str) -> None:

@@ -256,16 +256,27 @@ def d2dx3_arr(data: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def _odd_fft(rows: np.ndarray, inverse: bool = False) -> np.ndarray:
+def _odd_extension(grid: Grid) -> np.ndarray:
+    """Scratch for the odd extension of a strip's interior-row x1 spectrum,
+    complex of shape (2 (n3 - 1), n1 // 2 + 1): what :func:`_odd_fft`
+    builds for :func:`from_sine_modes`, allocated once by a caller that
+    makes many such transforms."""
+    return np.empty((2 * (grid.n3 - 1), grid.n1 // 2 + 1), dtype=complex)
+
+
+def _odd_fft(rows: np.ndarray, inverse: bool = False, ext=None) -> np.ndarray:
     """FFT (or with ``inverse`` the inverse FFT) along axis 0 of the odd
     extension (0, rows, 0, -rows reversed) of the n - 1 interior rows of a
     strip, kept at the sine modes j = 1 .. n - 1.
 
     The forward transform is -2i sum_i rows[i - 1] sin(pi j i / n); the
     inverse undoes it.  The sine modes diagonalize the Dirichlet second
-    difference (Hockney's fast direct solver, J. ACM 1965)."""
+    difference (Hockney's fast direct solver, J. ACM 1965).  The extension
+    is built in ``ext`` when given (:func:`_odd_extension`), and the result
+    is a view of it, valid until ``ext`` is written again."""
     n = rows.shape[0] + 1
-    ext = np.empty((2 * n,) + rows.shape[1:], dtype=complex)
+    if ext is None:
+        ext = np.empty((2 * n,) + rows.shape[1:], dtype=complex)
     ext[0] = ext[n] = 0.0
     ext[1:n] = rows
     np.negative(rows[::-1], out=ext[n + 1:])
@@ -281,11 +292,15 @@ def sine_modes(data: np.ndarray, grid: Grid) -> np.ndarray:
     return _odd_fft(np.fft.rfft(data[1:-1], axis=-1))
 
 
-def from_sine_modes(modes: np.ndarray, bottom, top, grid: Grid) -> np.ndarray:
+def from_sine_modes(modes: np.ndarray, bottom, top, grid: Grid,
+                    ext=None) -> np.ndarray:
     """Inverse of :func:`sine_modes`: the strip array whose interior rows have
-    the spectrum ``modes`` and whose wall rows are ``bottom`` and ``top``."""
+    the spectrum ``modes`` and whose wall rows are ``bottom`` and ``top``.
+    With ``ext`` (:func:`_odd_extension`) the odd extension is built there,
+    overwriting all of it, and the new array is the only allocation."""
     out = np.empty(grid.shape)
-    np.fft.irfft(_odd_fft(modes, inverse=True), n=grid.n1, axis=-1, out=out[1:-1])
+    np.fft.irfft(_odd_fft(modes, inverse=True, ext=ext), n=grid.n1, axis=-1,
+                 out=out[1:-1])
     out[0] = bottom
     out[-1] = top
     return out
@@ -416,7 +431,7 @@ def write_snapshot(path, grid: Grid, fields: dict) -> None:
                                  grid.n1, grid.n2, grid.n3))
             for raw, data in checked:
                 fh.write(raw)
-                fh.write(np.ascontiguousarray(data).astype("<f8").tobytes())
+                fh.write(np.ascontiguousarray(data, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

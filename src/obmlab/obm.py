@@ -32,8 +32,16 @@ data), and the corrector updates it mode by mode
 (:func:`_crank_nicolson`): the walls and the x3-independent forcing enter
 through x1 transforms of single rows, and the step's one transform over
 the whole strip is the inverse that gives the new theta1, which the
-driver's row and continuity residual read.  The horizontal diffusion
-of b1 is diagonal in Fourier space.
+driver's row and continuity residual read.  That transform builds the odd
+extension in x3 in a scratch array that :func:`run_obm` holds for the
+whole run (:func:`step_obm` makes its own); the corrector sums its right
+side in the upper half of the same array before the synthesis overwrites
+it.  So a step allocates, of field size, only the new theta1 and modes,
+which the new state keeps, and the residual's one array; no state lives
+in the scratch, so states stay plain values that ``on_step`` may keep.  A
+state also carries theta1's x1-mean column (:attr:`ObmState.column`),
+computed once: chi, the row's mean and the next predictor read it.  The
+horizontal diffusion of b1 is diagonal in Fourier space.
 
 The explicit heat forcing is x3-independent: the adiabatic response to the
 decaying magnetic head plus the non-local mean drift.  theta1 enters it
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +64,7 @@ from . import thermo
 from .fields import (
     FieldError,
     Grid,
+    _odd_extension,
     _odd_fft,
     field_array,
     from_sine_modes,
@@ -70,6 +80,7 @@ from .fields import (
 __all__ = [
     "ObmConfig",
     "ObmState",
+    "ObmRow",
     "compute_chi",
     "boussinesq_rho",
     "step_obm",
@@ -204,6 +215,16 @@ class ObmState:
         modes.flags.writeable = False
         return modes
 
+    @cached_property
+    def column(self) -> np.ndarray:
+        """theta1's x1-mean column, n3 values, whose trapezoid-weighted sum
+        is the mean of theta1 (:func:`obmlab.fields.mean_arr`).  Built on
+        first use, or handed over by the step that made the state, and
+        read-only like :attr:`modes`."""
+        column = self.theta1.mean(axis=-1)
+        column.flags.writeable = False
+        return column
+
     @property
     def U(self) -> np.ndarray:
         """The horizontal mean flow, (2,) + hshape: zero on the strip."""
@@ -286,7 +307,8 @@ def _diag_implicit(data: np.ndarray, nu: float, dt: float, grid: Grid) -> np.nda
 # -- time stepping --------------------------------------------------------------
 
 
-def _crank_nicolson(state: ObmState, forcing: np.ndarray, source, cfg: ObmConfig):
+def _crank_nicolson(state: ObmState, forcing: np.ndarray, source, cfg: ObmConfig,
+                    ext: np.ndarray) -> np.ndarray:
     """Modes of the Crank-Nicolson heat step (I - c L) theta_new =
     (I + c L) theta1 + forcing + source, with L the spectral horizontal plus
     centered vertical Laplacian on the interior rows, the state's wall rows
@@ -296,11 +318,13 @@ def _crank_nicolson(state: ObmState, forcing: np.ndarray, source, cfg: ObmConfig
         Theta_new = R Theta + P (S [h_b; h_t; F] + source modes)
 
     with h_b, h_t, F the x1 spectra of theta1[0] + bottom, theta1[-1] + top
-    and the forcing."""
+    and the forcing.  The right side is summed in the upper half of the
+    extension scratch ``ext`` (:func:`obmlab.fields._odd_extension`), which
+    the synthesis of the new theta1 overwrites; the returned modes are new."""
     R, P, S = cfg.heat_step
     wb, wt = cfg.theta_B
     rows = np.stack([state.theta1[0] + wb, state.theta1[-1] + wt, forcing])
-    rhs = S @ hfft(rows, state.grid)
+    rhs = np.matmul(S, hfft(rows, state.grid), out=ext[len(ext) // 2 + 1:])
     if source is not None:
         rhs += sine_modes(source, state.grid)
     rhs *= P
@@ -316,6 +340,15 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
     ``src(t)`` may return a dict with optional keys theta1 and b1 holding
     additive source fields (used by manufactured-solution tests).  Raises
     FieldError on non-finite results."""
+    return _step_obm(state, cfg, src, _odd_extension(state.grid))
+
+
+def _step_obm(state: ObmState, cfg: ObmConfig, src, ext: np.ndarray) -> ObmState:
+    """Body of :func:`step_obm`, given the extension scratch ``ext``
+    (:func:`obmlab.fields._odd_extension`), which :func:`run_obm` holds
+    for the whole run.  No array of the new state lives in it: the step
+    allocates only the new theta1 and modes, and hands over those modes and
+    the new x1-mean column to the new state."""
     g = state.grid
     dt = cfg.dt
     cth = cfg.kappa / (cfg.ref.rho_bar * cfg.cp)
@@ -337,7 +370,7 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
     # predictor: backward Euler diffusion, forward Euler couplings.  The
     # corrector reads the predicted temperature only through its wall flux,
     # so only its x1-mean column is solved for (module docstring)
-    column = state.theta1.mean(axis=-1) + dt * Nth_n.mean()
+    column = state.column + dt * Nth_n.mean()
     if Sth_n is not None:
         column += dt * Sth_n.mean(axis=-1)
     col_star = helmholtz_solve_column(column, wb.mean(), wt.mean(), dt * cth, g)
@@ -347,17 +380,18 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
     # state carries; one inverse transform gives the new temperature
     Nth_s, Sth_s, Nb_s = explicit(wall_flux_arr(col_star, g), b_star, state.t + dt)
     modes = _crank_nicolson(state, 0.5 * dt * (Nth_n + Nth_s),
-                            None if src is None else 0.5 * dt * (Sth_n + Sth_s), cfg)
-    th_new = from_sine_modes(modes, wb, wt, g)
+                            None if src is None else 0.5 * dt * (Sth_n + Sth_s), cfg, ext)
+    th_new = from_sine_modes(modes, wb, wt, g, ext)
 
     spec_b = hfft(state.b1, g)
     spec_b = (spec_b * (1.0 - 0.5 * dt * nu_b * g.ksq)
               + 0.5 * dt * hfft(Nb_n + Nb_s, g)) / (1.0 + 0.5 * dt * nu_b * g.ksq)
     b_new = hifft(spec_b, g)
 
-    new = ObmState(g, th_new, b_new, cfg.dpdt * mean_arr(th_new, g), state.t + dt)
-    modes.flags.writeable = False
-    new.__dict__["modes"] = modes  # the cached property, handed over
+    column = th_new.mean(axis=-1)
+    new = ObmState(g, th_new, b_new, cfg.dpdt * float(g.w3 @ column), state.t + dt)
+    modes.flags.writeable = column.flags.writeable = False
+    new.__dict__.update(modes=modes, column=column)  # the cached properties, handed over
     return new
 
 
@@ -366,11 +400,12 @@ def _continuity_residual(old: ObmState, new: ObmState, cfg: ObmConfig) -> float:
     ``new``: the transported density equation is not solved (nothing is
     advected), so its residual on the derived rho1 is the rate of change of
     boussinesq_rho, whose G term cancels."""
-    g = cfg.grid
-    d_th = new.theta1 - old.theta1
     d_A = cfg.ref.b_bar * (new.b1 - old.b1)
-    d_rho = cfg.dpdt * (d_th - mean_arr(d_th, g)) + (d_A - d_A.mean())
-    return float(np.max(np.abs(d_rho))) / (cfg.dpdr * cfg.dt)
+    d = np.subtract(new.theta1, old.theta1)  # d_rho, built in place: one array
+    d -= mean_arr(d, cfg.grid)
+    d *= cfg.dpdt
+    d += d_A - d_A.mean()
+    return float(np.max(np.abs(d, out=d))) / (cfg.dpdr * cfg.dt)
 
 
 def magnetic_energy(state: ObmState) -> float:
@@ -399,21 +434,41 @@ def _landing_step(t: float, t_end: float, dt_max: float):
     return n, remaining / n
 
 
+class ObmRow(NamedTuple):
+    """One row of :func:`run_obm`, in the order of the run-obm CSV columns.
+    The residual is that of the step to the row's state
+    (:func:`_continuity_residual`); the kinetic energy of the pinned flow is
+    0.0."""
+
+    t: float
+    mean_theta1: float
+    chi: float
+    kinetic_energy: float
+    magnetic_energy: float
+    continuity_residual: float
+
+
 def run_obm(state: ObmState, cfg: ObmConfig, src=None, on_step=None):
     """March to cfg.t_end in equal steps of at most cfg.dt that land on it
-    exactly; returns (final state, per-step diagnostic rows).
+    exactly; returns (final state, one :class:`ObmRow` per step).
 
-    Rows are (t, mean theta1, chi, kinetic energy, magnetic energy,
-    continuity residual of the step to the row's state); the kinetic energy
-    of the pinned flow is 0.0."""
+    The run holds one extension scratch for all its steps, so a step
+    allocates only the new state's theta1 and modes; each state handed to
+    ``on_step`` is a plain value that the run never writes again.  A step
+    whose result is not finite raises :class:`FieldError` naming the step
+    and the t it stepped from."""
     n_steps, dt = _landing_step(state.t, cfg.t_end, cfg.dt)
     if n_steps and dt != cfg.dt:
         cfg = replace(cfg, dt=dt)
+    ext = _odd_extension(state.grid)
     rows = []
-    for _ in range(n_steps):
-        new = step_obm(state, cfg, src=src)
-        rows.append((new.t, mean_arr(new.theta1, new.grid), new.chi, 0.0,
-                     magnetic_energy(new), _continuity_residual(state, new, cfg)))
+    for k in range(1, n_steps + 1):
+        try:
+            new = _step_obm(state, cfg, src, ext)
+        except FieldError as exc:
+            raise FieldError(f"{exc} in step {k}, the step from t = {state.t!r}") from exc
+        rows.append(ObmRow(new.t, float(new.grid.w3 @ new.column), new.chi, 0.0,
+                           magnetic_energy(new), _continuity_residual(state, new, cfg)))
         state = new  # the previous state is released here
         if on_step is not None:
             on_step(state)

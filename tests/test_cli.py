@@ -588,6 +588,28 @@ def test_run_obm_writes_csv_and_snapshots(tmp_path, capsys):
     assert np.all(np.isfinite(fields["theta1"]))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_run_obm_blowup_names_its_step(tmp_path, capsys, monkeypatch):
+    """A limit step that produces non-finite values (here from a source
+    that turns infinite in the third step) is a numerical failure with exit
+    3, and its one line names the step and the t it stepped from."""
+    from obmlab import cli
+    run_obm = cli.run_obm
+
+    def blowing_up(state, cfg, on_step=None):
+        def src(t):
+            return {"theta1": np.inf} if t > 2.5 * cfg.dt else {}
+        return run_obm(state, cfg, src=src, on_step=on_step)
+
+    monkeypatch.setattr(cli, "run_obm", blowing_up)
+    path = write_config(tmp_path, SMALL_OBM)
+    assert main(["run-obm", "--config", path, "--out", str(tmp_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("obmlab: numerical failure: invalid state during the run: "
+                   "non-finite values in theta1 in step 3, the step from t = 0.004\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("dt, steps", [(0.03, 4), (0.4, 1)])
 def test_run_obm_lands_on_t_end(tmp_path, capsys, dt, steps):
     """A dt that does not divide t_end is shrunk to land on it, never

@@ -410,7 +410,8 @@ def test_crank_nicolson_matches_dense_property(n1, n3, log_c, with_source, seed)
     st0 = random_state(g, rng, cfg)
     forcing = rng.standard_normal(g.hshape)
     source = rng.standard_normal(g.shape) if with_source else None
-    got = from_sine_modes(obm._crank_nicolson(st0, forcing, source, cfg), *walls, g)
+    ext = fields._odd_extension(g)
+    got = from_sine_modes(obm._crank_nicolson(st0, forcing, source, cfg, ext), *walls, g)
     lap = lap_h_arr(st0.theta1, g) + d2dx3_arr(st0.theta1, g)
     rhs = st0.theta1 + c * lap + forcing + (0.0 if source is None else source)
     want = helmholtz_dense(rhs, *walls, c, g)
@@ -422,9 +423,9 @@ def test_crank_nicolson_matches_dense_property(n1, n3, log_c, with_source, seed)
        n_steps=st.integers(1, 8), log_dt=st.floats(-5.0, -1.0),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_carried_modes_property(n1, n3, n_steps, log_dt, seed):
-    """The modes a step hands over are the spectrum of the theta1 it made;
-    a state rebuilt from that theta1 steps to the same next state; and
-    dataclasses.replace builds its modes anew from its own theta1."""
+    """The modes and x1-mean column a step hands over are those of the
+    theta1 it made; a state rebuilt from that theta1 steps to the same next
+    state; and dataclasses.replace builds both anew from its own theta1."""
     g = strip2(n1, n3)
     rng = np.random.default_rng(seed)
     walls = rng.standard_normal(g.hshape), rng.standard_normal(g.hshape)
@@ -432,9 +433,11 @@ def test_carried_modes_property(n1, n3, n_steps, log_dt, seed):
     state = random_state(g, rng, cfg)
     for _ in range(n_steps):
         state = step_obm(state, cfg)
-    assert "modes" in vars(state)  # handed over by the step
+    assert "modes" in vars(state) and "column" in vars(state)  # handed over by the step
     want = sine_modes(state.theta1, g)
     assert np.max(np.abs(state.modes - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(state.column, state.theta1.mean(axis=-1))
+    assert float(g.w3 @ state.column) == mean_arr(state.theta1, g)
 
     rebuilt = ObmState(g, state.theta1, state.b1, state.chi, state.t)
     carried, fresh = step_obm(state, cfg), step_obm(rebuilt, cfg)
@@ -445,8 +448,61 @@ def test_carried_modes_property(n1, n3, n_steps, log_dt, seed):
     other = rng.standard_normal(g.shape)
     for moved, theta1 in ((replace(state, theta1=other), other),
                           (replace(state, t=state.t + 1.0), state.theta1)):
-        assert "modes" not in vars(moved)
+        assert "modes" not in vars(moved) and "column" not in vars(moved)
         assert np.array_equal(moved.modes, sine_modes(theta1, g))
+        assert np.array_equal(moved.column, theta1.mean(axis=-1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n1=st.sampled_from([4, 8, 16]), n3=st.integers(5, 33),
+       n_steps=st.integers(1, 6), with_source=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_run_matches_public_steps_property(n1, n3, n_steps, with_source, seed):
+    """run_obm, which holds one extension scratch for all its steps, gives
+    bit for bit the rows and final state of a loop of the public step_obm
+    and the row's formulas, with heated non-uniform walls and, when drawn, a
+    source; and every state it hands to on_step keeps its theta1, b1, modes
+    and column to the end of the run, so no state lives in the scratch."""
+    g = strip2(n1, n3)
+    rng = np.random.default_rng(seed)
+    walls = 0.3 + rng.standard_normal(g.hshape), -0.2 + rng.standard_normal(g.hshape)
+    cfg = make_cfg(g, dt=2e-3, t_end=n_steps * 2e-3 * 0.97, theta_B=walls)
+    th_src, b_src = rng.standard_normal(g.shape), rng.standard_normal(g.hshape)
+
+    def src(t):
+        return {"theta1": np.cos(7.0 * t) * th_src, "b1": np.sin(7.0 * t) * b_src}
+
+    src = src if with_source else None
+    state0 = random_state(g, rng, cfg)
+    handed = []
+
+    def keep(state):
+        handed.append((state, [state.theta1.copy(), state.b1.copy(),
+                               state.modes.copy(), state.column.copy()]))
+
+    final, rows = run_obm(state0, cfg, src=src, on_step=keep)
+    assert len(rows) == n_steps and all(isinstance(r, obm.ObmRow) for r in rows)
+
+    n, dt = _landing_step(0.0, cfg.t_end, cfg.dt)
+    landed = replace(cfg, dt=dt)
+    state, want = state0, []
+    for _ in range(n):
+        new = step_obm(state, landed, src=src)
+        d_th = new.theta1 - state.theta1
+        d_A = REF.b_bar * (new.b1 - state.b1)
+        d_rho = cfg.dpdt * (d_th - mean_arr(d_th, g)) + (d_A - d_A.mean())
+        want.append((new.t, mean_arr(new.theta1, g), new.chi, 0.0,
+                     obm.magnetic_energy(new),
+                     float(np.max(np.abs(d_rho))) / (cfg.dpdr * dt)))
+        state = new
+    assert rows == want
+    assert np.array_equal(final.theta1, state.theta1)
+    assert np.array_equal(final.b1, state.b1)
+    assert np.array_equal(final.modes, state.modes)
+    assert (final.chi, final.t) == (state.chi, state.t)
+    for kept, arrays in handed:
+        for got, copy in zip((kept.theta1, kept.b1, kept.modes, kept.column), arrays):
+            assert np.array_equal(got, copy)
 
 
 def test_second_order_in_dt():
