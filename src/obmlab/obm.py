@@ -346,9 +346,8 @@ def step_obm(state: ObmState, cfg: ObmConfig, src=None) -> ObmState:
 def _step_obm(state: ObmState, cfg: ObmConfig, src, ext: np.ndarray) -> ObmState:
     """Body of :func:`step_obm`, given the extension scratch ``ext``
     (:func:`obmlab.fields._odd_extension`), which :func:`run_obm` holds
-    for the whole run.  No array of the new state lives in it: the step
-    allocates only the new theta1 and modes, and hands over those modes and
-    the new x1-mean column to the new state."""
+    for the whole run.  No array of the new state lives in it; the new
+    state gets the step's modes and x1-mean column handed over."""
     g = state.grid
     dt = cfg.dt
     cth = cfg.kappa / (cfg.ref.rho_bar * cfg.cp)
@@ -452,11 +451,10 @@ def run_obm(state: ObmState, cfg: ObmConfig, src=None, on_step=None):
     """March to cfg.t_end in equal steps of at most cfg.dt that land on it
     exactly; returns (final state, one :class:`ObmRow` per step).
 
-    The run holds one extension scratch for all its steps, so a step
-    allocates only the new state's theta1 and modes; each state handed to
-    ``on_step`` is a plain value that the run never writes again.  A step
-    whose result is not finite raises :class:`FieldError` naming the step
-    and the t it stepped from."""
+    The run holds one extension scratch for all its steps (module
+    docstring); each state handed to ``on_step`` is a plain value that the
+    run never writes again.  A step whose result is not finite raises
+    :class:`FieldError` naming the step and the t it stepped from."""
     n_steps, dt = _landing_step(state.t, cfg.t_end, cfg.dt)
     if n_steps and dt != cfg.dt:
         cfg = replace(cfg, dt=dt)
