@@ -197,9 +197,13 @@ def _setup():
 
 @contextmanager
 def _march():
-    """Map failures raised while time stepping to NumericalFailure."""
+    """Map failures raised while time stepping to NumericalFailure.  numpy's
+    floating-point warnings are silenced, so that none comes before the
+    one-line failure: the drivers' finite checks already turn a blown-up
+    state into it."""
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
     except (PositivityError, CflError) as exc:
         raise NumericalFailure(str(exc)) from exc
     except FieldError as exc:

@@ -31,7 +31,15 @@ modes, diffusion along the negative real axis and waves along the imaginary
 axis, fits in the region.  The region's slice at Re z = x is the segment
 |Im z| <= h(x), and h rises from sqrt(3) at x = 0 to 2.3745 near x = -0.744,
 then falls to 0 at x = -2.5127; so the rectangle fits when its height is at
-most sqrt(3) and its far corner lies in the region.
+most sqrt(3) and its far corner lies in the region.  The rectangle's height
+is c_max |k|: sound at the adiabatic speed c_s / eps combined with the
+Alfven speed, plus the in-plane advection speed hypot(u1, u3).  Frozen about
+a state, the temperature form below gives rho_t = -rho div u, u_t =
+-(dp_drho grad rho + dp_dtheta grad theta) / (rho eps^2) and theta_t =
+-(theta dp_dtheta / (rho de_dtheta)) div u, whose speeds are +-c_s |k| / eps
+with c_s^2 = dp_drho + theta dp_dtheta^2 / (rho^2 de_dtheta).  The weights
+dp_drho / rho, rho eps^2 and rho de_dtheta / theta symmetrize it, so with
+the diffusion added every mode stays in the rectangle.
 Temperature is advanced in internal-energy form
 
     rho de_dtheta Dtheta/Dt = -theta dp_dtheta div u + eps^2 S:grad u
@@ -394,8 +402,11 @@ def cfl_limits(state: PrimitiveState, cfg: PrimConfig) -> float:
     """Largest admissible dt: the largest tau for which the rectangle
     [-tau nu_max s2, 0] x [-tau c_max s1, tau c_max s1] lies in the SSP-RK3
     stability region |1 + z + z^2/2 + z^3/6| <= 1.  c_max bounds the fast
-    magnetosonic speed (over eps) plus |u| through the closed-form equation
-    of state, nu_max the diffusivities, and s1 = hypot(k1, 1/dx3), s2 = k1^2
+    magnetosonic speed by sqrt(c_s^2 + |B|^2 / rho) / eps, with the
+    adiabatic sound speed c_s^2 = dp/drho + theta (dp/dtheta)^2 / (rho^2
+    de/dtheta) of the internal-energy form, plus the in-plane advection
+    speed hypot(u1, u3); nu_max is the largest of (4/3) mu / rho, kappa /
+    (rho de/dtheta) and zeta; and s1 = hypot(k1, 1/dx3), s2 = k1^2
     + 1/dx3^2 bound the discrete symbol: k1 = pi (n1 // 3) is the largest
     kept x1 wavenumber and 1/dx3 the largest symbol of the central x3
     stencil.  A linearized mode has dt lambda = -dt nu (s1'^2 + s3'^2) +- i
@@ -409,16 +420,21 @@ def cfl_limits(state: PrimitiveState, cfg: PrimConfig) -> float:
 
 def _cfl_limit(state: PrimitiveState, w: _StateWork) -> float:
     """Body of :func:`cfl_limits`, given the state's work."""
-    rho, g = state.rho, state.grid
-    B = w.B
-    bsq = B[0] ** 2 + B[1] ** 2 + B[2] ** 2
-    c = np.sqrt(w.dp_drho + (4.0 / 3.0) * w.p / rho + bsq / rho)
-    umax = float(np.max(np.abs(state.u)))
-    c_max = float(np.max(c)) / state.eps + umax
-    nu = np.maximum((4.0 / 3.0) * w.mu / rho, w.kappa / (rho * w.de_dtheta))
-    nu_max = max(float(np.max(nu)), float(np.max(w.zeta)))
+    c_max, nu_max = _bound_speeds(state, w)
+    g = state.grid
     k1, k3 = math.pi * (g.n1 // 3), 1.0 / g.dx3
     return _rk3_rectangle(nu_max * (k1 ** 2 + k3 ** 2), c_max * math.hypot(k1, k3))
+
+
+def _bound_speeds(state: PrimitiveState, w: _StateWork):
+    """(c_max, nu_max) of :func:`cfl_limits`, given the state's work."""
+    rho, u, B = state.rho, state.u, w.B
+    bsq = B[0] ** 2 + B[1] ** 2 + B[2] ** 2
+    c = np.sqrt(w.dp_drho + state.theta * w.dp_dtheta ** 2 / (rho * rho * w.de_dtheta)
+                + bsq / rho)
+    c_max = float(np.max(c)) / state.eps + float(np.max(np.hypot(u[0], u[2])))
+    nu = np.maximum((4.0 / 3.0) * w.mu / rho, w.kappa / (rho * w.de_dtheta))
+    return c_max, max(float(np.max(nu)), float(np.max(w.zeta)))
 
 
 def _rk3_rectangle(x: float, y: float) -> float:

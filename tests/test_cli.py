@@ -8,6 +8,7 @@ import sys
 import tempfile
 import textwrap
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -29,7 +30,7 @@ from obmlab.cli import (
 )
 from obmlab.fields import Geometry, Grid, mean_arr, read_snapshot
 from obmlab.mhd import PrimConfig, cfl_limits, snapshot_fields
-from obmlab.obm import _MAX_STEPS, ObmConfig, default_potential
+from obmlab.obm import _MAX_STEPS, ObmConfig, _landing_step, default_potential
 from obmlab.relent import well_prepared_data
 
 
@@ -64,6 +65,10 @@ SMALL_MHD = """\
     [output]
     snapshots = 2
 """
+
+# three automatic steps, which the tests that read a second or third step
+# assert, so that a change of the stability bound shows there
+THREE_STEP_MHD = SMALL_MHD.replace("t_end = 0.01", "t_end = 0.03")
 
 
 # -- configuration ------------------------------------------------------------
@@ -501,11 +506,18 @@ def test_run_mhd_collapsed_automatic_dt_exits_3(tmp_path, capsys, monkeypatch):
     5e-324 once the state has stepped) is a numerical failure: exit 3 and
     one line on stderr, not a traceback from the landing rule."""
     real = mhd._cfl_limit
-    monkeypatch.setattr(mhd, "_cfl_limit",
-                        lambda state, w: real(state, w) if state.t == 0 else 5e-324)
-    path = write_config(tmp_path, SMALL_MHD)
+    bounds = []
+
+    def collapsing(state, w):
+        bounds.append(real(state, w) if state.t == 0 else 5e-324)
+        return bounds[-1]
+
+    monkeypatch.setattr(mhd, "_cfl_limit", collapsing)
+    path = write_config(tmp_path, THREE_STEP_MHD)
     assert main(["run-mhd", "--config", path, "--out", str(tmp_path),
                  "--quiet"]) == 3
+    # the first step was planned as one of three, at safety 0.6 of the bound
+    assert _landing_step(0.0, 0.03, 0.6 * bounds[0])[0] == 3
     err = capsys.readouterr().err
     assert err.startswith("obmlab: numerical failure: the automatic dt collapsed "
                           "to 4.941e-324 after step 1, at t = ")
@@ -588,11 +600,12 @@ def test_run_obm_writes_csv_and_snapshots(tmp_path, capsys):
     assert np.all(np.isfinite(fields["theta1"]))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_run_obm_blowup_names_its_step(tmp_path, capsys, monkeypatch):
     """A limit step that produces non-finite values (here from a source
     that turns infinite in the third step) is a numerical failure with exit
-    3, and its one line names the step and the t it stepped from."""
+    3, and its one line names the step and the t it stepped from.  No numpy
+    warning comes before it: with warnings turned into errors, one would
+    escape the run instead."""
     from obmlab import cli
     run_obm = cli.run_obm
 
@@ -603,7 +616,10 @@ def test_run_obm_blowup_names_its_step(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "run_obm", blowing_up)
     path = write_config(tmp_path, SMALL_OBM)
-    assert main(["run-obm", "--config", path, "--out", str(tmp_path), "--quiet"]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run-obm", "--config", path, "--out", str(tmp_path),
+                     "--quiet"]) == 3
     err = capsys.readouterr().err
     assert err == ("obmlab: numerical failure: invalid state during the run: "
                    "non-finite values in theta1 in step 3, the step from t = 0.004\n")
@@ -816,12 +832,12 @@ def test_run_mhd_evaluates_entropy_production_once_per_step(tmp_path, capsys,
     # the body behind the public entropy_production_terms too, so a second
     # pass by any route would be counted
     monkeypatch.setattr(mhd, "_entropy_terms", counted)
-    path = write_config(tmp_path, SMALL_MHD)
+    path = write_config(tmp_path, THREE_STEP_MHD)
     out = tmp_path / "out"
     assert main(["run-mhd", "--config", path, "--out", str(out)]) == 0
     capsys.readouterr()
     steps = len((out / "run_mhd.csv").read_text().splitlines()) - 1
-    assert steps > 1
+    assert steps == 3
     assert len(calls) == steps
     calls.clear()
     assert main(["run-mhd", "--config", path, "--out", str(out),
@@ -854,8 +870,8 @@ def test_run_mhd_positivity_loss_writes_the_last_valid_state(tmp_path, capsys,
         return run_prim(state, cfg, t_end, on_step=note, src=chill, **kwargs)
 
     monkeypatch.setattr(cli, "run_prim", chilled)
-    # four automatic steps, so the run has not ended before the third
-    path = write_config(tmp_path, SMALL_MHD.replace("t_end = 0.01", "t_end = 0.03"))
+    # three automatic steps, so the run has not ended before the third
+    path = write_config(tmp_path, THREE_STEP_MHD)
     out = tmp_path / "out"
     assert main(["run-mhd", "--config", path, "--out", str(out), "--quiet"]) == 3
     err = capsys.readouterr().err
@@ -875,11 +891,10 @@ def test_run_mhd_hands_the_initial_state_to_the_march(tmp_path, monkeypatch):
     after the second step it is gone, with its fields."""
     from obmlab import cli
     run_prim = cli.run_prim
-    gone = []
+    gone, steps = [], []
 
     def watched(state, cfg, t_end, dt, on_step, entropy_fault):
         initial = weakref.ref(state)
-        steps = []
 
         def note(new):
             steps.append(new.t)
@@ -895,10 +910,11 @@ def test_run_mhd_hands_the_initial_state_to_the_march(tmp_path, monkeypatch):
                         entropy_fault=entropy_fault)
 
     monkeypatch.setattr(cli, "run_prim", watched)
-    path = write_config(tmp_path, SMALL_MHD)
+    path = write_config(tmp_path, THREE_STEP_MHD)
     assert main(["run-mhd", "--config", path, "--out", str(tmp_path / "out"),
                  "--quiet"]) == 0
     assert gone == [True]
+    assert len(steps) == 3
 
 
 def test_run_mhd_is_byte_deterministic(tmp_path, capsys):

@@ -443,7 +443,7 @@ def test_cfl_bound_keeps_every_linearized_mode_in_the_rk3_region(n1, n3, nu_max,
     g = cfg.grid
     st = uniform_state(cfg, eps=1.0)
     # a work whose fast speed is c_max and whose largest diffusivity is nu_max
-    w = mhd._StateWork(p=0.0, dp_drho=c_max ** 2, dp_dtheta=None, de_dtheta=1.0,
+    w = mhd._StateWork(p=0.0, dp_drho=c_max ** 2, dp_dtheta=0.0, de_dtheta=1.0,
                        rho_e=None, rho_s=None, mu=0.0, kappa=0.0, zeta=nu_max,
                        B=np.zeros((3,) + g.shape))
     dt = _cfl_limit(st, w)
@@ -463,6 +463,134 @@ def test_cfl_bound_keeps_every_linearized_mode_in_the_rk3_region(n1, n3, nu_max,
     assert np.max(np.abs(stability_polynomial(top, 3))) > 1.0
     if dt * nu_max * (k1 ** 2 + k3 ** 2) <= 0.75:
         assert np.max(np.abs(stability_polynomial(z, 2))) > 1.0 + 1e-3
+
+
+def study_data(eps):
+    """Criterion-7 data on 32x33, well prepared at Mach number eps, and the
+    compressible config of its gas and potential."""
+    g = Grid(Geometry.STRIP2, 32, n3=33)
+    ocfg = obm.ObmConfig(g, GAS, REF, obm.default_potential(g), (0.0, 0.0),
+                         dt=1e-3, t_end=0.0)
+    x1, x3 = g.x1[None, :], g.x3[:, None]
+    theta1 = 0.1 * np.sin(np.pi * x3) * (1.0 + 0.5 * np.cos(np.pi * x1))
+    theta1 = np.broadcast_to(theta1, g.shape).copy()
+    prim, _, _ = well_prepared_data(theta1, 0.25 * np.cos(np.pi * g.x1), ocfg, eps)
+    return prim, PrimConfig(g, GAS, REF, ocfg.G, ocfg.theta_B)
+
+
+def frozen_symbol(rho, theta, u, B, eps, gas, k, diffusive):
+    """The frozen-coefficient symbol of the linearized right side at a
+    uniform state, for the wavevector k = (k1, 0, k3) of the 2.5D strip, on
+    the unknowns (rho, u1, u2, u3, theta, B1, B2, B3): the acoustic coupling
+    through dp/drho and dp/dtheta, the thermal one through the compression
+    work theta dp/dtheta div u, the Lorentz force and the induction
+    curl(u x B), each Doppler-shifted by u.k; with ``diffusive`` also
+    the viscous stress, heat conduction and magnetic diffusion, whose
+    -zeta |k|^2 equals -zeta curl curl on divergence-free B."""
+    p_r, p_t = thermo.dp_drho(rho, theta, gas), thermo.dp_dtheta(rho, theta, gas)
+    e_t = thermo.de_dtheta(rho, theta, gas)
+    k, u, B = (np.asarray(v, dtype=float) for v in (k, u, B))
+    ku, kB, kk = k @ u, k @ B, k @ k
+    R, U, T, M = 0, slice(1, 4), 4, slice(5, 8)
+    A = np.zeros((8, 8), dtype=complex)
+    A[R, U] = -1j * rho * k
+    A[U, R] = -1j * k * p_r / (rho * eps ** 2)
+    A[U, T] = -1j * k * p_t / (rho * eps ** 2)
+    A[U, M] = 1j * (kB * np.eye(3) - np.outer(k, B)) / (rho * eps ** 2)
+    A[T, U] = -1j * k * theta * p_t / (rho * e_t)
+    A[M, U] = 1j * (kB * np.eye(3) - np.outer(B, k))
+    A -= 1j * ku * np.eye(8)
+    if diffusive:
+        mu, kappa = thermo.mu(theta, gas), thermo.kappa(theta, gas)
+        A[U, U] -= mu / rho * (kk * np.eye(3) + np.outer(k, k) / 3.0)
+        A[T, T] -= kappa * kk / (rho * e_t)
+        A[M, M] -= thermo.zeta(theta, gas) * kk * np.eye(3)
+    return A
+
+
+def uniform_mhd_state(cfg, rho, theta, u, B, eps):
+    """The uniform state (rho, u, theta, B); B1 through a = -B1 x3."""
+    g = cfg.grid
+    return PrimitiveState(
+        g, np.full(g.shape, rho), np.broadcast_to(np.reshape(u, (3, 1, 1)),
+                                                   (3,) + g.shape).copy(),
+        np.full(g.shape, theta), np.broadcast_to(-B[0] * g.x3[:, None], g.shape).copy(),
+        B[2], np.full(g.shape, B[1]), eps, 0.0)
+
+
+_vector = hst.lists(hst.floats(-2.0, 2.0), min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=hst.sampled_from([8, 16, 32, 64]), n3=hst.integers(5, 65),
+       rho=hst.floats(0.2, 5.0), theta=hst.floats(0.2, 5.0), eps=hst.floats(0.01, 1.0),
+       p_inf=hst.floats(1e-6, 3.0), a=hst.one_of(hst.just(0.0), hst.floats(0.0, 2.0)),
+       u=_vector, B=_vector, transport=hst.lists(hst.floats(1e-4, 1.0), min_size=3,
+                                                 max_size=3),
+       seed=hst.integers(0, 2 ** 32 - 1))
+@example(n1=64, n3=65, rho=1.0, theta=1.0, eps=0.05, p_inf=1.0, a=0.0,
+         u=[0.0, 0.0, 0.0], B=[0.0, 0.0, 0.5], transport=[0.05, 0.05, 0.05], seed=0)
+def test_cfl_bound_speed_is_the_linearized_symbols(n1, n3, rho, theta, eps, p_inf, a,
+                                                  u, B, transport, seed):
+    """At a uniform state the bound's c_max times |k| is the largest |Im
+    lambda| of the inviscid symbol when B and u vanish, to 1e-12, and bounds
+    it otherwise; with the diffusion added, every dt lambda at the bound's
+    dt has |R3| <= 1 + 1e-12, for k1 up to the largest kept x1 wavenumber
+    and k3 up to the central stencil's 1/dx3."""
+    mu, kappa, zeta = transport
+    gas = thermo.GasParams(p_inf=p_inf, a=a, mu_low=mu, mu_high=mu, kappa_low=kappa,
+                           kappa_high=kappa, zeta_low=zeta, zeta_high=zeta)
+    cfg = make_cfg(n1=n1, n3=n3, gas=gas)
+    g = cfg.grid
+    k1, k3 = np.pi * (n1 // 3), 1.0 / g.dx3
+    rng = np.random.default_rng(seed)
+    ks = np.column_stack([np.append(rng.uniform(0.0, k1, 20), k1), np.zeros(21),
+                          np.append(rng.uniform(0.0, k3, 20), k3)])
+    for flow, field in (([0.0] * 3, [0.0] * 3), (u, B)):
+        st = uniform_mhd_state(cfg, rho, theta, flow, field, eps)
+        c_max, _ = mhd._bound_speeds(st, mhd._bound_work(st, cfg))
+        for k in ks:
+            if not k.any():
+                continue
+            lam = np.linalg.eigvals(frozen_symbol(rho, theta, flow, field, eps, gas, k,
+                                                  diffusive=False))
+            fastest, bound = np.max(np.abs(lam.imag)), c_max * np.linalg.norm(k)
+            if flow is u:
+                assert fastest <= bound * (1.0 + 1e-12)
+            else:
+                assert abs(fastest - bound) <= 1e-12 * bound
+        dt = cfl_limits(st, cfg)
+        z = dt * np.concatenate([np.linalg.eigvals(frozen_symbol(
+            rho, theta, flow, field, eps, gas, k, diffusive=True)) for k in ks])
+        assert np.max(np.abs(stability_polynomial(z, 3))) <= 1.0 + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(rho=hst.floats(0.01, 100.0), theta=hst.floats(0.01, 100.0),
+       eps=hst.floats(0.01, 1.0), p_inf=hst.floats(1e-6, 10.0),
+       a=hst.one_of(hst.just(0.0), hst.floats(0.0, 10.0)), B=_vector)
+def test_adiabatic_speed_never_exceeds_the_earlier_bound(rho, theta, eps, p_inf, a, B):
+    """On the default law the bound's speed, the adiabatic sound speed and
+    the Alfven speed combined, is never above sqrt(dp/drho + (4/3) p / rho
+    + |B|^2 / rho) / eps: the thermal term theta (dp/dtheta)^2 / (rho^2
+    de/dtheta) is at most (4/3) p / rho, its radiation-dominated value."""
+    gas = thermo.GasParams(p_inf=p_inf, a=a)
+    cfg = make_cfg(n1=8, n3=5, gas=gas)
+    st = uniform_mhd_state(cfg, rho, theta, [0.0] * 3, B, eps)
+    c_max, _ = mhd._bound_speeds(st, mhd._bound_work(st, cfg))
+    earlier = np.sqrt(thermo.dp_drho(rho, theta, gas)
+                      + (4.0 / 3.0) * thermo.pressure(rho, theta, gas) / rho
+                      + np.dot(B, B) / rho) / eps
+    assert c_max <= earlier * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("eps, steps", [(0.1, 9), (0.05, 17)])
+def test_automatic_steps_on_the_study_data(eps, steps):
+    """A count that no host changes: the criterion-7 data on 32x33 reach
+    t = 0.01 in exactly this many automatic steps, each set by the acoustic
+    cap."""
+    prim, cfg = study_data(eps)
+    assert len(run_prim(prim, cfg, t_end=0.01)[1]) == steps
 
 
 @pytest.mark.parametrize("x, y", [(1.0, math.inf), (0.0, math.inf), (math.inf, 1.0),
@@ -1005,20 +1133,15 @@ def test_noisy_acoustic_data_at_the_automatic_dt(eps):
     modes added to rho, which starts acoustic waves, stays admissible at the
     automatic dt, and its perturbations agree within 1 % with a run at a
     quarter of that dt."""
-    g = Grid(Geometry.STRIP2, 32, n3=33)
-    ocfg = obm.ObmConfig(g, GAS, REF, obm.default_potential(g), (0.0, 0.0),
-                         dt=1e-3, t_end=0.04)
+    prim, cfg = study_data(eps)
+    g = cfg.grid
     x1, x3 = g.x1[None, :], g.x3[:, None]
-    theta1 = 0.1 * np.sin(np.pi * x3) * (1.0 + 0.5 * np.cos(np.pi * x1))
-    theta1 = np.broadcast_to(theta1, g.shape).copy()
-    prim, _, _ = well_prepared_data(theta1, 0.25 * np.cos(np.pi * g.x1), ocfg, eps)
     rng = np.random.default_rng(5)
     noise = sum(rng.normal() * np.cos(np.pi * k1 * x1 + rng.uniform(0.0, 2 * np.pi))
                 * np.cos(np.pi * k3 * x3) for k1 in range(4) for k3 in range(1, 4))
     prim = replace(prim, rho=prim.rho + 0.3 * eps * noise)
-    cfg = PrimConfig(g, GAS, REF, ocfg.G, ocfg.theta_B)
-    got, _ = run_prim(prim, cfg, ocfg.t_end)
-    want, _ = run_prim(prim, replace(cfg, safety=cfg.safety / 4), ocfg.t_end)
+    got, _ = run_prim(prim, cfg, 0.04)
+    want, _ = run_prim(prim, replace(cfg, safety=cfg.safety / 4), 0.04)
     for name, part in (("rho", lambda s: (s.rho - REF.rho_bar) / eps),
                        ("theta", lambda s: (s.theta - REF.theta_bar) / eps),
                        ("u", lambda s: s.u), ("a", lambda s: s.a)):  # B2 stays 0
